@@ -164,14 +164,29 @@ def multiply_diagrams(x, y):
     """
     if (x.m, x.n) != (y.m, y.n):
         raise ValueError("mismatched (m, n)")
-    m, n = x.m, x.n
+    m = x.m
+    arcs, loops = compose_strands(x.n, x.arc_items(), y.arc_items())
+    return (make_diagram(m, x.n, arcs),
+            tuple(sorted(acc % m for acc in loops)))
 
+
+def compose_strands(n, x_items, y_items):
+    """Stack x on top of y and trace every composite strand.
+
+    ``x_items``/``y_items`` are the ((p, q), label) arcs of the two factors.
+    Labels only need ``+`` and unary ``-``: integers give the product of two
+    diagrams, and vectors of coefficients give each output label as a signed
+    linear form in the input labels (never updated in place, so array
+    labels may be shared).  Returns (arcs, loops): the output arcs
+    as ((p, q), label) in no particular order and the closed-loop labels,
+    all before reduction mod m.
+    """
     # adjacency with traversal signs; mid row = x bottom = y top
     x_top = {}       # top point -> (other top point, label)  [terminal]
     x_vert_t = {}    # top -> (mid, +label)
     x_vert_m = {}    # mid -> (top, -label)
     x_step = {}      # mid -> (mid', signed label)  crossing an x bottom arc
-    for (p, q), lab in x.arc_items():
+    for (p, q), lab in x_items:
         if q <= n:
             x_top[p] = (q, lab)
             x_top[q] = (p, lab)
@@ -187,7 +202,7 @@ def multiply_diagrams(x, y):
     y_vert_m = {}    # mid -> (bottom, +label)
     y_vert_b = {}    # bottom -> (mid, -label)
     y_step = {}      # mid -> (mid', signed label)  crossing a y top arc
-    for (p, q), lab in y.arc_items():
+    for (p, q), lab in y_items:
         if q <= n:
             a, b = p, q
             y_step[a] = (b, lab)
@@ -225,7 +240,7 @@ def multiply_diagrams(x, y):
                     return "bot", b, acc + lab
                 mid2, slab = y_step[mid]
                 used_mid.add(mid2)
-                acc += slab
+                acc = acc + slab
                 mid = mid2
                 layer = "x"
             else:
@@ -234,7 +249,7 @@ def multiply_diagrams(x, y):
                     return "top", t, acc + lab
                 mid2, slab = x_step[mid]
                 used_mid.add(mid2)
-                acc += slab
+                acc = acc + slab
                 mid = mid2
                 layer = "y"
 
@@ -245,10 +260,10 @@ def multiply_diagrams(x, y):
         mid, lab = x_vert_t[p]
         kind, end, acc = walk_from_mid(mid, "y", lab)
         if kind == "bot":
-            arcs.append(((p, n + end), acc % m))
+            arcs.append(((p, n + end), acc))
         else:
             done_top.add(end)
-            arcs.append(((p, end), acc % m))
+            arcs.append(((p, end), acc))
             # traversal started at the smaller endpoint p, matching the
             # left-endpoint storage convention for top arcs
 
@@ -267,7 +282,7 @@ def multiply_diagrams(x, y):
         assert kind == "bot"
         seen_bot.add(end)
         # bottom arcs store the label of the right-to-left traversal
-        arcs.append(((n + b, n + end), (-acc) % m))
+        arcs.append(((n + b, n + end), -acc))
 
     # closed loops among the remaining mid points
     loops = []
@@ -284,16 +299,16 @@ def multiply_diagrams(x, y):
                 nxt, slab = x_step[cur]
             else:
                 nxt, slab = y_step[cur]
-            acc += slab
+            acc = acc + slab
             cur, layer = nxt, ("y" if layer == "x" else "x")
         if min(loop_pts) != start:
             continue  # will be handled from its leftmost point
         used_mid.update(loop_pts)
-        loops.append(acc % m)
+        loops.append(acc)
 
     # any loop whose leftmost point was skipped above is impossible: starts
     # iterate ascending, so the leftmost point comes first
-    return make_diagram(m, n, arcs), tuple(sorted(loops))
+    return arcs, loops
 
 
 def star_diagram(d):

@@ -12,7 +12,7 @@ and an exactly verified kernel vector certifies the deficiency.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -151,8 +151,11 @@ def rref_mod_p(mat, p):
     """Reduced row echelon form mod p of an int matrix (numpy int64).
 
     Returns (rank, pivot_cols, kernel_basis) where kernel_basis is a list of
-    int vectors (entries in [0, p)) spanning the right kernel mod p.
+    int vectors (entries in [0, p)) spanning the right kernel mod p.  Needs
+    p < 2^31, so that the int64 row update cannot overflow.
     """
+    if not 2 <= p < 2 ** 31:
+        raise ValueError("rref_mod_p needs 2 <= p < 2**31, got %d" % p)
     a = np.array(mat, dtype=np.int64) % p
     nrows, ncols = a.shape
     pivots = []
@@ -166,18 +169,21 @@ def rref_mod_p(mat, p):
         if piv != row:
             a[[row, piv]] = a[[piv, row]]
         inv = pow(int(a[row, col]), p - 2, p)
-        a[row] = a[row] * inv % p
+        # the pivot row is zero left of col, so only columns col.. change
+        a[row, col:] = a[row, col:] * inv % p
         colvals = a[:, col].copy()
         colvals[row] = 0
         mask = colvals != 0
         if mask.any():
-            a[mask] = (a[mask] - colvals[mask, None] * a[row][None, :]) % p
+            a[mask, col:] = (a[mask, col:]
+                             - colvals[mask, None] * a[row, col:][None, :]) % p
         pivots.append(col)
         row += 1
         if row == nrows:
             break
     rank = len(pivots)
-    free = [c for c in range(ncols) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
     kernel = []
     for fc in free:
         v = [0] * ncols
@@ -202,7 +208,6 @@ def rational_reconstruct(a, p):
         s0, s1 = s1, s0 - q * s1
     if abs(s1) > bound or s1 == 0:
         return None
-    from math import gcd
     if gcd(r1, abs(s1)) != 1:
         return None
     return Fraction(r1, s1) if s1 > 0 else Fraction(-r1, -s1)

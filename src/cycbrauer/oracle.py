@@ -5,24 +5,40 @@ form of the left regular representation on the full diagram basis and
 measures its radical, which in characteristic 0 equals the Jacobson radical
 of the algebra.  Characteristic p is refused rather than risked.
 
-Rank strategy: the trace matrix is viewed as a matrix over Q by replacing
-every cyclotomic entry with its phi(m) x phi(m) regular-representation block
-(trivial when entries are already rational).  A modular row reduction at a
-large prime gives the fast answer; full rank mod p certifies semisimplicity
-outright, and a rank deficit is certified by rationally reconstructing the
-mod-p kernel basis and verifying T v = 0 exactly.  If reconstruction fails
-at every prime (never observed), exact fraction elimination is the fallback
-for small sizes and the point is reported unresolved otherwise.
+Structure table: each pair of unlabelled skeletons is traced once with
+every label carried as a signed linear form in the 2n input labels; all
+labellings then follow from one integer matrix product mod m, stored as an
+int32 array of (product index, loop counts) rows.  The trace form is built
+from that array, evaluating each distinct loop monomial, trace and entry
+once in exact field arithmetic.
+
+Rank strategy: a trace matrix whose entries are all rational (so whenever
+every delta_a is real and m is 1, 2, 3, 4 or 6, as Q(zeta_m) meets R in Q;
+this covers every point the concordance sweep generates) has the same rank
+over Q(zeta_m) as over Q and is used as it is.  Otherwise it is viewed as
+a matrix over Q by replacing every cyclotomic entry with its
+phi(m) x phi(m) regular-representation block.  A modular row reduction at
+a large prime, reducing each distinct entry once, gives the fast answer;
+full rank mod p certifies semisimplicity outright, and a rank deficit is
+certified by rationally reconstructing the mod-p kernel basis and
+verifying T v = 0 exactly in integer arithmetic (T and v scaled to
+integers; int64 only under a proven overflow bound).  If reconstruction
+fails at every prime (never observed), exact fraction elimination is the
+fallback for small sizes and the point is reported unresolved otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from math import lcm
+
+import numpy as np
 
 from . import __version__
-from .criterion import VARIANTS, bar_deltas, decide, g_mu
-from .diagrams import NumericParams, basis_size, enumerate_basis, multiply_diagrams
+from .criterion import VARIANTS, decide, g_mu
+from .diagrams import NumericParams, basis_size, compose_strands, enumerate_basis
 from .gram import cell_gram, format_scalar
 from .linalg import gauss_rank, primes_for_modular, rational_reconstruct, rref_mod_p
 from .partitions import multipartitions
@@ -42,7 +58,19 @@ def deltas_admissible(deltas):
 
 class StructureTable:
     """All N^2 products of basis diagrams, each a single basis diagram times
-    a monomial in delta_0..delta_{m-1} (recorded as an exponent vector)."""
+    a monomial in delta_0..delta_{m-1}.
+
+    ``products`` is an int32 array with N^2 rows: row i*N + j holds the
+    index k of the product diagram of b_i * b_j, then the exponents of
+    delta_0..delta_{m-1} (the loop counts per label).
+
+    The basis lists each unlabelled skeleton with its m^n labellings in
+    lexicographic order.  For a fixed pair of skeletons the product skeleton
+    is fixed, and every output arc and loop label is a signed linear form
+    in the 2n input labels, so each skeleton pair is traced once (by
+    ``compose_strands``, on unit-vector labels) and all m^{2n} labellings
+    follow from one integer matrix product mod m.
+    """
 
     def __init__(self, m, n, cap=500):
         N = basis_size(m, n)
@@ -52,19 +80,43 @@ class StructureTable:
         self.n = n
         self.basis = enumerate_basis(m, n)
         self.size = N
-        index = {d: k for k, d in enumerate(self.basis)}
-        products = {}
-        for i, di in enumerate(self.basis):
-            for j, dj in enumerate(self.basis):
-                prod, loops = multiply_diagrams(di, dj)
-                exps = [0] * m
-                for a in loops:
-                    exps[a] += 1
-                k = index.get(prod)
-                if k is None:
-                    raise AssertionError("product left the basis: engine bug")
-                products[(i, j)] = (k, tuple(exps))
-        self.products = products
+        M = m ** n  # labellings per skeleton
+        S = N // M
+        skeletons = [self.basis[s * M].arcs for s in range(S)]
+        skeleton_index = {arcs: s for s, arcs in enumerate(skeletons)}
+        unit = np.eye(2 * n, dtype=np.int64)
+        digits = np.array(list(itertools.product(range(m), repeat=n)),
+                          dtype=np.int64).reshape(M, n)
+        # row xi * M + yj: the labels of b_{s1, xi} followed by b_{s2, yj}
+        labels = np.hstack([np.repeat(digits, M, axis=0),
+                            np.tile(digits, (M, 1))])
+        place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        max_loops = n // 2  # a loop uses at least two middle points
+        products = np.empty((S, M, S, M, 1 + m), dtype=np.int32)
+        for s1, xs in enumerate(skeletons):
+            # per right factor: n output-arc forms, then the loop forms
+            # padded with zero forms (label 0, subtracted again below)
+            forms = np.zeros((S, n + max_loops, 2 * n), dtype=np.int64)
+            pads = np.empty(S, dtype=np.int64)
+            out_skeleton = np.empty(S, dtype=np.int64)
+            for s2, ys in enumerate(skeletons):
+                arcs, loops = compose_strands(n, zip(xs, unit[:n]),
+                                              zip(ys, unit[n:]))
+                arcs.sort(key=lambda arc: arc[0])
+                out_skeleton[s2] = skeleton_index[tuple(pq for pq, _ in arcs)]
+                for r, (_, form) in enumerate(arcs):
+                    forms[s2, r] = form
+                for r, form in enumerate(loops):
+                    forms[s2, n + r] = form
+                pads[s2] = max_loops - len(loops)
+            values = labels @ forms.transpose(0, 2, 1) % m  # (S, M*M, .)
+            k = out_skeleton[:, None] * M + values[:, :, :n] @ place
+            exps = (values[:, :, n:, None] == np.arange(m)).sum(axis=2)
+            exps[:, :, 0] -= pads[:, None]
+            block = products[s1]  # (xi, s2, yj, column)
+            block[..., 0] = k.reshape(S, M, M).transpose(1, 0, 2)
+            block[..., 1:] = exps.reshape(S, M, M, m).transpose(1, 0, 2, 3)
+        self.products = products.reshape(N * N, 1 + m)
 
 
 def _monomial_value(field, deltas, exps):
@@ -76,30 +128,55 @@ def _monomial_value(field, deltas, exps):
 
 
 def trace_matrix(table, field, deltas):
-    """T_{ij} = trace of left multiplication by b_i * b_j."""
+    """T_{ij} = trace of left multiplication by b_i * b_j.
+
+    With b_i b_j = mono_ij b_k, T_ij = mono_ij * trace(L_{b_k}), and
+    trace(L_{b_k}) sums mono_kr over the r with b_k b_r in the span of b_r.
+    Each distinct monomial, trace and (monomial, trace) product is computed
+    once in exact field arithmetic; numpy only counts and indexes.
+    """
     N = table.size
     deltas = [d if not isinstance(d, (int, Fraction)) else field.embed(d)
               for d in deltas]
-    # trace of L_{b_k}: sum over r of the coefficient of b_r in b_k * b_r
+    prod = table.products
+    k = prod[:, 0].astype(np.int64)
+    base = table.n // 2 + 1  # exponents are loop counts, at most n // 2
+    keys = prod[:, 1:].astype(np.int64) @ base ** np.arange(table.m,
+                                                            dtype=np.int64)
+    _, first, mono = np.unique(keys, return_index=True, return_inverse=True)
+    monos = [_monomial_value(field, deltas, prod[f, 1:]) for f in first]
+    # trace of L_{b_k}: how often each monomial sits on the diagonal
+    rows = np.arange(N * N, dtype=np.int64)
+    diag = k == rows % N
+    counts = np.bincount(rows[diag] // N * len(monos) + mono[diag],
+                         minlength=N * len(monos)).reshape(N, len(monos))
+    count_rows, trace_class = np.unique(counts, axis=0, return_inverse=True)
     traces = []
-    for k in range(N):
+    for row in count_rows:
         acc = field.zero
-        for r in range(N):
-            kk, exps = table.products[(k, r)]
-            if kk == r:
-                acc = acc + _monomial_value(field, deltas, exps)
+        for u in np.nonzero(row)[0]:
+            acc = acc + monos[u] * int(row[u])
         traces.append(acc)
-    T = [[field.zero] * N for _ in range(N)]
-    for (i, j), (k, exps) in table.products.items():
-        T[i][j] = _monomial_value(field, deltas, exps) * traces[k]
-    return T
+    pairs, entry = np.unique(mono * len(traces) + trace_class[k],
+                             return_inverse=True)
+    # one shared object per distinct entry
+    pool = np.empty(len(pairs), dtype=object)
+    pool[:] = [monos[pair // len(traces)] * traces[pair % len(traces)]
+               for pair in pairs.tolist()]
+    return pool[entry].reshape(N, N).tolist()
 
 
 def _to_rational_blocks(field, T):
-    """Flatten a matrix over Q(zeta_m) to a matrix of Fractions by replacing
-    each entry with its multiplication matrix on the power basis."""
+    """Flatten a matrix over Q(zeta_m) to a matrix of Fractions.
+
+    A matrix whose entries are all rational has the same rank over
+    Q(zeta_m) as over Q, so it is kept as it is (deg = 1).  Otherwise each
+    entry is replaced by its multiplication matrix on the power basis
+    (deg = phi(m)).
+    """
     deg = getattr(field, "degree", 1)
-    if deg == 1:
+    entries = {id(x): x for row in T for x in row}.values()
+    if deg == 1 or not any(any(getattr(x, "coeffs", ())[1:]) for x in entries):
         return [[x.coeffs[0] if hasattr(x, "coeffs") else Fraction(x)
                  for x in row] for row in T], 1
     N = len(T)
@@ -117,50 +194,60 @@ def _to_rational_blocks(field, T):
     return big, deg
 
 
+def _product_is_zero(a, b):
+    """Whether the product of two integer matrices (numpy object arrays of
+    Python integers) is exactly zero.  It is formed in int64 when max|a|
+    times the largest column sum of |b| bounds every partial sum below
+    2^63, and in Python integers otherwise."""
+    if abs(a).max() * abs(b).sum(axis=0).max() < 2 ** 63:
+        a, b = a.astype(np.int64), b.astype(np.int64)
+    return not np.count_nonzero(a @ b)
+
+
 def _rank_exact_certified(big, primes):
     """Exact rank of a Fraction matrix via a modular pass with certificates.
 
     Returns (rank, method).  Full rank mod p is already exact (minors can
     only vanish further mod p); a deficit is accepted only once the lifted
-    kernel vectors are verified exactly.
+    kernel vectors are verified exactly: T and every vector are scaled to
+    integers and T v = 0 is checked in exact integer arithmetic.
     """
     N = len(big)
+    # T from trace_matrix repeats a handful of entry objects: index the
+    # distinct objects (cheap, by identity) and handle each value once
+    objs = {id(x): x for row in big for x in row}
+    pos = {key: i for i, key in enumerate(objs)}
+    index = np.array([[pos[id(x)] for x in row] for row in big],
+                     dtype=np.int64)
+    values = list(objs.values())
+    den = lcm(*(x.denominator for x in values))
+    scaled = np.array([x.numerator * (den // x.denominator) for x in values],
+                      dtype=object)[index]
     for p in primes:
-        try:
-            res = [[(x.numerator * pow(x.denominator, p - 2, p)) % p
-                    if x.denominator % p else None for x in row] for row in big]
-            if any(x is None for row in res for x in row):
-                continue
-        except ValueError:
+        if any(x.denominator % p == 0 for x in values):
             continue
-        rank_p, _, kernel = rref_mod_p(res, p)
+        by_value = {}
+        for x in values:
+            if x not in by_value:
+                by_value[x] = x.numerator * pow(x.denominator, p - 2, p) % p
+        residues = np.array([by_value[x] for x in values], dtype=np.int64)
+        rank_p, _, kernel = rref_mod_p(residues[index], p)
         if rank_p == N:
             return N, "modular-full-rank"
-        lifted = []
-        ok = True
+        lift = {}
         for v in kernel:
-            lv = [rational_reconstruct(a, p) for a in v]
-            if any(x is None for x in lv):
-                ok = False
-                break
-            lifted.append(lv)
-        if not ok:
+            for a in v:
+                if a not in lift:
+                    lift[a] = rational_reconstruct(a, p)
+        if any(x is None for x in lift.values()):
             continue
+        vectors = []
+        for v in kernel:
+            scale = lcm(*(lift[a].denominator for a in set(v)))
+            vectors.append([lift[a].numerator * (scale // lift[a].denominator)
+                            for a in v])
         # verify T v = 0 exactly
-        for lv in lifted:
-            support = [j for j, a in enumerate(lv) if a]
-            for i in range(N):
-                row = big[i]
-                s = Fraction(0)
-                for j in support:
-                    if row[j]:
-                        s += row[j] * lv[j]
-                if s:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if _product_is_zero(scaled, np.array(vectors, dtype=object).T):
             return rank_p, "modular-certified-kernel"
     if N <= 160:
         return gauss_rank(big), "exact-gauss"

@@ -8,6 +8,7 @@ table always agree.
 import json
 import os
 import random
+import tempfile
 import time
 from fractions import Fraction
 
@@ -48,21 +49,40 @@ def admissible_numeric(m, seed=0):
     return NumericParams(Q, [free[min(j, m - j)] for j in range(m)])
 
 
+def _without_timing(report):
+    report = dict(report)
+    report.pop("elapsed_seconds", None)
+    return report
+
+
 def concord_report():
-    """Criterion 13 sweep, shared with criterion 12; also written out as the
-    concordance deliverable under reports/."""
+    """Criterion 13 sweep, shared with criterion 12.  The deliverable is
+    written to a temporary directory, read back and compared with the
+    tracked reports/concordance.{json,csv}, apart from elapsed_seconds;
+    tests never rewrite tracked files."""
     if "concord" not in _cache:
         grid = [{"m": 2, "n": 2, "deltas": [[1, -1]]}, (3, 2), (2, 3)]
         t0 = time.time()
         rep = concordance_sweep(grid, seed=0, generic_points=10,
                                 hyperplane_points=99)
         rep["elapsed_seconds"] = round(time.time() - t0, 1)
-        os.makedirs(REPORT_DIR, exist_ok=True)
-        with open(os.path.join(REPORT_DIR, "concordance.json"), "w") as fh:
-            json.dump(rep, fh, indent=2, sort_keys=True)
-        with open(os.path.join(REPORT_DIR, "concordance.csv"), "w") as fh:
-            fh.write(report_csv(rep))
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, "concordance.json"), "w") as fh:
+                json.dump(rep, fh, indent=2, sort_keys=True)
+            with open(os.path.join(tmp, "concordance.csv"), "w") as fh:
+                fh.write(report_csv(rep))
+            with open(os.path.join(tmp, "concordance.json")) as fh:
+                written = json.load(fh)
+            with open(os.path.join(tmp, "concordance.csv")) as fh:
+                written_csv = fh.read()
+        with open(os.path.join(REPORT_DIR, "concordance.json")) as fh:
+            tracked = json.load(fh)
+        with open(os.path.join(REPORT_DIR, "concordance.csv")) as fh:
+            tracked_csv = fh.read()
         _cache["concord"] = rep
+        _cache["concord_matches_tracked"] = (
+            _without_timing(written) == _without_timing(tracked)
+            and written_csv == tracked_csv)
     return _cache["concord"]
 
 
@@ -246,9 +266,12 @@ def test_criterion_13_concordance_deliverable():
         print("NOTE: fixture (2,2) delta=(1,-1): printed-variant says %s, "
               "oracle says %s (predicted disagreement, recorded in the "
               "report)" % (c1_printed, c1["oracle"]["verdict"]))
+    matches = _cache["concord_matches_tracked"]
     ok = (not s["generic_disagreements"] and c1_ok
-          and rep["elapsed_seconds"] < 1800)
+          and rep["elapsed_seconds"] < 1800 and matches)
     emit(13, "concordance deliverable", ok,
-         "%d points in %.0fs, %d thin-locus disagreements, reports/ written"
+         "%d points in %.0fs, %d thin-locus disagreements, %s"
          % (s["num_points"], rep["elapsed_seconds"],
-            s["num_disagreements"]))
+            s["num_disagreements"],
+            "equals reports/ apart from timing" if matches
+            else "DIFFERS from reports/"))
