@@ -21,14 +21,15 @@ from fractions import Fraction
 from . import __version__
 from .criterion import bar_deltas, decide, g_mu, z_set, z_tilde
 from .diagrams import (NumericParams, SymbolicParams, associativity_check,
-                       basis_size,
-                       verify_relations)
-from .gram import (cell_gram, equivariance_check, format_scalar, gram_big,
-                   shape_check, single_box_gram, v_basis)
-from .oracle import concordance_sweep, report_csv, semisimple_verdict
-from .partitions import admissible_set, multipartitions, t_set, wp_set
+                       basis_size, verify_prop_eta, verify_relations)
+from .gram import (cell_gram, equivariance_check, gram_big, shape_check,
+                   single_box_gram)
+from .oracle import (concordance_report, concordance_sweep, report_csv,
+                     semisimple_verdict)
+from .partitions import admissible_set, check_multipartition, \
+    multipartitions, t_set
 from .scalars import CyclotomicField, NoRootError, field_with_root
-from .wreath import enumerate_group, group_order, verify_prop_eta
+from .wreath import enumerate_group, group_order
 
 USAGE_ERROR, COMPUTE_ERROR, VERIFY_FAILED = 1, 2, 3
 
@@ -39,8 +40,35 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
-def _field_for(m, char):
-    return field_with_root(char, m)
+def _int_at_least(low):
+    """argparse type: an integer >= low (m >= 1, n >= 0)."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                "expected an integer >= %d, got %r" % (low, text))
+        return value
+    return parse
+
+
+M_ARG, N_ARG = _int_at_least(1), _int_at_least(0)
+
+
+def _pairs(text):
+    """argparse type for --pairs: semicolon-separated m,n pairs."""
+    grid = []
+    for chunk in text.split(";"):
+        try:
+            m, n = chunk.split(",")
+            grid.append((M_ARG(m), N_ARG(n)))
+        except (ValueError, argparse.ArgumentTypeError):
+            raise argparse.ArgumentTypeError(
+                "bad pair %r: expected m,n with m >= 1 and n >= 0"
+                % chunk) from None
+    return grid
 
 
 def _parse_scalar(field, text):
@@ -67,7 +95,7 @@ def _emit(obj, out):
 
 
 def _params(args, m):
-    field = _field_for(m, args.char)
+    field = field_with_root(args.char, m)
     if args.delta is None:
         return SymbolicParams(m, field), field, None
     deltas = _parse_deltas(field, m, args.delta)
@@ -83,8 +111,8 @@ def main(argv=None):
     def add(name, help_text, mn=True, char_delta=False, variant=False):
         p = sub.add_parser(name, help=help_text)
         if mn:
-            p.add_argument("--m", type=int, required=True)
-            p.add_argument("--n", type=int, required=True)
+            p.add_argument("--m", type=M_ARG, required=True)
+            p.add_argument("--n", type=N_ARG, required=True)
         if char_delta:
             p.add_argument("--char", type=int, default=0)
             p.add_argument("--delta", type=str, default=None)
@@ -107,14 +135,14 @@ def main(argv=None):
     p.add_argument("--tilde", action="store_true",
                    help="emit the unscaled set")
     p = sub.add_parser("admissible", help="admissible two-box extensions of mu")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=M_ARG, required=True)
     p.add_argument("--mu", type=str, required=True,
                    help="JSON multipartition, e.g. [[1],[]]")
     p.add_argument("--out", type=str, default=None)
     add("gmu", "cell factors g_mu over the multipartitions of n-2",
         char_delta=True)
     p = sub.add_parser("bar-delta", help="transformed parameters bar_delta_i")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=M_ARG, required=True)
     p.add_argument("--char", type=int, default=0)
     p.add_argument("--delta", type=str, required=True)
     p.add_argument("--out", type=str, default=None)
@@ -128,14 +156,14 @@ def main(argv=None):
     p.add_argument("--mu", type=str, required=True)
     p = sub.add_parser("single-box",
                        help="3m x 3m Gram matrix of the one-box cell at n=3")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=M_ARG, required=True)
     p.add_argument("--out", type=str, default=None)
     p = add("oracle", "trace-form radical verdict (characteristic 0)",
             char_delta=True)
     p.add_argument("--cap", type=int, default=500)
     p = sub.add_parser("concord",
                        help="concordance sweep: criterion variants vs oracle")
-    p.add_argument("--pairs", type=str, default=None,
+    p.add_argument("--pairs", type=_pairs, default=None,
                    help="semicolon list of m,n pairs, e.g. 2,2;3,2")
     p.add_argument("--config", type=str, default=None,
                    help="JSON config with keys grid/seed/cap/"
@@ -147,7 +175,7 @@ def main(argv=None):
     p.add_argument("--out", type=str, default=None)
     p = sub.add_parser("prop-eta",
                        help="degree-2 eigenvector decomposition check")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=M_ARG, required=True)
     p.add_argument("--out", type=str, default=None)
     p = sub.add_parser("tset", help="one-box addition contents vs closed form")
     p.add_argument("--a", type=int, required=True)
@@ -173,7 +201,7 @@ def _dispatch(args):
 
     if cmd == "assoc":
         if args.delta is None:
-            field = _field_for(args.m, args.char)
+            field = field_with_root(args.char, args.m)
             params = SymbolicParams(args.m, field, symmetric=True)
         else:
             params, field, _ = _params(args, args.m)
@@ -209,33 +237,31 @@ def _dispatch(args):
         return 0
 
     if cmd == "admissible":
-        mu = tuple(tuple(p) for p in json.loads(args.mu))
-        if len(mu) != args.m:
-            raise ValueError("mu must have m components")
+        mu = check_multipartition(json.loads(args.mu), args.m)
         pairs = admissible_set(mu, args.m)
         _emit([{"lambda": [list(p) for p in pr.lam], "condition": pr.condition,
                 "content": pr.content} for pr in pairs], args.out)
         return 0
 
     if cmd == "gmu":
-        field = _field_for(args.m, args.char)
+        field = field_with_root(args.char, args.m)
         if args.delta is None:
             raise ValueError("--delta required")
         deltas = _parse_deltas(field, args.m, args.delta)
         out = [{"mu": [list(p) for p in mu],
-                "g_mu": format_scalar(g_mu(field, deltas, mu))}
+                "g_mu": str(g_mu(field, deltas, mu))}
                for mu in multipartitions(args.m, args.n - 2)]
         _emit({"m": args.m, "n": args.n, "values": out}, args.out)
         return 0
 
     if cmd == "bar-delta":
-        field = _field_for(args.m, args.char)
+        field = field_with_root(args.char, args.m)
         deltas = _parse_deltas(field, args.m, args.delta)
-        _emit([format_scalar(b) for b in bar_deltas(field, deltas)], args.out)
+        _emit([str(b) for b in bar_deltas(field, deltas)], args.out)
         return 0
 
     if cmd == "decide":
-        field = _field_for(args.m, args.char)
+        field = field_with_root(args.char, args.m)
         if args.delta is None:
             raise ValueError("--delta required")
         deltas = _parse_deltas(field, args.m, args.delta)
@@ -265,7 +291,7 @@ def _dispatch(args):
 
     if cmd == "cell-gram":
         params, field, _ = _params(args, args.m)
-        mu = tuple(tuple(p) for p in json.loads(args.mu))
+        mu = check_multipartition(json.loads(args.mu), args.m)
         gm = cell_gram(args.m, args.n, mu, params)
         _emit(gm.to_json(), args.out)
         return 0
@@ -322,9 +348,7 @@ def _run_concord(args):
             if key in cfg:
                 kwargs[key] = cfg[key]
     if args.pairs:
-        for chunk in args.pairs.split(";"):
-            m, n = chunk.split(",")
-            grid.append((int(m), int(n)))
+        grid.extend(args.pairs)
     if not grid:
         raise ValueError("empty grid: pass --pairs or --config")
     if args.jobs > 1:
@@ -351,31 +375,11 @@ def _merged_sweep(grid, kwargs, mapper):
     jobs = []
     for idx, item in enumerate(grid):
         kw = dict(kwargs)
-        kw["seed"] = kwargs.get("seed", 0) * 10007 + idx
+        kw["seed"] = kwargs["seed"] * 10007 + idx
         jobs.append((item, kw))
-    parts = list(mapper(_sweep_one, jobs))
-    points = [p for part in parts for p in part["points"]]
-    disagreements = [d for part in parts
-                     for d in part["summary"]["disagreements"]]
-    generic = [d for part in parts
-               for d in part["summary"]["generic_disagreements"]]
-    xfail = sum(part["summary"]["cross_check_failures"] for part in parts)
-    base = parts[0]
-    return {
-        "schema_version": base["schema_version"],
-        "engine_version": base["engine_version"],
-        "seed": kwargs.get("seed", 0),
-        "caps": base["caps"],
-        "assumption": base["assumption"],
-        "points": points,
-        "summary": {
-            "num_points": len(points),
-            "num_disagreements": len(disagreements),
-            "disagreements": disagreements,
-            "generic_disagreements": generic,
-            "cross_check_failures": xfail,
-        },
-    }
+    parts = mapper(_sweep_one, jobs)
+    return concordance_report([p for part in parts for p in part["points"]],
+                              kwargs["seed"], kwargs["cap"])
 
 
 def _parallel_sweep(grid, kwargs, jobs):

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from functools import lru_cache
+from math import factorial
 
-from .partitions import admissible_set, content_sum, multipartitions, partitions, \
+from .partitions import admissible_set, multipartitions, partitions, \
     add_two_boxes_not_same_column
 
 VARIANTS = ("printed-z", "combinatorial-rho", "gmu")
@@ -36,19 +37,12 @@ def char_e(field):
     return p if p else None
 
 
-def factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def bar_deltas(field, deltas):
     """bar_delta_i = sum_{j=1}^m delta_j xi^{ji} for i = 0..m-1, with
     delta_m = delta_0 and xi a fixed primitive m-th root of unity in F."""
     m = len(deltas)
     xi = field.root_of_unity(m)
-    vals = [d if not isinstance(d, int) else field.embed(d) for d in deltas]
+    vals = [field.coerce(d) for d in deltas]
     out = []
     for i in range(m):
         acc = field.zero
@@ -154,7 +148,7 @@ def decide(m, n, field, deltas, variant="printed-z"):
     if len(deltas) != m:
         raise ValueError("need m loop parameters")
     e = char_e(field)
-    vals = [d if not isinstance(d, int) else field.embed(d) for d in deltas]
+    vals = [field.coerce(d) for d in deltas]
     reasons = []
 
     if n == 1:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .scalars import FieldElement, power
+
 
 class DeltaRing:
     """Polynomial ring field[delta_0, ..., delta_{m-1}]."""
@@ -23,8 +25,7 @@ class DeltaRing:
         return "%r[delta_0..delta_%d]" % (self.field, self.m - 1)
 
     def embed(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            scalar = self.field.embed(scalar)
+        scalar = self.field.coerce(scalar)
         if not scalar:
             return DeltaPoly(self, {})
         return DeltaPoly(self, {(0,) * self.m: scalar})
@@ -33,12 +34,6 @@ class DeltaRing:
         exp = [0] * self.m
         exp[i % self.m] = 1
         return DeltaPoly(self, {tuple(exp): self.field.one})
-
-    def monomial(self, exps, scalar=None):
-        scalar = self.field.one if scalar is None else scalar
-        if not scalar:
-            return self.zero
-        return DeltaPoly(self, {tuple(exps): scalar})
 
 
 class DeltaPoly:
@@ -55,9 +50,7 @@ class DeltaPoly:
             if other.ring is not self.ring:
                 raise ValueError("mixed delta rings")
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.embed(other)
-        if other.__class__.__name__ in ("CycElt", "FFElt"):
+        if isinstance(other, (int, Fraction, FieldElement)):
             return self.ring.embed(other)
         return None
 
@@ -112,14 +105,7 @@ class DeltaPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        out = self.ring.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, self.ring.one)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -148,8 +134,9 @@ class DeltaPoly:
     def __repr__(self):
         if not self.terms:
             return "0"
+        fmt = self.ring.field.format_element
         bits = []
         for exps, c in sorted(self.terms.items()):
             mono = "*".join("d%d^%d" % (i, e) for i, e in enumerate(exps) if e)
-            bits.append("(%s)%s" % (c, "*" + mono if mono else ""))
+            bits.append("(%s)%s" % (fmt(c), "*" + mono if mono else ""))
         return " + ".join(bits)

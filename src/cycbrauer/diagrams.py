@@ -33,11 +33,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .deltapoly import DeltaRing
-from .scalars import CyclotomicField
-from .wreath import WreathElement, inverse as w_inverse
+from .linalg import gauss_rank
+from .scalars import CyclotomicField, power
+from .wreath import (WreathElement, enumerate_group, gen_s, gen_t,
+                     inverse as w_inverse)
 
 
 @dataclass(frozen=True)
@@ -394,8 +395,7 @@ class NumericParams:
 
     def __init__(self, field, deltas):
         self.field = field
-        self.deltas = [d if not isinstance(d, (int, Fraction)) else field.embed(d)
-                       for d in deltas]
+        self.deltas = [field.coerce(d) for d in deltas]
         self.m = len(deltas)
         self.one = field.one
         self.zero = field.zero
@@ -456,12 +456,7 @@ class AlgebraElement:
         return AlgebraElement(self.m, self.n, self.params, terms)
 
     def __sub__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for d, c in other.terms.items():
-            s = terms.get(d)
-            terms[d] = -c if s is None else s - c
-        return AlgebraElement(self.m, self.n, self.params, terms)
+        return self + (-other)
 
     def __neg__(self):
         return AlgebraElement(self.m, self.n, self.params,
@@ -490,14 +485,8 @@ class AlgebraElement:
         return AlgebraElement(self.m, self.n, params, terms)
 
     def __pow__(self, k):
-        out = AlgebraElement.of(self.params, identity_diagram(self.m, self.n))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, AlgebraElement.of(
+            self.params, identity_diagram(self.m, self.n)))
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -533,9 +522,6 @@ class DiagramAlgebra:
     def one(self):
         return self.element(identity_diagram(self.m, self.n))
 
-    def zero(self):
-        return AlgebraElement(self.m, self.n, self.params, {})
-
     def s(self, i):
         return self.element(generator(self.m, self.n, "s", i))
 
@@ -553,8 +539,64 @@ def symbolic_algebra(m, n, field=None, symmetric=False):
     return DiagramAlgebra(m, n, SymbolicParams(m, field, symmetric=symmetric))
 
 
-def numeric_algebra(m, n, field, deltas):
-    return DiagramAlgebra(m, n, NumericParams(field, deltas))
+def verify_prop_eta(m):
+    """Verify the explicit degree-2 eigenvector decomposition inside the
+    group algebra of G(m,1,2) over Q(zeta_m), embedded in B_{m,2} as the
+    all-vertical diagrams (which multiply without closing loops).
+
+    Builds v_i = prod_{j != i}(t_1 - u_j) * prod_{j != m-i}(t_2 - u_j) * (1 + s_1)
+    with u_j = zeta^j and checks rank and all five action equations.  Returns
+    a report dict with an overall "ok" flag and per-check failures.
+    """
+    if m < 2:
+        raise ValueError("m >= 2 required")
+    field = CyclotomicField(m)
+    alg = DiagramAlgebra(m, 2, NumericParams(field, [0] * m))
+    z = field.zeta
+    u = {j: z ** j for j in range(1, m + 1)}
+    one = alg.one()
+    t1 = alg.embed_wreath(gen_t(m, 2, 1))
+    t2 = alg.embed_wreath(gen_t(m, 2, 2))
+    s1 = alg.embed_wreath(gen_s(m, 2, 1))
+
+    vs = {}
+    for i in range(1, m + 1):
+        v = one + s1
+        for j in range(1, m + 1):
+            if j != i:
+                v = (t1 - one.scale(u[j])) * v
+        for j in range(1, m + 1):
+            if j % m != (m - i) % m:
+                v = (t2 - one.scale(u[j])) * v
+        vs[i] = v
+
+    failures = []
+    # (a) rank m
+    group = [wreath_to_diagram(g) for g in enumerate_group(m, 2)]
+    rank = gauss_rank([[vs[i].coefficient(d) for d in group]
+                       for i in range(1, m + 1)])
+    if rank != m:
+        failures.append({"check": "rank", "got": rank, "want": m})
+    # (b) s_1 v_m = v_m, t_1 v_m = v_m
+    if s1 * vs[m] != vs[m]:
+        failures.append({"check": "s1-fixes-vm"})
+    if t1 * vs[m] != vs[m]:
+        failures.append({"check": "t1-fixes-vm"})
+    # (c) t_1 v_j = u_j v_j
+    for j in range(1, m + 1):
+        if t1 * vs[j] != vs[j].scale(u[j]):
+            failures.append({"check": "t1-eigen", "i": j})
+    # (d) s_1 v_i = v_{m-i} for i != m, m/2
+    for i in range(1, m):
+        if m % 2 == 0 and i == m // 2:
+            continue
+        if s1 * vs[i] != vs[m - i]:
+            failures.append({"check": "s1-swap", "i": i})
+    # (e) 2|m: s_1 v_{m/2} = v_{m/2}
+    if m % 2 == 0:
+        if s1 * vs[m // 2] != vs[m // 2]:
+            failures.append({"check": "s1-fixes-half"})
+    return {"m": m, "rank": rank, "ok": not failures, "failures": failures}
 
 
 # ---------------------------------------------------------------------------
@@ -627,11 +669,17 @@ def verify_relations(m, n):
 # admissibility and associativity
 # ---------------------------------------------------------------------------
 
-def is_admissible(params):
+def deltas_admissible(deltas):
     """Whether delta_a = delta_{m-a} for all a; on this locus (and only
-    there, once m >= 3) the diagram product is associative."""
-    m = params.m
-    return all(params.delta(a) == params.delta(m - a) for a in range(1, m))
+    there, once m >= 3) the diagram product is associative, so a trace-form
+    radical is only algebra-theoretically meaningful there."""
+    m = len(deltas)
+    return all(deltas[a] == deltas[m - a] for a in range(1, m))
+
+
+def is_admissible(params):
+    """deltas_admissible for numeric or symbolic loop parameters."""
+    return deltas_admissible([params.delta(a) for a in range(params.m)])
 
 
 def associativity_check(m, n, params=None, trials=1000, seed=0):

@@ -14,28 +14,15 @@ Two different bilinear forms live here and are kept clearly apart:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from fractions import Fraction
 
 from .deltapoly import DeltaPoly
 from .diagrams import (AlgebraElement, SymbolicParams, from_awb, generator,
                        iota_diagram, is_admissible, multiply_diagrams,
-                       star_diagram, wreath_to_diagram)
-from .linalg import gauss_det, minor_det
+                       wreath_to_diagram)
+from .linalg import gauss_det, gauss_rank, minor_det
+from .partitions import check_multipartition
 from .scalars import CyclotomicField
 from .wreath import WreathElement, compose, enumerate_group, gen_s, gen_t
-
-
-def format_scalar(x):
-    """Stable string form for ints, Fractions, field elements and
-    delta-polynomials (used in JSON payloads)."""
-    if isinstance(x, (int, Fraction)):
-        return str(x)
-    if isinstance(x, DeltaPoly):
-        return repr(x)
-    cls = x.__class__.__name__
-    if cls in ("CycElt", "FFElt"):
-        return x.field.format_element(x)
-    return str(x)
 
 
 @dataclass(frozen=True)
@@ -57,8 +44,8 @@ class GramMatrix:
         return {
             "kind": self.kind,
             "size": self.size,
-            "entries": [[format_scalar(x) for x in row] for row in self.entries],
-            "det": None if self.det is None else format_scalar(self.det),
+            "entries": [[str(x) for x in row] for row in self.entries],
+            "det": None if self.det is None else str(self.det),
         }
 
 
@@ -120,7 +107,6 @@ def gram_big(m, n, params, cap=5000):
 def shape_check(gram, params):
     """Entry shape of the iota-form: diagonal delta_0, off-diagonal in
     {0, 1, delta_1, ..., delta_{m-1}}.  Returns list of violations."""
-    allowed = {id(None)}
     d0 = params.delta(0)
     offs = [params.zero, params.one]
     offs += [params.delta(a) for a in range(1, params.m)]
@@ -130,9 +116,9 @@ def shape_check(gram, params):
             x = gram.entries[i][j]
             if i == j:
                 if x != d0:
-                    bad.append((i, j, format_scalar(x)))
+                    bad.append((i, j, str(x)))
             elif all(x != o for o in offs):
-                bad.append((i, j, format_scalar(x)))
+                bad.append((i, j, str(x)))
     return bad
 
 
@@ -202,12 +188,6 @@ def equivariance_check(m, n, params, cap=5000):
 # cellular forms for cells (1, mu') with |mu| = n - 2 <= 1
 # ---------------------------------------------------------------------------
 
-def _phi_star_coeff(params, X, Y, target):
-    """Coefficient of the basis diagram ``target`` in star(X) * Y."""
-    prod = X.star() * Y
-    return prod.coefficient(target)
-
-
 def cell_gram(m, n, mu, params, compute_det=True):
     """Symmetric Gram matrix of the cell (1, mu') for n in {2, 3}.
 
@@ -220,6 +200,7 @@ def cell_gram(m, n, mu, params, compute_det=True):
     """
     if n not in (2, 3):
         raise ValueError("cells with n - 2 > 1 unsupported")
+    mu = check_multipartition(mu, m)
     field = params.field
 
     if n == 2:
@@ -232,7 +213,7 @@ def cell_gram(m, n, mu, params, compute_det=True):
             X = AlgebraElement.of(params, wreath_to_diagram(w)) * \
                 AlgebraElement.of(params, e1)
             basis.append(X)
-        entries = [[_phi_star_coeff(params, x, y, e1) for y in basis]
+        entries = [[(x.star() * y).coefficient(e1) for y in basis]
                    for x in basis]
         gm = GramMatrix("cellular-form", m, entries, list(range(m)))
         if compute_det:
@@ -303,18 +284,13 @@ def cell_gram(m, n, mu, params, compute_det=True):
 
 
 def _sym_or_num_det(entries, params):
-    size = len(entries)
-    if isinstance(params, SymbolicParams) or isinstance(entries[0][0], DeltaPoly):
-        if size > 12:
+    """Entries are delta polynomials for symbolic parameters (minor
+    expansion, no division) and field elements otherwise."""
+    if isinstance(params, SymbolicParams):
+        if len(entries) > 12:
             return None  # symbolic determinant kept to small sizes
-        ring = entries[0][0].ring if isinstance(entries[0][0], DeltaPoly) else params.ring
-        norm = [[x if isinstance(x, DeltaPoly) else ring.embed(x) for x in row]
-                for row in entries]
-        return minor_det(norm, ring.zero, ring.one)
-    field = params.field
-    norm = [[x if not isinstance(x, (int, Fraction)) else field.embed(x)
-             for x in row] for row in entries]
-    return gauss_det(norm, field.one)
+        return minor_det(entries, params.zero, params.one)
+    return gauss_det(entries, params.field.one)
 
 
 def anticirculant_det(field, deltas):
@@ -366,15 +342,14 @@ def single_box_gram(m, params=None):
                 val = x
             row.append(val)
             if val != want:
-                mismatches.append({"row": r, "col": c, "got": format_scalar(val),
-                                   "want": format_scalar(want)})
+                mismatches.append({"row": r, "col": c, "got": str(val),
+                                   "want": str(want)})
         at_zero_rows.append(row)
-    det0 = gauss_det([list(r) for r in at_zero_rows], field.one)
-    from .linalg import gauss_rank
+    det0 = gauss_det(at_zero_rows, field.one)
     rank0 = gauss_rank(at_zero_rows)
     gm.det = det0
     report = {"m": m, "matches_printed_at_zero": not mismatches,
               "identical_in_delta": identical and not mismatches,
               "mismatches": mismatches,
-              "det_at_zero": format_scalar(det0), "rank_at_zero": rank0}
+              "det_at_zero": str(det0), "rank_at_zero": rank0}
     return gm, report

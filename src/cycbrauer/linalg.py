@@ -16,22 +16,22 @@ from math import gcd
 
 import numpy as np
 
+from .scalars import is_prime
 
-def gauss_rank(rows):
-    """Rank of a matrix given as list of lists of field elements."""
+
+def _pivots(rows):
+    """Gaussian elimination on a copy of ``rows`` (field elements), one
+    column at a time: yields (pivot, swapped) per column, pivot None for a
+    column without one, until the rows or the columns run out."""
     rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
+    ncols = len(rows[0]) if rows else 0
     row = 0
     for col in range(ncols):
-        piv = None
-        for r in range(row, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
+        if row == len(rows):
+            return
+        piv = next((r for r in range(row, len(rows)) if rows[r][col]), None)
         if piv is None:
+            yield None, False
             continue
         rows[row], rows[piv] = rows[piv], rows[row]
         pv = rows[row][col]
@@ -40,36 +40,24 @@ def gauss_rank(rows):
                 f = rows[r][col] / pv
                 for c in range(col, ncols):
                     rows[r][c] = rows[r][c] - f * rows[row][c]
+        yield pv, piv != row
         row += 1
-        rank += 1
-        if row == len(rows):
-            break
-    return rank
+
+
+def gauss_rank(rows):
+    """Rank of a matrix given as list of lists of field elements."""
+    return sum(1 for pv, _ in _pivots(rows) if pv is not None)
 
 
 def gauss_det(rows, one):
     """Determinant of a square matrix of field elements."""
-    rows = [list(r) for r in rows]
-    n = len(rows)
     det = one
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
+    for pv, swapped in _pivots(rows):
+        if pv is None:
             return one - one
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
+        if swapped:
             det = -det
-        pv = rows[col][col]
         det = det * pv
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                f = rows[r][col] / pv
-                for c in range(col, n):
-                    rows[r][c] = rows[r][c] - f * rows[col][c]
     return det
 
 
@@ -110,41 +98,18 @@ def minor_det(matrix, zero, one):
 # modular fast path
 # ---------------------------------------------------------------------------
 
-def primes_for_modular(m, count=3, start=2_000_000_000):
-    """Primes p = 1 (mod m) descending from ``start``; fit in int64 row ops."""
+def primes_for_modular(m):
+    """The four largest primes p = 1 (mod m) below 2*10^9; they fit the
+    int64 row operations of rref_mod_p."""
     out = []
-    p = start - (start - 1) % m  # p = 1 mod m
-    while len(out) < count:
+    p = 2_000_000_000 - (2_000_000_000 - 1) % m  # p = 1 mod m
+    while len(out) < 4:
         if p < 3:
             raise ValueError("ran out of primes")
-        if _is_prime64(p):
+        if is_prime(p):
             out.append(p)
-        p -= m if m > 1 else 1
+        p -= m
     return out
-
-
-def _is_prime64(n):
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def rref_mod_p(mat, p):

@@ -38,22 +38,15 @@ import numpy as np
 
 from . import __version__
 from .criterion import VARIANTS, decide, g_mu
-from .diagrams import NumericParams, basis_size, compose_strands, enumerate_basis
-from .gram import cell_gram, format_scalar
+from .diagrams import (NumericParams, basis_size, compose_strands,
+                       deltas_admissible, enumerate_basis)
+from .gram import cell_gram
 from .linalg import gauss_rank, primes_for_modular, rational_reconstruct, rref_mod_p
 from .partitions import multipartitions
 from .scalars import CyclotomicField
 
 CONTENT_ASSUMPTION = ("box content c = col - row, 1-based, identical in every "
                       "component of a multipartition (component-blind)")
-
-
-def deltas_admissible(deltas):
-    """Whether delta_a = delta_{m-a} for all a.  The diagram product is
-    associative exactly on this locus (automatically for m <= 2), so the
-    trace-form radical is only algebra-theoretically meaningful there."""
-    m = len(deltas)
-    return all(deltas[a] == deltas[(m - a) % m] for a in range(1, m))
 
 
 class StructureTable:
@@ -136,8 +129,7 @@ def trace_matrix(table, field, deltas):
     once in exact field arithmetic; numpy only counts and indexes.
     """
     N = table.size
-    deltas = [d if not isinstance(d, (int, Fraction)) else field.embed(d)
-              for d in deltas]
+    deltas = [field.coerce(d) for d in deltas]
     prod = table.products
     k = prod[:, 0].astype(np.int64)
     base = table.n // 2 + 1  # exponents are loop counts, at most n // 2
@@ -174,11 +166,10 @@ def _to_rational_blocks(field, T):
     entry is replaced by its multiplication matrix on the power basis
     (deg = phi(m)).
     """
-    deg = getattr(field, "degree", 1)
+    deg = field.degree
     entries = {id(x): x for row in T for x in row}.values()
-    if deg == 1 or not any(any(getattr(x, "coeffs", ())[1:]) for x in entries):
-        return [[x.coeffs[0] if hasattr(x, "coeffs") else Fraction(x)
-                 for x in row] for row in T], 1
+    if deg == 1 or not any(any(x.coeffs[1:]) for x in entries):
+        return [[x.coeffs[0] for x in row] for row in T], 1
     N = len(T)
     big = [[Fraction(0)] * (N * deg) for _ in range(N * deg)]
     basis = [field.element([0] * k + [1]) for k in range(deg)]
@@ -260,24 +251,10 @@ def radical_dimension(table, field, deltas):
         raise ValueError("oracle is valid in characteristic 0 only")
     T = trace_matrix(table, field, deltas)
     big, deg = _to_rational_blocks(field, T)
-    primes = primes_for_modular(field.m if hasattr(field, "m") else 1, count=4)
-    rank_q, method = _rank_exact_certified(big, primes)
+    rank_q, method = _rank_exact_certified(big, primes_for_modular(field.m))
     if rank_q % deg:
         raise AssertionError("rank over Q not divisible by the field degree")
     return table.size - rank_q // deg
-
-
-def galois_conjugate_deltas(field, deltas, a):
-    """Apply the Galois map zeta -> zeta^a (gcd(a, m) = 1) entrywise."""
-    m = field.m
-    out = []
-    for d in deltas:
-        acc = field.zero
-        z = field.zeta
-        for k, c in enumerate(d.coeffs):
-            acc = acc + field.embed(c) * z ** ((k * a) % m)
-        out.append(acc)
-    return out
 
 
 def _cell_det_values(m, n, field, deltas):
@@ -309,12 +286,10 @@ def semisimple_verdict(m, n, field, deltas, table=None, cap=500):
         return {"verdict": "unsupported", "reason": "cap exceeded"}
     if table is None:
         table = StructureTable(m, n, cap)
+    deltas = [field.coerce(d) for d in deltas]
     rad = radical_dimension(table, field, deltas)
     out = {"verdict": "semisimple" if rad == 0 else "not-semisimple",
-           "radical": rad,
-           "admissible": deltas_admissible(
-               [d if not isinstance(d, (int, Fraction)) else field.embed(d)
-                for d in deltas])}
+           "radical": rad, "admissible": deltas_admissible(deltas)}
     if not out["admissible"]:
         out["note"] = ("parameters off the admissible locus "
                        "delta_a = delta_{m-a}: the product is not "
@@ -322,7 +297,7 @@ def semisimple_verdict(m, n, field, deltas, table=None, cap=500):
                        "the pinned composition rule")
     if n <= 3:
         dets = _cell_det_values(m, n, field, deltas)
-        out["cell_dets"] = [(tag, format_scalar(v)) for tag, v in dets]
+        out["cell_dets"] = [(tag, str(v)) for tag, v in dets]
         cells_ok = all(v for _, v in dets)
         out["cross_check_agrees"] = (rad == 0) == cells_ok
     return out
@@ -416,7 +391,7 @@ def concordance_sweep(grid, seed=0, cap=500, generic_points=2,
             if n >= 2:
                 rec["g_mu"] = [
                     {"mu": [list(p) for p in mu],
-                     "value": format_scalar(g_mu(field, deltas, mu))}
+                     "value": str(g_mu(field, deltas, mu))}
                     for mu in multipartitions(m, n - 2)]
             oracle = semisimple_verdict(m, n, field, deltas, table=table, cap=cap)
             rec["oracle"] = oracle
@@ -424,6 +399,12 @@ def concordance_sweep(grid, seed=0, cap=500, generic_points=2,
                 variant: verdicts[variant]["decision"] == oracle.get("verdict")
                 for variant in VARIANTS}
             points.append(rec)
+    return concordance_report(points, seed, cap)
+
+
+def concordance_report(points, seed, cap):
+    """The report of a sweep: its settings, the points and the summary
+    (disagreements with the oracle and cross-check failures)."""
     disagreements = [
         {"m": p["m"], "n": p["n"], "provenance": p["provenance"],
          "deltas": p["deltas"],
@@ -431,9 +412,7 @@ def concordance_sweep(grid, seed=0, cap=500, generic_points=2,
         for p in points if not all(p["agreement"].values())]
     cross_failures = [p for p in points
                       if p["oracle"].get("cross_check_agrees") is False]
-    generic_disagreements = [d for d in disagreements
-                             if d["provenance"] == "generic-random"]
-    report = {
+    return {
         "schema_version": 1,
         "engine_version": __version__,
         "seed": seed,
@@ -444,11 +423,11 @@ def concordance_sweep(grid, seed=0, cap=500, generic_points=2,
             "num_points": len(points),
             "num_disagreements": len(disagreements),
             "disagreements": disagreements,
-            "generic_disagreements": generic_disagreements,
+            "generic_disagreements": [d for d in disagreements
+                                      if d["provenance"] == "generic-random"],
             "cross_check_failures": len(cross_failures),
         },
     }
-    return report
 
 
 def report_csv(report):

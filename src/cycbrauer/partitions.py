@@ -46,6 +46,21 @@ def multipartitions(m, d):
     return tuple(out)
 
 
+def check_multipartition(mu, m):
+    """``mu`` as an m-tuple of partition tuples; ValueError unless it has m
+    components, each a weakly decreasing sequence of positive ints."""
+    try:
+        out = tuple(tuple(p) for p in mu)
+    except TypeError:
+        out = None
+    if out is None or len(out) != m or not all(
+            all(isinstance(x, int) and x > 0 for x in p)
+            and list(p) == sorted(p, reverse=True) for p in out):
+        raise ValueError("mu must be %d partitions (weakly decreasing "
+                         "positive integers), got %r" % (m, mu))
+    return out
+
+
 def conjugate(p):
     if not p:
         return ()

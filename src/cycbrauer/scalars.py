@@ -8,13 +8,14 @@ The coefficient tower used everywhere else in the package:
 * ``FiniteField(p, k)`` -- GF(p^k), elements stored as length-k vectors modulo
   the lexicographically smallest monic irreducible polynomial of degree k.
 
-All arithmetic is exact; there is no floating point anywhere in this package.
+One polynomial stack (``_poly_*``, coefficients in any field) serves both:
+Q(zeta_m) runs it on Fractions and GF(p^k) on elements of GF(p).  All
+arithmetic is exact; there is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -24,15 +25,51 @@ class NoRootError(ValueError):
     """The field has no element of the requested multiplicative order."""
 
 
+def power(x, k, one):
+    """x ** k for k >= 0 by square and multiply; ``one`` is the identity.
+    Field elements, delta polynomials and diagram-algebra elements all
+    raise to powers through this one routine."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        x = x * x
+        k >>= 1
+    return out
+
+
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n):
+    """Miller-Rabin on the first twelve prime bases, which is deterministic
+    for every n below 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers (coefficient lists, ascending degree)
 # ---------------------------------------------------------------------------
-
-def _trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
 
 def _int_polydiv_exact(num, den):
     """Exact division of integer polynomials; raises if not exact."""
@@ -62,10 +99,6 @@ def cyclotomic_polynomial(m):
     return tuple(poly)
 
 
-def euler_phi(m):
-    return len(cyclotomic_polynomial(m)) - 1
-
-
 def _prime_factors(n):
     out = []
     d = 2
@@ -78,164 +111,6 @@ def _prime_factors(n):
     if n > 1:
         out.append(n)
     return out
-
-
-def is_prime(n):
-    if n < 2:
-        return False
-    for d in range(2, int(n ** 0.5) + 1):
-        if n % d == 0:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# field spec
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """Description of a coefficient field.
-
-    kind is one of "rational-cyclotomic" (with m), "prime-field" (with p) or
-    "prime-extension" (with p, k).
-    """
-
-    kind: str
-    m: int = 1
-    p: int = 0
-    k: int = 1
-
-    def validate(self):
-        if self.kind == "rational-cyclotomic":
-            if self.m < 1:
-                raise ValueError("m must be positive")
-        elif self.kind in ("prime-field", "prime-extension"):
-            if not is_prime(self.p):
-                raise ValueError("p must be prime")
-            if self.kind == "prime-extension" and self.k < 1:
-                raise ValueError("k must be positive")
-        else:
-            raise ValueError("unknown field kind %r" % (self.kind,))
-
-
-def make_field(spec):
-    """Build the field handle described by ``spec``."""
-    spec.validate()
-    if spec.kind == "rational-cyclotomic":
-        return CyclotomicField(spec.m)
-    if spec.kind == "prime-field":
-        return FiniteField(spec.p, 1)
-    return FiniteField(spec.p, spec.k)
-
-
-def field_with_root(p_or_zero, m):
-    """Smallest field of the given characteristic containing a primitive
-    m-th root of unity: Q(zeta_m) in characteristic 0, GF(p^k) with k the
-    multiplicative order of p mod m otherwise."""
-    if p_or_zero == 0:
-        return CyclotomicField(m)
-    p = p_or_zero
-    if m == 1:
-        return FiniteField(p, 1)
-    if gcd(p, m) != 1:
-        raise NoRootError("no order-%d root in characteristic %d" % (m, p))
-    k, pw = 1, p % m
-    while pw != 1:
-        pw = pw * p % m
-        k += 1
-    return FiniteField(p, k)
-
-
-# ---------------------------------------------------------------------------
-# Q(zeta_m)
-# ---------------------------------------------------------------------------
-
-class CyclotomicField:
-    """The cyclotomic field Q(zeta_m); m = 1 gives plain Q."""
-
-    characteristic = 0
-
-    _cache = {}
-
-    def __new__(cls, m):
-        if m not in cls._cache:
-            obj = super().__new__(cls)
-            obj._init(m)
-            cls._cache[m] = obj
-        return cls._cache[m]
-
-    def _init(self, m):
-        self.m = m
-        mod = cyclotomic_polynomial(m)
-        self.degree = len(mod) - 1
-        self.modulus = tuple(Fraction(c) for c in mod)
-        self.zero = CycElt(self, (Fraction(0),) * self.degree)
-        self.one = self.embed(1)
-
-    def __repr__(self):
-        return "Q" if self.m == 1 else "Q(zeta_%d)" % self.m
-
-    def element(self, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) > self.degree:
-            coeffs = _poly_rem(coeffs, self.modulus)
-        coeffs += [Fraction(0)] * (self.degree - len(coeffs))
-        return CycElt(self, tuple(coeffs))
-
-    def embed(self, a):
-        return self.element([Fraction(a)])
-
-    @property
-    def zeta(self):
-        """The canonical primitive m-th root of unity."""
-        return self.element([Fraction(0), Fraction(1)] if self.degree > 1
-                            else [Fraction(0), Fraction(1)])
-
-    def root_of_unity(self, k):
-        if k == 1:
-            return self.one
-        if self.m % k != 0:
-            raise NoRootError("Q(zeta_%d) has no order-%d root" % (self.m, k))
-        return self.zeta ** (self.m // k)
-
-    def format_element(self, x):
-        return ",".join(str(c) for c in x.coeffs)
-
-    def parse_element(self, text):
-        return self.element([Fraction(part) for part in text.split(",")])
-
-    def reduction_hom(self, p):
-        """Ring homomorphism into GF(p) (zeta -> an order-m element mod p).
-        Requires p = 1 (mod m) and p prime."""
-        if self.m > 1 and (p - 1) % self.m != 0:
-            raise NoRootError("p must be 1 mod m")
-        r = _order_m_residue(p, self.m)
-
-        def hom(x):
-            acc = 0
-            pw = 1
-            for c in x.coeffs:
-                den = c.denominator % p
-                if den == 0:
-                    raise ZeroDivisionError("bad prime for reduction")
-                acc = (acc + c.numerator * pow(den, p - 2, p) * pw) % p
-                pw = pw * r % p
-            return acc
-
-        return hom
-
-
-@lru_cache(maxsize=None)
-def _order_m_residue(p, m):
-    if m == 1:
-        return 1
-    e = (p - 1) // m
-    for g in range(2, p):
-        r = pow(g, e, p)
-        if r != 1 and all(pow(r, m // q, p) != 1 for q in _prime_factors(m)):
-            return r
-    raise NoRootError("no order-%d residue mod %d" % (m, p))
 
 
 def _poly_rem(num, den):
@@ -301,8 +176,33 @@ def _poly_sub(a, b, zero):
     return out
 
 
-class CycElt:
-    """Element of Q(zeta_m) in the power basis of zeta."""
+# ---------------------------------------------------------------------------
+# fields and their elements
+# ---------------------------------------------------------------------------
+
+class _Field:
+    """One shared instance per field (per class and parameters)."""
+
+    _instances = {}
+
+    def __new__(cls, *key):
+        obj = _Field._instances.get((cls,) + key)
+        if obj is None:
+            obj = super().__new__(cls)
+            obj._init(*key)
+            _Field._instances[(cls,) + key] = obj
+        return obj
+
+    def coerce(self, x):
+        """``x`` in this field: ints and Fractions are embedded, its own
+        elements pass, another field's raise ValueError, others give None."""
+        return self.zero._coerce(x)
+
+
+class FieldElement:
+    """Arithmetic shared by CycElt and FFElt: a field handle and a tuple of
+    coefficients on the power basis.  Each subclass defines its own ring
+    operations (add, sub, neg, mul, inverse) and hash."""
 
     __slots__ = ("field", "coeffs")
 
@@ -311,13 +211,157 @@ class CycElt:
         self.coeffs = coeffs
 
     def _coerce(self, other):
-        if isinstance(other, CycElt):
+        if isinstance(other, FieldElement):
             if other.field is not self.field:
-                raise ValueError("mixed cyclotomic fields")
+                raise ValueError("mixed fields %r and %r"
+                                 % (self.field, other.field))
             return other
         if isinstance(other, (int, Fraction)):
             return self.field.embed(other)
         return None
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, k):
+        if k < 0:
+            return power(self.inverse(), -k, self.field.one)
+        return power(self, k, self.field.one)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.coeffs == o.coeffs
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def __str__(self):
+        return self.field.format_element(self)
+
+    def __repr__(self):
+        return "<%s: %s>" % (self.field, self)
+
+
+def field_with_root(p_or_zero, m):
+    """Smallest field of the given characteristic containing a primitive
+    m-th root of unity: Q(zeta_m) in characteristic 0, GF(p^k) with k the
+    multiplicative order of p mod m otherwise."""
+    if p_or_zero == 0:
+        return CyclotomicField(m)
+    p = p_or_zero
+    if m == 1:
+        return FiniteField(p, 1)
+    if gcd(p, m) != 1:
+        raise NoRootError("no order-%d root in characteristic %d" % (m, p))
+    k, pw = 1, p % m
+    while pw != 1:
+        pw = pw * p % m
+        k += 1
+    return FiniteField(p, k)
+
+
+# ---------------------------------------------------------------------------
+# Q(zeta_m)
+# ---------------------------------------------------------------------------
+
+class CyclotomicField(_Field):
+    """The cyclotomic field Q(zeta_m); m = 1 gives plain Q."""
+
+    characteristic = 0
+
+    def _init(self, m):
+        self.m = m
+        mod = cyclotomic_polynomial(m)
+        self.degree = len(mod) - 1
+        self.modulus = tuple(Fraction(c) for c in mod)
+        self.zero = CycElt(self, (Fraction(0),) * self.degree)
+        self.one = self.embed(1)
+
+    def __repr__(self):
+        return "Q" if self.m == 1 else "Q(zeta_%d)" % self.m
+
+    def element(self, coeffs):
+        coeffs = [Fraction(c) for c in coeffs]
+        if len(coeffs) > self.degree:
+            coeffs = _poly_rem(coeffs, self.modulus)
+        coeffs += [Fraction(0)] * (self.degree - len(coeffs))
+        return CycElt(self, tuple(coeffs))
+
+    def embed(self, a):
+        return self.element([Fraction(a)])
+
+    @property
+    def zeta(self):
+        """The canonical primitive m-th root of unity."""
+        return self.element([Fraction(0), Fraction(1)])
+
+    def root_of_unity(self, k):
+        if k == 1:
+            return self.one
+        if self.m % k != 0:
+            raise NoRootError("Q(zeta_%d) has no order-%d root" % (self.m, k))
+        return self.zeta ** (self.m // k)
+
+    def format_element(self, x):
+        return ",".join(str(c) for c in x.coeffs)
+
+    def parse_element(self, text):
+        return self.element([Fraction(part) for part in text.split(",")])
+
+    def reduction_hom(self, p):
+        """Ring homomorphism into GF(p) (zeta -> an order-m element mod p).
+        Requires p = 1 (mod m) and p prime."""
+        if self.m > 1 and (p - 1) % self.m != 0:
+            raise NoRootError("p must be 1 mod m")
+        r = _order_m_residue(p, self.m)
+
+        def hom(x):
+            acc = 0
+            pw = 1
+            for c in x.coeffs:
+                den = c.denominator % p
+                if den == 0:
+                    raise ZeroDivisionError("bad prime for reduction")
+                acc = (acc + c.numerator * pow(den, p - 2, p) * pw) % p
+                pw = pw * r % p
+            return acc
+
+        return hom
+
+
+@lru_cache(maxsize=None)
+def _order_m_residue(p, m):
+    if m == 1:
+        return 1
+    e = (p - 1) // m
+    for g in range(2, p):
+        r = pow(g, e, p)
+        if r != 1 and all(pow(r, m // q, p) != 1 for q in _prime_factors(m)):
+            return r
+    raise NoRootError("no order-%d residue mod %d" % (m, p))
+
+
+class CycElt(FieldElement):
+    """Element of Q(zeta_m) in the power basis of zeta."""
+
+    __slots__ = ()
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -332,12 +376,6 @@ class CycElt:
         if o is None:
             return NotImplemented
         return CycElt(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __neg__(self):
         return CycElt(self.field, tuple(-a for a in self.coeffs))
@@ -359,71 +397,29 @@ class CycElt:
         c = g[0]
         return self.field.element([x / c for x in s])
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
     def __hash__(self):
         return hash((self.field.m, self.coeffs))
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __repr__(self):
-        return "<%s: %s>" % (self.field, self.field.format_element(self))
 
 
 # ---------------------------------------------------------------------------
 # GF(p^k)
 # ---------------------------------------------------------------------------
 
-class FiniteField:
+class FiniteField(_Field):
     """GF(p^k) modulo the lexicographically smallest monic irreducible."""
-
-    _cache = {}
-
-    def __new__(cls, p, k):
-        if (p, k) not in cls._cache:
-            obj = super().__new__(cls)
-            obj._init(p, k)
-            cls._cache[(p, k)] = obj
-        return cls._cache[(p, k)]
 
     def _init(self, p, k):
         if not is_prime(p):
             raise ValueError("p must be prime")
+        self._setup(p, k, _smallest_irreducible(p, k))
+
+    def _setup(self, p, k, modulus):
         self.p = p
         self.k = k
         self.characteristic = p
         self.degree = k
         self.order = p ** k
-        self.modulus = _smallest_irreducible(p, k)
+        self.modulus = modulus
         self.zero = FFElt(self, (0,) * k)
         self.one = self.embed(1)
 
@@ -485,47 +481,6 @@ def _ff_rem(num, den, p):
     return num[:dn]
 
 
-@lru_cache(maxsize=None)
-def _smallest_irreducible(p, k):
-    """Monic irreducible of degree k over GF(p), smallest in the base-p
-    encoding of its non-leading coefficients (a_0 + a_1 p + ...)."""
-    if k == 1:
-        return (0, 1)  # x
-    for code in range(p ** k):
-        coeffs = []
-        c = code
-        for _ in range(k):
-            coeffs.append(c % p)
-            c //= p
-        f = tuple(coeffs) + (1,)
-        if _is_irreducible(f, p, k):
-            return f
-    raise AssertionError("unreachable")
-
-
-def _is_irreducible(f, p, k):
-    # f has a factor of degree d <= k/2 iff gcd(x^(p^d) - x, f) != 1
-    x = [0, 1]
-    pw = x
-    for _ in range(k // 2):
-        pw = _ff_powmod(pw, p, f, p)
-        g = _ff_gcd(_ff_sub(pw, x, p), list(f), p)
-        if len(g) - 1 > 0:
-            return False
-    return True
-
-
-def _ff_powmod(base, e, mod, p):
-    out = [1]
-    base = _ff_rem(list(base), mod, p)
-    while e:
-        if e & 1:
-            out = _ff_rem(_poly_mul_int(out, base, p), mod, p)
-        base = _ff_rem(_poly_mul_int(base, base, p), mod, p)
-        e >>= 1
-    return out
-
-
 def _poly_mul_int(a, b, p):
     out = [0] * (len(a) + len(b) - 1) if a and b else [0]
     for i, x in enumerate(a):
@@ -535,44 +490,42 @@ def _poly_mul_int(a, b, p):
     return out
 
 
-def _ff_sub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x % p
-    for i, x in enumerate(b):
-        out[i] = (out[i] - x) % p
-    return out
+def _gf_xgcd(p, a, b):
+    """``_poly_xgcd`` of two integer coefficient lists over GF(p)."""
+    gf = FiniteField(p, 1)
+    return _poly_xgcd([gf.embed(c) for c in a], [gf.embed(c) for c in b],
+                      gf.zero, gf.one)
 
 
-def _ff_gcd(a, b, p):
-    a = _trim([c % p for c in a])
-    b = _trim([c % p for c in b])
-    while b:
-        _, r = _ffpoly_divmod(a, b, p)
-        a, b = b, r
-    if not a:
-        return [0]
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
+@lru_cache(maxsize=None)
+def _smallest_irreducible(p, k):
+    """Monic irreducible of degree k over GF(p), smallest in the base-p
+    encoding of its non-leading coefficients (a_0 + a_1 p + ...).
+
+    f has a factor of degree d <= k/2 iff gcd(x^(p^d) - x, f) != 1.  The
+    powers of x are taken in GF(p)[x]/(f): a FiniteField built on f and
+    kept out of the field cache, as f need not be irreducible."""
+    if k == 1:
+        return (0, 1)  # x
+    for code in range(p ** k):
+        f = tuple(code // p ** i % p for i in range(k)) + (1,)
+        ring = object.__new__(FiniteField)
+        ring._setup(p, k, f)
+        x = pw = ring.element([0, 1])
+        for _ in range(k // 2):
+            pw = pw ** p
+            g, _ = _gf_xgcd(p, f, (pw - x).coeffs)
+            if any(g[1:]):
+                break
+        else:
+            return f
+    raise AssertionError("unreachable")
 
 
-class FFElt:
+class FFElt(FieldElement):
     """Element of GF(p^k) as a length-k coefficient vector."""
 
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = coeffs
-
-    def _coerce(self, other):
-        if isinstance(other, FFElt):
-            if other.field is not self.field:
-                raise ValueError("mixed finite fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.embed(other)
-        return None
+    __slots__ = ()
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -590,12 +543,6 @@ class FFElt:
         p = self.field.p
         return FFElt(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs)))
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __neg__(self):
         p = self.field.p
         return FFElt(self.field, tuple(-a % p for a in self.coeffs))
@@ -612,81 +559,13 @@ class FFElt:
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        p = self.field.p
-        # extended Euclid over GF(p)[x]; modulus irreducible, so the gcd
-        # terminates at a nonzero constant
-        r0, r1 = list(self.field.modulus), _trim(list(self.coeffs))
-        s0, s1 = [0], [1]
-        while len(r1) > 1:
-            q, r = _ffpoly_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _ff_sub(s0, _poly_mul_int(q, s1, p), p)
-        inv = pow(r1[0], p - 2, p)
-        return self.field.element([c * inv % p for c in s1])
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
+        field, p = self.field, self.field.p
+        if field.k == 1:
+            return FFElt(field, (pow(self.coeffs[0], p - 2, p),))
+        # extended Euclid over GF(p); the modulus is irreducible, so the gcd
+        # g is a nonzero constant
+        g, s = _gf_xgcd(p, field.modulus, self.coeffs)
+        return field.element([(c / g[0]).coeffs[0] for c in s])
 
     def __hash__(self):
         return hash((self.field.p, self.field.k, self.coeffs))
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __repr__(self):
-        return "<%s: %s>" % (self.field, self.field.format_element(self))
-
-
-def _ffpoly_divmod(num, den, p):
-    num = [c % p for c in num]
-    den = _trim([c % p for c in den])
-    if len(num) < len(den):
-        return [0], _trim(num)
-    q = [0] * (len(num) - len(den) + 1)
-    inv = pow(den[-1], p - 2, p)
-    for i in range(len(q) - 1, -1, -1):
-        f = num[i + len(den) - 1] * inv % p
-        q[i] = f
-        if f:
-            for j, d in enumerate(den):
-                num[i + j] = (num[i + j] - f * d) % p
-    return q, _trim(num)
-
-
-# ---------------------------------------------------------------------------
-
-def prod_one_minus_roots(m):
-    """prod_{i=1..m-1} (1 - zeta^i) in Q(zeta_m); equals the integer m."""
-    field = CyclotomicField(m)
-    out = field.one
-    z = field.zeta
-    for i in range(1, m):
-        out = out * (field.one - z ** i)
-    return out

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-from .linalg import gauss_rank
-from .scalars import CyclotomicField
+from math import factorial
 
 
 @dataclass(frozen=True)
@@ -32,10 +30,6 @@ class WreathElement:
 
     def to_json(self):
         return {"perm": list(self.perm), "colors": list(self.colors)}
-
-    @classmethod
-    def from_json(cls, m, n, obj):
-        return cls(m, n, tuple(obj["perm"]), tuple(obj["colors"]))
 
 
 def identity(m, n):
@@ -79,10 +73,7 @@ def inverse(g):
 
 
 def group_order(m, n):
-    out = m ** n
-    for k in range(2, n + 1):
-        out *= k
-    return out
+    return m ** n * factorial(n)
 
 
 def enumerate_group(m, n, cap=10 ** 6):
@@ -94,122 +85,3 @@ def enumerate_group(m, n, cap=10 ** 6):
         for colors in itertools.product(range(m), repeat=n):
             out.append(WreathElement(m, n, perm, colors))
     return out
-
-
-# ---------------------------------------------------------------------------
-# group algebra (small, used for the degree-2 induced-module verification)
-# ---------------------------------------------------------------------------
-
-class GroupAlgebraElement:
-    """Sparse F-linear combination of wreath elements."""
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field, terms):
-        self.field = field
-        self.terms = {g: c for g, c in terms.items() if c}
-
-    @classmethod
-    def of(cls, field, g, coeff=None):
-        return cls(field, {g: field.one if coeff is None else coeff})
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for g, c in other.terms.items():
-            s = terms.get(g)
-            terms[g] = c if s is None else s + c
-        return GroupAlgebraElement(self.field, terms)
-
-    def __sub__(self, other):
-        terms = dict(self.terms)
-        for g, c in other.terms.items():
-            s = terms.get(g)
-            terms[g] = -c if s is None else s - c
-        return GroupAlgebraElement(self.field, terms)
-
-    def __mul__(self, other):
-        if not isinstance(other, GroupAlgebraElement):
-            return GroupAlgebraElement(self.field, {g: c * other for g, c in self.terms.items()})
-        terms = {}
-        for g, cg in self.terms.items():
-            for h, ch in other.terms.items():
-                k = compose(g, h)
-                c = cg * ch
-                s = terms.get(k)
-                terms[k] = c if s is None else s + c
-        return GroupAlgebraElement(self.field, terms)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return self.field is other.field and self.terms == other.terms
-
-    def __repr__(self):
-        return "GroupAlgebraElement(%d terms)" % len(self.terms)
-
-
-def verify_prop_eta(m):
-    """Verify the explicit degree-2 eigenvector decomposition inside the
-    group algebra of G(m,1,2) over Q(zeta_m).
-
-    Builds v_i = prod_{j != i}(t_1 - u_j) * prod_{j != m-i}(t_2 - u_j) * (1 + s_1)
-    with u_j = zeta^j and checks rank and all five action equations.  Returns
-    a report dict with an overall "ok" flag and per-check failures.
-    """
-    if m < 2:
-        raise ValueError("m >= 2 required")
-    field = CyclotomicField(m)
-    z = field.zeta
-    u = {j: z ** j for j in range(1, m + 1)}
-    one = GroupAlgebraElement.of(field, identity(m, 2))
-    t1 = GroupAlgebraElement.of(field, gen_t(m, 2, 1))
-    t2 = GroupAlgebraElement.of(field, gen_t(m, 2, 2))
-    s1 = GroupAlgebraElement.of(field, gen_s(m, 2, 1))
-
-    def scaled(elt, scalar):
-        return GroupAlgebraElement(field, {g: c * scalar for g, c in elt.terms.items()})
-
-    vs = {}
-    for i in range(1, m + 1):
-        v = one + s1
-        for j in range(1, m + 1):
-            if j != i:
-                v = (t1 - scaled(one, u[j])) * v
-        for j in range(1, m + 1):
-            if j % m != (m - i) % m:
-                v = (t2 - scaled(one, u[j])) * v
-        vs[i] = v
-
-    failures = []
-    # (a) rank m
-    group = enumerate_group(m, 2)
-    index = {g: k for k, g in enumerate(group)}
-    rows = []
-    for i in range(1, m + 1):
-        row = [field.zero] * len(group)
-        for g, c in vs[i].terms.items():
-            row[index[g]] = c
-        rows.append(row)
-    rank = gauss_rank(rows)
-    if rank != m:
-        failures.append({"check": "rank", "got": rank, "want": m})
-    # (b) s_1 v_m = v_m, t_1 v_m = v_m
-    if s1 * vs[m] != vs[m]:
-        failures.append({"check": "s1-fixes-vm"})
-    if t1 * vs[m] != vs[m]:
-        failures.append({"check": "t1-fixes-vm"})
-    # (c) t_1 v_j = u_j v_j
-    for j in range(1, m + 1):
-        if t1 * vs[j] != scaled(vs[j], u[j]):
-            failures.append({"check": "t1-eigen", "i": j})
-    # (d) s_1 v_i = v_{m-i} for i != m, m/2
-    for i in range(1, m):
-        if m % 2 == 0 and i == m // 2:
-            continue
-        if s1 * vs[i] != vs[m - i]:
-            failures.append({"check": "s1-swap", "i": i})
-    # (e) 2|m: s_1 v_{m/2} = v_{m/2}
-    if m % 2 == 0:
-        if s1 * vs[m // 2] != vs[m // 2]:
-            failures.append({"check": "s1-fixes-half"})
-    return {"m": m, "rank": rank, "ok": not failures, "failures": failures}

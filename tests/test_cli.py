@@ -144,3 +144,59 @@ def test_compute_error_exit_code(capsys):
     code = main(["decide", "--m", "2", "--n", "2"])  # missing --delta
     capsys.readouterr()
     assert code == 2
+
+
+def usage_error(capsys, *argv):
+    """Exit code and stderr of a command that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_dim_rejects_negative_n(capsys):
+    code, err = usage_error(capsys, "dim", "--m", "2", "--n", "-1")
+    assert code == 1 and "--n" in err
+
+
+def test_dim_rejects_m_zero(capsys):
+    code, err = usage_error(capsys, "dim", "--m", "0", "--n", "2")
+    assert code == 1 and "--m" in err
+
+
+def test_relations_rejects_m_zero(capsys):
+    code, err = usage_error(capsys, "relations", "--m", "0", "--n", "2")
+    assert code == 1 and "--m" in err
+
+
+def test_concord_rejects_malformed_pairs(capsys):
+    for pairs, chunk in (("2", "'2'"), ("2,2;3", "'3'"), ("2,2,2", "'2,2,2'"),
+                         ("0,2", "'0,2'")):
+        code, err = usage_error(capsys, "concord", "--pairs", pairs)
+        assert code == 1 and chunk in err, (pairs, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("cell-gram", "--m", "2", "--n", "3", "--mu", "[[1]]"),
+    ("admissible", "--m", "2", "--mu", "[[1]]"),
+    ("admissible", "--m", "2", "--mu", "[[1, 2], []]"),
+    ("cell-gram", "--m", "2", "--n", "3", "--mu", "5"),
+])
+def test_malformed_mu_rejected(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert "mu must be 2 partitions" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gram", "--m", "3", "--n", "2", "--skip-equivariance"),
+    ("gram", "--m", "2", "--n", "2", "--char", "5", "--skip-equivariance"),
+    ("cell-gram", "--m", "2", "--n", "3", "--mu", "[[1],[]]"),
+    ("cell-gram", "--m", "3", "--n", "2", "--mu", "[[],[],[]]"),
+    ("single-box", "--m", "3"),
+])
+def test_scalar_json_has_no_repr(capsys, argv):
+    # symbolic entries print their coefficients in the field's own format
+    code, out = run(capsys, *argv)
+    assert code == 0 and "<" not in out
+    assert "*d0^1" in out or "d1^" in out

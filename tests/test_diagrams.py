@@ -2,17 +2,20 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycbrauer.diagrams import (Diagram, DiagramAlgebra, NumericParams,
                                 SymbolicParams, associativity_check,
                                 associativity_witness, basis_size,
                                 enumerate_basis, generator, identity_diagram,
                                 iota_diagram, is_admissible, make_diagram,
-                                multiply_diagrams, numeric_algebra,
-                                star_diagram, symbolic_algebra,
-                                verify_relations, wreath_to_diagram)
+                                multiply_diagrams, star_diagram,
+                                symbolic_algebra, verify_relations,
+                                wreath_to_diagram)
 from cycbrauer.scalars import CyclotomicField
 from cycbrauer.wreath import enumerate_group, inverse
 
@@ -80,6 +83,42 @@ def test_associativity_admissible_numeric():
         rep = associativity_check(m, n, params=admissible_numeric(m),
                                   trials=400, seed=1)
         assert rep["ok"], rep
+
+
+@lru_cache(maxsize=None)
+def cached_basis(m, n):
+    return enumerate_basis(m, n)
+
+
+@st.composite
+def admissible_triples(draw):
+    """(algebra at an admissible rational point, three basis elements)."""
+    m, n = draw(st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2), (3, 3),
+                                 (4, 2), (5, 2)]))
+    free = draw(st.lists(st.fractions(-9, 9, max_denominator=7),
+                         min_size=m // 2 + 1, max_size=m // 2 + 1))
+    alg = DiagramAlgebra(m, n, NumericParams(
+        Q, [free[min(j, m - j)] for j in range(m)]))
+    basis = cached_basis(m, n)
+    picks = st.integers(0, len(basis) - 1)
+    return alg, [alg.element(basis[draw(picks)]) for _ in range(3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_triples())
+def test_associativity_property(sample):
+    _, (x, y, z) = sample
+    assert (x * y) * z == x * (y * z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_triples())
+def test_star_is_an_anti_involution_property(sample):
+    alg, (x, y, z) = sample
+    s = x + y.scale(Fraction(-3, 2))  # a sum, not only a basis diagram
+    assert (s * z).star() == z.star() * s.star()
+    assert s.star().star() == s
+    assert alg.one().star() == alg.one()
 
 
 def test_associativity_needs_admissible_parameters():

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycbrauer.linalg import gauss_rank, primes_for_modular, rref_mod_p
+from cycbrauer.linalg import (gauss_det, gauss_rank, minor_det,
+                              primes_for_modular, rref_mod_p)
+from cycbrauer.scalars import CyclotomicField
 
-P = primes_for_modular(1, count=1)[0]
+P = primes_for_modular(1)[0]
 
 
 @st.composite
@@ -48,3 +50,28 @@ def test_rref_mod_p_refuses_large_primes():
     with pytest.raises(ValueError):
         rref_mod_p([[1]], 2 ** 31 + 11)
     assert rref_mod_p([[1, 1]], 2 ** 31 - 1)[0] == 1
+
+
+@st.composite
+def small_field_matrices(draw):
+    """Square matrices up to 4 x 4 over Q or Q(zeta_3) with small entries,
+    often singular (a repeated row or a zero column)."""
+    F = draw(st.sampled_from([CyclotomicField(1), CyclotomicField(3)]))
+    size = draw(st.integers(0, 4))
+    coeff = st.fractions(-5, 5, max_denominator=4)
+    entry = st.lists(coeff, min_size=F.degree, max_size=F.degree).map(
+        F.element)
+    rows = draw(st.lists(st.lists(entry, min_size=size, max_size=size),
+                         min_size=size, max_size=size))
+    if size > 1 and draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    return F, rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_field_matrices())
+def test_gauss_det_matches_minor_det(sample):
+    F, rows = sample
+    det = gauss_det(rows, F.one)
+    assert det == minor_det(rows, F.zero, F.one)
+    assert (gauss_rank(rows) == len(rows)) == bool(det)

@@ -11,7 +11,7 @@ from cycbrauer.oracle import (StructureTable, _monomial_value,
                               _product_is_zero, _rank_exact_certified,
                               _to_rational_blocks,
                               concordance_sweep, deltas_admissible,
-                              galois_conjugate_deltas, radical_dimension,
+                              radical_dimension,
                               report_csv, semisimple_verdict, trace_matrix)
 from cycbrauer.linalg import gauss_rank, primes_for_modular
 from cycbrauer.scalars import CyclotomicField, FiniteField
@@ -119,11 +119,11 @@ def test_rank_certificate_with_entries_beyond_int64():
     # enough for rational reconstruction)
     a, b = Fraction(10 ** 30, 7), Fraction(3 * 10 ** 30, 11)
     big = [[a, 2 * a, b], [2 * a, 4 * a, 2 * b], [a, 2 * a, b]]
-    assert _rank_exact_certified(big, primes_for_modular(1, count=2)) == \
+    assert _rank_exact_certified(big, primes_for_modular(1)[:2]) == \
         (1, "modular-certified-kernel")
     # full rank with the same magnitudes
     big[2][2] = b + 1
-    assert _rank_exact_certified(big, primes_for_modular(1, count=2))[0] == 2
+    assert _rank_exact_certified(big, primes_for_modular(1)[:2])[0] == 2
 
 
 def _flattening_points():
@@ -157,7 +157,7 @@ def test_group_algebra_semisimple_maschke():
         T = [[F.embed(N) if compose(g, h) == e else F.zero for h in group]
              for g in group]
         big, deg = _to_rational_blocks(F, T)
-        rank, method = _rank_exact_certified(big, primes_for_modular(m, count=3))
+        rank, method = _rank_exact_certified(big, primes_for_modular(m)[:3])
         assert rank == N * deg, (m, rank, method)
 
 
@@ -204,6 +204,13 @@ def test_oracle_cap():
     F = CyclotomicField(2)
     v = semisimple_verdict(2, 4, F, [F.one, F.one], cap=100)
     assert v["verdict"] == "unsupported"
+
+
+def galois_conjugate_deltas(field, deltas, a):
+    """Apply the Galois map zeta -> zeta^a (gcd(a, m) = 1) entrywise."""
+    z = field.zeta
+    return [sum((c * z ** (k * a % field.m) for k, c in enumerate(d.coeffs)),
+                field.zero) for d in deltas]
 
 
 def test_radical_galois_invariant():

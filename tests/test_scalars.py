@@ -2,13 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cycbrauer.scalars import (CyclotomicField, FieldSpec, FiniteField,
-                               NoRootError, cyclotomic_polynomial, euler_phi,
-                               field_with_root, make_field,
-                               prod_one_minus_roots)
+from cycbrauer.scalars import (CyclotomicField, FiniteField, NoRootError,
+                               _smallest_irreducible, cyclotomic_polynomial,
+                               field_with_root, is_prime)
 
 
 def random_elements(field, rng, count):
@@ -53,7 +55,8 @@ def test_cyclotomic_polynomials():
     assert list(cyclotomic_polynomial(6)) == [1, -1, 1]
     assert list(cyclotomic_polynomial(12)) == [1, 0, -1, 0, 1]
     for m in range(1, 30):
-        assert len(cyclotomic_polynomial(m)) - 1 == euler_phi(m)
+        totient = sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+        assert len(cyclotomic_polynomial(m)) - 1 == totient
 
 
 def test_root_of_unity_orders():
@@ -102,14 +105,57 @@ def test_prod_one_minus_roots():
     # prod_{a=1}^{m-1}(1 - zeta^a) = m for every m >= 2 (derivative of x^m-1)
     for m in range(2, 9):
         F = CyclotomicField(m)
-        assert prod_one_minus_roots(m) == F.embed(m)
+        prod = F.one
+        for a in range(1, m):
+            prod = prod * (F.one - F.zeta ** a)
+        assert prod == F.embed(m)
 
 
-def test_field_spec_validation():
-    make_field(FieldSpec("rational-cyclotomic", m=4))
-    make_field(FieldSpec("prime-field", p=11))
-    make_field(FieldSpec("prime-extension", p=3, k=2))
+# the moduli of GF(p^k) for p <= 7, k <= 4 (ascending coefficients); they
+# fix the power basis, hence how elements print, so they must not change
+SMALLEST_IRREDUCIBLE = {
+    (2, 1): (0, 1), (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (3, 1): (0, 1), (3, 2): (1, 0, 1), (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (5, 1): (0, 1), (5, 2): (2, 0, 1), (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (7, 1): (0, 1), (7, 2): (1, 0, 1), (7, 3): (2, 0, 0, 1),
+    (7, 4): (1, 1, 0, 0, 1),
+}
+
+
+def test_smallest_irreducible_table():
+    for (p, k), f in SMALLEST_IRREDUCIBLE.items():
+        assert _smallest_irreducible(p, k) == f, (p, k)
+        assert FiniteField(p, k).modulus == f
+
+
+@st.composite
+def nonzero_ff_elements(draw):
+    p, k = draw(st.sampled_from([(2, 1), (2, 4), (3, 3), (5, 2), (7, 1),
+                                 (7, 3), (11, 2)]))
+    F = FiniteField(p, k)
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k)
+                  .filter(any))
+    return F, F.element(coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonzero_ff_elements())
+def test_ff_inverse_property(sample):
+    F, a = sample
+    assert a * a.inverse() == F.one
+    assert a ** -1 == a.inverse() and (a ** -1) ** -1 == a
+    assert a ** (F.order - 1) == F.one
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(2000) if is_prime(n)] == \
+        [n for n in range(2000) if trial(n)]
+    assert is_prime(2_147_483_647) and not is_prime(2_147_483_649)
+    assert not is_prime(3_215_031_751)  # strong pseudoprime to bases 2..7
     with pytest.raises(ValueError):
-        FieldSpec("prime-field", p=12).validate()
-    with pytest.raises(ValueError):
-        FieldSpec("nonsense").validate()
+        FiniteField(12, 1)

@@ -1,13 +1,15 @@
-"""Wreath group G(m,1,n) = (Z/m) wr S_n and its group algebra."""
+"""Wreath group G(m,1,n) = (Z/m) wr S_n and its group algebra, the span of
+the all-vertical diagrams in B_{m,n}."""
 
 import random
 
 import pytest
 
+from cycbrauer.diagrams import (DiagramAlgebra, NumericParams,
+                                verify_prop_eta)
 from cycbrauer.scalars import CyclotomicField
-from cycbrauer.wreath import (GroupAlgebraElement, WreathElement, compose,
-                              enumerate_group, gen_s, gen_t, group_order,
-                              identity, inverse, verify_prop_eta)
+from cycbrauer.wreath import (WreathElement, compose, enumerate_group, gen_s,
+                              gen_t, group_order, identity, inverse)
 
 
 def test_group_order_and_enumeration():
@@ -59,9 +61,11 @@ def test_bad_elements_rejected():
 
 def test_group_algebra_distributes():
     F = CyclotomicField(3)
+    alg = DiagramAlgebra(3, 2, NumericParams(F, [0, 0, 0]))
     els = enumerate_group(3, 2)
     rng = random.Random(4)
-    picks = [GroupAlgebraElement.of(F, rng.choice(els)) for _ in range(6)]
+    picks = [alg.embed_wreath(rng.choice(els)).scale(F.zeta ** k)
+             for k in range(6)]
     a = picks[0] + picks[1]
     b = picks[2] - picks[3]
     c = picks[4] + picks[5]
