@@ -1,10 +1,11 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 usage error, 2 computational failure (cap exceeded,
-no root of unity in the requested characteristic, unsupported case), 3 when
-a verification subcommand finds failures (relation failures, Gram shape or
-equivariance violations, generic-stratum concordance disagreements, internal
-cross-check failures).
+Exit codes: 0 success, 1 usage error (including a malformed --delta value
+or --config file), 2 computational failure (cap exceeded, no root of unity
+in the requested characteristic, unsupported case), 3 when a verification
+subcommand finds failures (relation failures, Gram shape or equivariance
+violations, generic-stratum concordance disagreements, internal cross-check
+failures).
 
 Scalar syntax for --delta: comma-separated components delta_0..delta_{m-1};
 each component is a rational like 7/2 or a colon-separated coefficient
@@ -20,8 +21,9 @@ from fractions import Fraction
 
 from . import __version__
 from .criterion import bar_deltas, decide, g_mu, z_set, z_tilde
-from .diagrams import (NumericParams, SymbolicParams, associativity_check,
-                       basis_size, verify_prop_eta, verify_relations)
+from .diagrams import (OFF_LOCUS_NOTE, NumericParams, SymbolicParams,
+                       associativity_check, basis_size, deltas_admissible,
+                       verify_prop_eta, verify_relations)
 from .gram import (cell_gram, equivariance_check, gram_big, shape_check,
                    single_box_gram)
 from .oracle import (concordance_report, concordance_sweep, report_csv,
@@ -38,6 +40,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print("error: %s" % message, file=sys.stderr)
         sys.exit(USAGE_ERROR)
+
+
+class UsageError(Exception):
+    """Malformed input found after parsing (a --delta or --config value);
+    reported like an argparse error, with exit code 1."""
 
 
 def _int_at_least(low):
@@ -71,18 +78,19 @@ def _pairs(text):
     return grid
 
 
-def _parse_scalar(field, text):
-    if ":" in text:
-        coeffs = [Fraction(t) for t in text.split(":")]
-        return field.element(coeffs)
-    return field.embed(Fraction(text))
-
-
 def _parse_deltas(field, m, text):
-    parts = text.split(",")
-    if len(parts) != m:
-        raise ValueError("need exactly %d delta components" % m)
-    return [_parse_scalar(field, t) for t in parts]
+    """The --delta value: m comma-separated components, each a rational or
+    a colon-separated coefficient vector."""
+    try:
+        parts = [[Fraction(c) for c in t.split(":")] for t in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        parts = None
+    if parts is None or len(parts) != m:
+        raise UsageError("argument --delta: expected %d comma-separated "
+                         "rationals or coefficient vectors (like 7/2 or "
+                         "1:2/3), got %r" % (m, text))
+    return [field.element(c) if len(c) > 1 else field.embed(c[0])
+            for c in parts]
 
 
 def _emit(obj, out):
@@ -184,6 +192,8 @@ def main(argv=None):
     args = top.parse_args(argv)
     try:
         return _dispatch(args)
+    except UsageError as exc:
+        top.error(str(exc))
     except (NoRootError, ValueError, ArithmeticError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return COMPUTE_ERROR
@@ -265,8 +275,10 @@ def _dispatch(args):
         if args.delta is None:
             raise ValueError("--delta required")
         deltas = _parse_deltas(field, args.m, args.delta)
-        v = decide(args.m, args.n, field, deltas, args.variant)
-        _emit(v.to_json(), args.out)
+        v = decide(args.m, args.n, field, deltas, args.variant).to_json()
+        if not deltas_admissible(deltas):
+            v.update(admissible=False, note=OFF_LOCUS_NOTE)
+        _emit(v, args.out)
         return 0
 
     if cmd == "gram":
@@ -331,22 +343,74 @@ def _dispatch(args):
     raise ValueError("unknown command %r" % cmd)
 
 
-_CONCORD_KEYS = {"grid", "seed", "cap", "generic_points", "hyperplane_points"}
+# config key -> lowest allowed value (None: any integer)
+_CONCORD_INTS = {"seed": None, "cap": None, "generic_points": 0,
+                 "hyperplane_points": 0}
+
+
+def _is_int(value, low=None):
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and (low is None or value >= low))
+
+
+def _is_rational(value):
+    try:
+        Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        return False
+    return True
+
+
+def _check_grid_item(item):
+    """A config grid item is [m, n] or {"m": m, "n": n, "deltas": [...]},
+    with m >= 1 and n >= 0 as for --pairs and m rationals per delta."""
+    if isinstance(item, dict):
+        pair, vectors = [item.get("m"), item.get("n")], item.get("deltas", [])
+    else:
+        pair, vectors = item, []
+    ok = (isinstance(pair, list) and len(pair) == 2
+          and _is_int(pair[0], 1) and _is_int(pair[1], 0)
+          and isinstance(vectors, list)
+          and all(isinstance(v, list) and len(v) == pair[0]
+                  and all(map(_is_rational, v)) for v in vectors))
+    if not ok:
+        raise UsageError("config key 'grid': bad item %s: expected [m, n] or "
+                         "{\"m\": m, \"n\": n, \"deltas\": [...]} with "
+                         "m >= 1, n >= 0 and m rationals per delta vector"
+                         % json.dumps(item))
+
+
+def _read_config(path):
+    """The --config file as (grid, settings), checked at the boundary."""
+    with open(path) as fh:
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError("config is not JSON: %s" % exc) from None
+    if not isinstance(cfg, dict):
+        raise UsageError("config must be a JSON object")
+    unknown = set(cfg) - set(_CONCORD_INTS) - {"grid"}
+    if unknown:
+        raise UsageError("unknown config keys: %s" % sorted(unknown))
+    for key, low in _CONCORD_INTS.items():
+        if key in cfg and not _is_int(cfg[key], low):
+            raise UsageError("config key %r: expected an integer%s, got %s"
+                             % (key, "" if low is None else " >= %d" % low,
+                                json.dumps(cfg[key])))
+    grid = cfg.get("grid", [])
+    if not isinstance(grid, list):
+        raise UsageError("config key 'grid': expected a list")
+    for item in grid:
+        _check_grid_item(item)
+    return grid, {key: cfg[key] for key in _CONCORD_INTS if key in cfg}
 
 
 def _run_concord(args):
     kwargs = {"seed": args.seed, "cap": args.cap}
     grid = []
     if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        unknown = set(cfg) - _CONCORD_KEYS
-        if unknown:
-            raise ValueError("unknown config keys: %s" % sorted(unknown))
-        grid = cfg.get("grid", [])
-        for key in ("seed", "cap", "generic_points", "hyperplane_points"):
-            if key in cfg:
-                kwargs[key] = cfg[key]
+        grid, settings = _read_config(args.config)
+        kwargs.update(settings)
     if args.pairs:
         grid.extend(args.pairs)
     if not grid:

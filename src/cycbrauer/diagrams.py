@@ -669,6 +669,11 @@ def verify_relations(m, n):
 # admissibility and associativity
 # ---------------------------------------------------------------------------
 
+OFF_LOCUS_NOTE = ("parameters off the admissible locus delta_a = delta_{m-a}: "
+                  "the product is not associative there, so the verdict is "
+                  "relative to the pinned composition rule")
+
+
 def deltas_admissible(deltas):
     """Whether delta_a = delta_{m-a} for all a; on this locus (and only
     there, once m >= 3) the diagram product is associative, so a trace-form

@@ -264,19 +264,20 @@ def cell_gram(m, n, mu, params, compute_det=True):
     # star(x)*y picks up chi_l(g_l) = prod_{j != l}(xi^l - xi^j)
     # = m * xi^{l(m-1)}, so divide it back out
     norm = (field.embed(m) * xi ** ((l * (m - 1)) % m)).inverse()
+    character = [xi ** ((l * s) % m) for s in range(m)]
 
-    def phi(X, Y):
-        prod = X.star() * Y
+    def phi(X_star, Y):
         out = params.zero
-        for d, c in prod.terms.items():
+        for d, c in (X_star * Y).terms.items():
             if d not in targets:
                 raise ValueError("product left the span of alpha_0 (x) t^s (x) alpha_0")
-            out = out + c * (xi ** ((l * targets[d]) % m))
+            out = out + c * character[targets[d]]
         return out * norm
 
     basis = [(i, k) for i in (1, 2, 3) for k in range(m)]
-    vecs = {bk: basis_vector(*bk) for bk in basis}
-    entries = [[phi(vecs[x], vecs[y]) for y in basis] for x in basis]
+    vecs = [basis_vector(*bk) for bk in basis]
+    stars = [v.star() for v in vecs]
+    entries = [[phi(x, y) for y in vecs] for x in stars]
     gm = GramMatrix("cellular-form", 3 * m, entries, basis)
     if compute_det:
         gm.det = _sym_or_num_det(entries, params)

@@ -115,9 +115,9 @@ def primes_for_modular(m):
 def rref_mod_p(mat, p):
     """Reduced row echelon form mod p of an int matrix (numpy int64).
 
-    Returns (rank, pivot_cols, kernel_basis) where kernel_basis is a list of
-    int vectors (entries in [0, p)) spanning the right kernel mod p.  Needs
-    p < 2^31, so that the int64 row update cannot overflow.
+    Returns (rank, pivot_cols, kernel_basis) where kernel_basis is an int64
+    array whose rows (entries in [0, p)) span the right kernel mod p.
+    Needs p < 2^31, so that the int64 row update cannot overflow.
     """
     if not 2 <= p < 2 ** 31:
         raise ValueError("rref_mod_p needs 2 <= p < 2**31, got %d" % p)
@@ -147,15 +147,11 @@ def rref_mod_p(mat, p):
         if row == nrows:
             break
     rank = len(pivots)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    kernel = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-int(a[r, fc])) % p
-        kernel.append(v)
+    free = np.ones(ncols, dtype=bool)
+    free[pivots] = False
+    kernel = np.zeros((ncols - rank, ncols), dtype=np.int64)
+    kernel[:, free] = np.eye(ncols - rank, dtype=np.int64)
+    kernel[:, pivots] = -a[:rank, free].T % p
     return rank, pivots, kernel
 
 

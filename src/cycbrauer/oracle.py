@@ -8,9 +8,13 @@ of the algebra.  Characteristic p is refused rather than risked.
 Structure table: each pair of unlabelled skeletons is traced once with
 every label carried as a signed linear form in the 2n input labels; all
 labellings then follow from one integer matrix product mod m, stored as an
-int32 array of (product index, loop counts) rows.  The trace form is built
-from that array, evaluating each distinct loop monomial, trace and entry
-once in exact field arithmetic.
+int32 array of (product index, loop monomial index) rows.
+
+Trace form: T travels from the table to the certificate as one pair
+(values, index).  values lists the distinct entries, each computed once in
+exact field arithmetic; index is an N x N integer array with
+T_ij = values[index[i, j]].  Flattening, reduction mod p and the exact
+check all work per distinct value, and numpy only counts and indexes.
 
 Rank strategy: a trace matrix whose entries are all rational (so whenever
 every delta_a is real and m is 1, 2, 3, 4 or 6, as Q(zeta_m) meets R in Q;
@@ -18,7 +22,7 @@ this covers every point the concordance sweep generates) has the same rank
 over Q(zeta_m) as over Q and is used as it is.  Otherwise it is viewed as
 a matrix over Q by replacing every cyclotomic entry with its
 phi(m) x phi(m) regular-representation block.  A modular row reduction at
-a large prime, reducing each distinct entry once, gives the fast answer;
+a large prime gives the fast answer;
 full rank mod p certifies semisimplicity outright, and a rank deficit is
 certified by rationally reconstructing the mod-p kernel basis and
 verifying T v = 0 exactly in integer arithmetic (T and v scaled to
@@ -32,18 +36,18 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
 from . import __version__
-from .criterion import VARIANTS, decide, g_mu
-from .diagrams import (NumericParams, basis_size, compose_strands,
-                       deltas_admissible, enumerate_basis)
+from .criterion import VARIANTS, decide, g_mu, z_set
+from .diagrams import (OFF_LOCUS_NOTE, NumericParams, basis_size,
+                       compose_strands, deltas_admissible, enumerate_basis)
 from .gram import cell_gram
 from .linalg import gauss_rank, primes_for_modular, rational_reconstruct, rref_mod_p
 from .partitions import multipartitions
-from .scalars import CyclotomicField
+from .scalars import CyclotomicField, power
 
 CONTENT_ASSUMPTION = ("box content c = col - row, 1-based, identical in every "
                       "component of a multipartition (component-blind)")
@@ -54,8 +58,9 @@ class StructureTable:
     a monomial in delta_0..delta_{m-1}.
 
     ``products`` is an int32 array with N^2 rows: row i*N + j holds the
-    index k of the product diagram of b_i * b_j, then the exponents of
-    delta_0..delta_{m-1} (the loop counts per label).
+    index k of the product diagram of b_i * b_j and the index u of its loop
+    monomial; ``monomials[u]`` holds the exponents of delta_0..delta_{m-1}
+    (the loop counts per label).
 
     The basis lists each unlabelled skeleton with its m^n labellings in
     lexicographic order.  For a fixed pair of skeletons the product skeleton
@@ -85,12 +90,15 @@ class StructureTable:
                             np.tile(digits, (M, 1))])
         place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
         max_loops = n // 2  # a loop uses at least two middle points
-        products = np.empty((S, M, S, M, 1 + m), dtype=np.int32)
+        # a loop monomial is coded by its sorted loop labels, each shifted
+        # by one so that 0 marks a padding slot
+        code_of = (m + 1) ** np.arange(max_loops, dtype=np.int64)
+        products = np.empty((S, M, S, M, 2), dtype=np.int32)
         for s1, xs in enumerate(skeletons):
             # per right factor: n output-arc forms, then the loop forms
-            # padded with zero forms (label 0, subtracted again below)
+            # padded with zero forms
             forms = np.zeros((S, n + max_loops, 2 * n), dtype=np.int64)
-            pads = np.empty(S, dtype=np.int64)
+            loop_count = np.empty(S, dtype=np.int64)
             out_skeleton = np.empty(S, dtype=np.int64)
             for s2, ys in enumerate(skeletons):
                 arcs, loops = compose_strands(n, zip(xs, unit[:n]),
@@ -101,27 +109,28 @@ class StructureTable:
                     forms[s2, r] = form
                 for r, form in enumerate(loops):
                     forms[s2, n + r] = form
-                pads[s2] = max_loops - len(loops)
+                loop_count[s2] = len(loops)
             values = labels @ forms.transpose(0, 2, 1) % m  # (S, M*M, .)
             k = out_skeleton[:, None] * M + values[:, :, :n] @ place
-            exps = (values[:, :, n:, None] == np.arange(m)).sum(axis=2)
-            exps[:, :, 0] -= pads[:, None]
+            real = np.arange(max_loops) < loop_count[:, None]
+            loop_labels = np.where(real[:, None, :], values[:, :, n:] + 1, 0)
+            code = np.sort(loop_labels, axis=2) @ code_of
             block = products[s1]  # (xi, s2, yj, column)
             block[..., 0] = k.reshape(S, M, M).transpose(1, 0, 2)
-            block[..., 1:] = exps.reshape(S, M, M, m).transpose(1, 0, 2, 3)
-        self.products = products.reshape(N * N, 1 + m)
-
-
-def _monomial_value(field, deltas, exps):
-    out = field.one
-    for d, e in zip(deltas, exps):
-        for _ in range(e):
-            out = out * d
-    return out
+            block[..., 1] = code.reshape(S, M, M).transpose(1, 0, 2)
+        products = products.reshape(N * N, 2)
+        # number the codes that occur through a lookup on the dense code
+        seen = np.zeros((m + 1) ** max_loops, dtype=bool)
+        seen[products[:, 1]] = True
+        products[:, 1] = (np.cumsum(seen, dtype=np.int32) - 1)[products[:, 1]]
+        slots = np.flatnonzero(seen)[:, None] // code_of % (m + 1)
+        self.monomials = (slots[:, :, None] == np.arange(1, m + 1)).sum(axis=1)
+        self.products = products
 
 
 def trace_matrix(table, field, deltas):
-    """T_{ij} = trace of left multiplication by b_i * b_j.
+    """T_{ij} = trace of left multiplication by b_i * b_j, as the pair
+    (values, index) with T_ij = values[index[i, j]].
 
     With b_i b_j = mono_ij b_k, T_ij = mono_ij * trace(L_{b_k}), and
     trace(L_{b_k}) sums mono_kr over the r with b_k b_r in the span of b_r.
@@ -130,59 +139,47 @@ def trace_matrix(table, field, deltas):
     """
     N = table.size
     deltas = [field.coerce(d) for d in deltas]
-    prod = table.products
-    k = prod[:, 0].astype(np.int64)
-    base = table.n // 2 + 1  # exponents are loop counts, at most n // 2
-    keys = prod[:, 1:].astype(np.int64) @ base ** np.arange(table.m,
-                                                            dtype=np.int64)
-    _, first, mono = np.unique(keys, return_index=True, return_inverse=True)
-    monos = [_monomial_value(field, deltas, prod[f, 1:]) for f in first]
+    monos = [prod((power(d, e, field.one) for d, e in zip(deltas, exps)),
+                  start=field.one)
+             for exps in table.monomials.tolist()]
+    k, mono = table.products[:, 0], table.products[:, 1]
     # trace of L_{b_k}: how often each monomial sits on the diagonal
-    rows = np.arange(N * N, dtype=np.int64)
-    diag = k == rows % N
-    counts = np.bincount(rows[diag] // N * len(monos) + mono[diag],
+    i, j = np.nonzero(k.reshape(N, N) == np.arange(N))
+    counts = np.bincount(i * len(monos) + mono.reshape(N, N)[i, j],
                          minlength=N * len(monos)).reshape(N, len(monos))
     count_rows, trace_class = np.unique(counts, axis=0, return_inverse=True)
-    traces = []
-    for row in count_rows:
-        acc = field.zero
-        for u in np.nonzero(row)[0]:
-            acc = acc + monos[u] * int(row[u])
-        traces.append(acc)
-    pairs, entry = np.unique(mono * len(traces) + trace_class[k],
+    traces = [sum((monos[u] * c for u, c in enumerate(row) if c), field.zero)
+              for row in count_rows.tolist()]
+    pairs, index = np.unique(mono * len(traces) + trace_class[k],
                              return_inverse=True)
-    # one shared object per distinct entry
-    pool = np.empty(len(pairs), dtype=object)
-    pool[:] = [monos[pair // len(traces)] * traces[pair % len(traces)]
-               for pair in pairs.tolist()]
-    return pool[entry].reshape(N, N).tolist()
+    values = [monos[pair // len(traces)] * traces[pair % len(traces)]
+              for pair in pairs.tolist()]
+    return values, index.reshape(N, N)
 
 
-def _to_rational_blocks(field, T):
-    """Flatten a matrix over Q(zeta_m) to a matrix of Fractions.
+def _to_rational_blocks(field, values, index):
+    """Flatten T = (values, index) over Q(zeta_m) to a matrix over Q,
+    returned as (values, index, deg) of Fractions.
 
     A matrix whose entries are all rational has the same rank over
-    Q(zeta_m) as over Q, so it is kept as it is (deg = 1).  Otherwise each
-    entry is replaced by its multiplication matrix on the power basis
-    (deg = phi(m)).
+    Q(zeta_m) as over Q, so it keeps its index (deg = 1).  Otherwise each
+    entry becomes its deg x deg multiplication matrix on the power basis
+    (deg = phi(m)): block v of the flat values holds values[v], and entry
+    (i*deg + r, j*deg + c) of the flat matrix is cell (r, c) of block
+    index[i, j].
     """
     deg = field.degree
-    entries = {id(x): x for row in T for x in row}.values()
-    if deg == 1 or not any(any(x.coeffs[1:]) for x in entries):
-        return [[x.coeffs[0] for x in row] for row in T], 1
-    N = len(T)
-    big = [[Fraction(0)] * (N * deg) for _ in range(N * deg)]
-    basis = [field.element([0] * k + [1]) for k in range(deg)]
-    for i in range(N):
-        for j in range(N):
-            x = T[i][j]
-            if not x:
-                continue
-            for c in range(deg):
-                col = x * basis[c]
-                for r in range(deg):
-                    big[i * deg + r][j * deg + c] = col.coeffs[r]
-    return big, deg
+    if deg == 1 or not any(any(x.coeffs[1:]) for x in values):
+        return [x.coeffs[0] for x in values], index, 1
+    basis = [field.element([0] * c + [1]) for c in range(deg)]
+    flat = []
+    for x in values:
+        cols = [x * b for b in basis]
+        flat.extend(col.coeffs[r] for r in range(deg) for col in cols)
+    N = len(index)
+    cells = np.arange(deg * deg).reshape(deg, deg)
+    big = index[:, :, None, None] * deg * deg + cells  # (i, j, r, c)
+    return flat, big.transpose(0, 2, 1, 3).reshape(N * deg, N * deg), deg
 
 
 def _product_is_zero(a, b):
@@ -195,53 +192,46 @@ def _product_is_zero(a, b):
     return not np.count_nonzero(a @ b)
 
 
-def _rank_exact_certified(big, primes):
-    """Exact rank of a Fraction matrix via a modular pass with certificates.
+def _rank_exact_certified(values, index, primes):
+    """Exact rank of the Fraction matrix T_ij = values[index[i, j]] via a
+    modular pass with certificates.
 
     Returns (rank, method).  Full rank mod p is already exact (minors can
     only vanish further mod p); a deficit is accepted only once the lifted
     kernel vectors are verified exactly: T and every vector are scaled to
-    integers and T v = 0 is checked in exact integer arithmetic.
+    integers and T v = 0 is checked in exact integer arithmetic.  Each
+    distinct entry is reduced and each distinct kernel residue lifted once.
     """
-    N = len(big)
-    # T from trace_matrix repeats a handful of entry objects: index the
-    # distinct objects (cheap, by identity) and handle each value once
-    objs = {id(x): x for row in big for x in row}
-    pos = {key: i for i, key in enumerate(objs)}
-    index = np.array([[pos[id(x)] for x in row] for row in big],
-                     dtype=np.int64)
-    values = list(objs.values())
+    N = len(index)
     den = lcm(*(x.denominator for x in values))
     scaled = np.array([x.numerator * (den // x.denominator) for x in values],
-                      dtype=object)[index]
+                      dtype=object)
     for p in primes:
         if any(x.denominator % p == 0 for x in values):
             continue
-        by_value = {}
-        for x in values:
-            if x not in by_value:
-                by_value[x] = x.numerator * pow(x.denominator, p - 2, p) % p
-        residues = np.array([by_value[x] for x in values], dtype=np.int64)
+        residues = np.array([x.numerator * pow(x.denominator, -1, p) % p
+                             for x in values], dtype=np.int64)
         rank_p, _, kernel = rref_mod_p(residues[index], p)
         if rank_p == N:
             return N, "modular-full-rank"
-        lift = {}
-        for v in kernel:
-            for a in v:
-                if a not in lift:
-                    lift[a] = rational_reconstruct(a, p)
-        if any(x is None for x in lift.values()):
+        distinct, inverse = np.unique(kernel, return_inverse=True)
+        lifts = [rational_reconstruct(a, p) for a in distinct.tolist()]
+        if any(x is None for x in lifts):
             continue
-        vectors = []
-        for v in kernel:
-            scale = lcm(*(lift[a].denominator for a in set(v)))
-            vectors.append([lift[a].numerator * (scale // lift[a].denominator)
-                            for a in v])
+        inverse = inverse.reshape(kernel.shape)
+        nums = np.array([x.numerator for x in lifts], dtype=object)
+        dens = np.array([x.denominator for x in lifts], dtype=object)
+        # each vector is scaled by the lcm of its own denominators
+        present = np.zeros((len(kernel), len(lifts)), dtype=bool)
+        present[np.arange(len(kernel))[:, None], inverse] = True
+        scales = np.array([lcm(*dens[row]) for row in present], dtype=object)
+        vectors = nums[inverse] * (scales[:, None] // dens[inverse])
         # verify T v = 0 exactly
-        if _product_is_zero(scaled, np.array(vectors, dtype=object).T):
+        if _product_is_zero(scaled[index], vectors.T):
             return rank_p, "modular-certified-kernel"
     if N <= 160:
-        return gauss_rank(big), "exact-gauss"
+        T = [[values[v] for v in row] for row in index.tolist()]
+        return gauss_rank(T), "exact-gauss"
     raise ArithmeticError("rank not certifiable within prime budget")
 
 
@@ -249,9 +239,10 @@ def radical_dimension(table, field, deltas):
     """dim of the radical of the trace form; 0 iff semisimple (char 0)."""
     if field.characteristic:
         raise ValueError("oracle is valid in characteristic 0 only")
-    T = trace_matrix(table, field, deltas)
-    big, deg = _to_rational_blocks(field, T)
-    rank_q, method = _rank_exact_certified(big, primes_for_modular(field.m))
+    values, index = trace_matrix(table, field, deltas)
+    values, index, deg = _to_rational_blocks(field, values, index)
+    rank_q, method = _rank_exact_certified(values, index,
+                                           primes_for_modular(field.m))
     if rank_q % deg:
         raise AssertionError("rank over Q not divisible by the field degree")
     return table.size - rank_q // deg
@@ -291,10 +282,7 @@ def semisimple_verdict(m, n, field, deltas, table=None, cap=500):
     out = {"verdict": "semisimple" if rad == 0 else "not-semisimple",
            "radical": rad, "admissible": deltas_admissible(deltas)}
     if not out["admissible"]:
-        out["note"] = ("parameters off the admissible locus "
-                       "delta_a = delta_{m-a}: the product is not "
-                       "associative there, so the verdict is relative to "
-                       "the pinned composition rule")
+        out["note"] = OFF_LOCUS_NOTE
     if n <= 3:
         dets = _cell_det_values(m, n, field, deltas)
         out["cell_dets"] = [(tag, str(v)) for tag, v in dets]
@@ -367,7 +355,6 @@ def concordance_sweep(grid, seed=0, cap=500, generic_points=2,
             todo.append(("generic-random",
                          [free[min(j, m - j)] for j in range(m)]))
         if m >= 2 and n >= 2:
-            from .criterion import z_set
             locus = sorted(set(z_set(m, n, "printed")) | set(z_set(m, n, "combinatorial")))
             taken = 0
             for k in locus:

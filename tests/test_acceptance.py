@@ -12,6 +12,8 @@ import tempfile
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from cycbrauer.criterion import z_tilde
 from cycbrauer.diagrams import (DiagramAlgebra, NumericParams, SymbolicParams,
                                 associativity_check, enumerate_basis,
@@ -232,10 +234,12 @@ def test_criterion_11_oracle_sanity():
         group = enumerate_group(m, 2)
         N = len(group)
         e = identity(m, 2)
-        T = [[F.embed(N) if compose(g, h) == e else F.zero for h in group]
-             for g in group]
-        big, deg = _to_rational_blocks(F, T)
-        rank, _ = _rank_exact_certified(big, primes_for_modular(m)[:3])
+        index = np.array([[int(compose(g, h) == e) for h in group]
+                          for g in group])
+        values, index, deg = _to_rational_blocks(F, [F.zero, F.embed(N)],
+                                                 index)
+        rank, _ = _rank_exact_certified(values, index,
+                                        primes_for_modular(m)[:3])
         ok &= rank == N * deg
     for (m, n) in [(2, 2), (3, 2), (2, 3), (3, 3)]:
         F = CyclotomicField(m)

@@ -200,3 +200,47 @@ def test_scalar_json_has_no_repr(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 0 and "<" not in out
     assert "*d0^1" in out or "d1^" in out
+
+
+@pytest.mark.parametrize("cfg,key", [
+    ({"grid": [{"m": 0, "n": 2}]}, "'grid'"),
+    ({"grid": [[2, -1]]}, "'grid'"),
+    ({"grid": [[2, 2]], "cap": "x"}, "'cap'"),
+    ({"grid": [[2, 2]], "generic_points": -1}, "'generic_points'"),
+    ({"grid": [{"m": 2, "n": 2, "deltas": [[1, "x"]]}]}, "'grid'"),
+    ({"grid": [{"m": 2, "n": 2, "deltas": [[1]]}]}, "'grid'"),
+    ({"grid": "2,2"}, "'grid'"),
+    ({"grid": [[2, 2]], "jobs": 2}, "'jobs'"),
+])
+def test_concord_rejects_malformed_config(tmp_path, capsys, cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, err = usage_error(capsys, "concord", "--config", str(path))
+    assert code == 1 and key in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ("decide", "--m", "2", "--n", "2"),
+    ("gmu", "--m", "2", "--n", "3"),
+    ("oracle", "--m", "2", "--n", "2"),
+    ("cell-gram", "--m", "2", "--n", "2", "--mu", "[[],[]]"),
+    ("assoc", "--m", "2", "--n", "2", "--trials", "1"),
+    ("bar-delta", "--m", "2"),
+])
+@pytest.mark.parametrize("delta", ["1,x", "1,2,3", "1", "1/0,1", "1:,2"])
+def test_malformed_delta_is_a_usage_error(capsys, argv, delta):
+    code, err = usage_error(capsys, *argv, "--delta", delta)
+    assert code == 1 and "--delta" in err and repr(delta) in err, err
+
+
+def test_decide_flags_off_locus_points(capsys):
+    code, obj = run_json(capsys, "decide", "--m", "3", "--n", "3",
+                         "--delta", "1,2,3")
+    assert code == 0 and obj["admissible"] is False
+    _, oracle = run_json(capsys, "oracle", "--m", "3", "--n", "2",
+                         "--delta", "1,2,3")
+    assert obj["note"] == oracle["note"]
+    # on the locus the verdict is printed as before, with no flag
+    code, obj = run_json(capsys, "decide", "--m", "3", "--n", "3",
+                         "--delta", "1,2,2")
+    assert code == 0 and set(obj) == {"decision", "reasons", "variant"}

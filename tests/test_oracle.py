@@ -1,13 +1,17 @@
 """Trace-form oracle and the concordance harness."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import cycbrauer
 from cycbrauer.diagrams import basis_size, multiply_diagrams
-from cycbrauer.oracle import (StructureTable, _monomial_value,
+from cycbrauer.oracle import (StructureTable,
                               _product_is_zero, _rank_exact_certified,
                               _to_rational_blocks,
                               concordance_sweep, deltas_admissible,
@@ -21,16 +25,24 @@ from cycbrauer.wreath import compose, enumerate_group, identity
 def test_structure_table_closure():
     t = StructureTable(3, 2)
     assert t.size == 27
-    assert t.products.shape == (27 * 27, 1 + 3)
-    for k, *exps in t.products.tolist():
+    assert t.products.shape == (27 * 27, 2)
+    for k, u in t.products.tolist():
         assert 0 <= k < t.size
+        exps = t.monomials[u].tolist()
         assert len(exps) == 3 and all(e >= 0 for e in exps)
 
 
 def _product_row(table, index, i, j):
-    """Table row of b_i * b_j computed by multiply_diagrams."""
+    """Product index and loop exponents of b_i * b_j computed by
+    multiply_diagrams."""
     prod, loops = multiply_diagrams(table.basis[i], table.basis[j])
     return [index[prod]] + [loops.count(a) for a in range(table.m)]
+
+
+def _decoded(table):
+    """The table's rows as (k, exponents of delta_0..delta_{m-1})."""
+    k, u = table.products[:, :1], table.products[:, 1]
+    return np.hstack([k, table.monomials[u]])
 
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5)
@@ -42,18 +54,37 @@ def test_structure_table_matches_multiply_diagrams(m, n):
     want = [_product_row(t, index, i, j)
             for i in range(t.size) for j in range(t.size)]
     assert t.products.dtype == np.int32
-    assert np.array_equal(t.products, np.array(want))
+    assert t.products.shape == (t.size * t.size, 2)
+    assert np.array_equal(_decoded(t), np.array(want))
 
 
 @pytest.mark.parametrize("m,n", [(4, 3), (2, 4)])
 def test_structure_table_sampled_at_reach_points(m, n):
     t = StructureTable(m, n, cap=basis_size(m, n))
     index = {d: k for k, d in enumerate(t.basis)}
+    # each loop monomial is listed once, whatever the order of its loops
+    assert len(np.unique(t.monomials, axis=0)) == len(t.monomials)
+    rows = _decoded(t)
     rng = random.Random(1000 * m + n)
     for _ in range(2000):
         i, j = rng.randrange(t.size), rng.randrange(t.size)
-        assert t.products[i * t.size + j].tolist() == \
+        assert rows[i * t.size + j].tolist() == \
             _product_row(t, index, i, j), (i, j)
+
+
+def _monomial_value(field, deltas, exps):
+    """prod_a delta_a^{exps[a]} by repeated multiplication: the reference
+    for the monomial values in trace_matrix."""
+    out = field.one
+    for d, e in zip(deltas, exps):
+        for _ in range(e):
+            out = out * d
+    return out
+
+
+def _expand(values, index):
+    """The full matrix values[index] as a list of lists."""
+    return [[values[v] for v in row] for row in index.tolist()]
 
 
 def _reference_trace_matrix(table, field, deltas):
@@ -93,7 +124,9 @@ def _trace_points():
 def test_trace_matrix_matches_reference(m, n, deltas):
     F = CyclotomicField(m)
     t = StructureTable(m, n)
-    assert trace_matrix(t, F, deltas) == _reference_trace_matrix(t, F, deltas)
+    values, index = trace_matrix(t, F, deltas)
+    assert index.shape == (t.size, t.size)
+    assert _expand(values, index) == _reference_trace_matrix(t, F, deltas)
 
 
 @pytest.mark.parametrize("big", [1, 10 ** 30])
@@ -118,12 +151,42 @@ def test_rank_certificate_with_entries_beyond_int64():
     # runs in Python integers (the kernel ratio b/a = 21/11 stays small
     # enough for rational reconstruction)
     a, b = Fraction(10 ** 30, 7), Fraction(3 * 10 ** 30, 11)
-    big = [[a, 2 * a, b], [2 * a, 4 * a, 2 * b], [a, 2 * a, b]]
-    assert _rank_exact_certified(big, primes_for_modular(1)[:2]) == \
-        (1, "modular-certified-kernel")
+    values = [a, 2 * a, b, 4 * a, 2 * b]
+    index = np.array([[0, 1, 2], [1, 3, 4], [0, 1, 2]])
+    assert _rank_exact_certified(values, index, primes_for_modular(1)[:2]) \
+        == (1, "modular-certified-kernel")
     # full rank with the same magnitudes
-    big[2][2] = b + 1
-    assert _rank_exact_certified(big, primes_for_modular(1)[:2])[0] == 2
+    index[2, 2] = len(values)
+    values.append(b + 1)
+    assert _rank_exact_certified(values, index, primes_for_modular(1)[:2])[0] \
+        == 2
+
+
+def test_rank_certificate_scales_each_vector_by_all_its_denominators():
+    # rows 1 and 2 are independent and row 3 is their sum; the kernel
+    # vector (-2, -1/3, 1) has its only denominator off the pivot column
+    values = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 3),
+              Fraction(7, 3)]
+    index = np.array([[1, 0, 2], [0, 1, 3], [1, 1, 4]])
+    assert _rank_exact_certified(values, index, primes_for_modular(1)[:2]) \
+        == (2, "modular-certified-kernel")
+
+
+def test_rank_deficit_mod_p_alone_is_not_trusted():
+    # det = p vanishes mod the first prime only: the lifted kernel vector
+    # fails the exact check there, and the second prime finds full rank
+    p = primes_for_modular(1)[0]
+    values = [Fraction(0), Fraction(1), Fraction(p)]
+    index = np.array([[1, 0], [0, 2]])
+    assert _rank_exact_certified(values, index, primes_for_modular(1)[:2]) \
+        == (2, "modular-full-rank")
+
+
+def test_rank_falls_back_to_exact_elimination():
+    # with no prime to try, a small matrix is ranked by fraction elimination
+    values = [Fraction(1, 3), Fraction(2, 3), Fraction(-5, 7)]
+    index = np.array([[0, 1, 2], [1, 1, 2], [0, 1, 2]])
+    assert _rank_exact_certified(values, index, []) == (2, "exact-gauss")
 
 
 def _flattening_points():
@@ -137,14 +200,46 @@ def _flattening_points():
     ]
 
 
+def _reference_blocks(field, T):
+    """The entry-by-entry flattening of a matrix over Q(zeta_m) to
+    Fractions: the reference for the indexed one in _to_rational_blocks."""
+    deg = field.degree
+    N = len(T)
+    big = [[Fraction(0)] * (N * deg) for _ in range(N * deg)]
+    basis = [field.element([0] * k + [1]) for k in range(deg)]
+    for i in range(N):
+        for j in range(N):
+            x = T[i][j]
+            if not x:
+                continue
+            for c in range(deg):
+                col = x * basis[c]
+                for r in range(deg):
+                    big[i * deg + r][j * deg + c] = col.coeffs[r]
+    return big
+
+
 @pytest.mark.parametrize("m,n,deltas", _flattening_points())
 def test_radical_with_irrational_trace_form(m, n, deltas):
     F = CyclotomicField(m)
     t = StructureTable(m, n)
-    T = trace_matrix(t, F, deltas)
-    assert any(any(x.coeffs[1:]) for row in T for x in row)
-    assert _to_rational_blocks(F, T)[1] == F.degree
+    values, index = trace_matrix(t, F, deltas)
+    T = _expand(values, index)
+    assert any(any(x.coeffs[1:]) for x in values)
+    flat, big, deg = _to_rational_blocks(F, values, index)
+    assert deg == F.degree and big.shape == (t.size * deg, t.size * deg)
+    assert _expand(flat, big) == _reference_blocks(F, T)
     assert radical_dimension(t, F, deltas) == t.size - gauss_rank(T)
+
+
+def test_rational_trace_form_keeps_its_index():
+    F = CyclotomicField(3)
+    t = StructureTable(3, 2)
+    values, index = trace_matrix(t, F, [F.embed(Fraction(7, 3))]
+                                 + [F.embed(Fraction(-5, 4))] * 2)
+    flat, same, deg = _to_rational_blocks(F, values, index)
+    assert deg == 1 and same is index
+    assert flat == [x.coeffs[0] for x in values]
 
 
 def test_group_algebra_semisimple_maschke():
@@ -154,10 +249,12 @@ def test_group_algebra_semisimple_maschke():
         group = enumerate_group(m, 2)
         N = len(group)
         e = identity(m, 2)
-        T = [[F.embed(N) if compose(g, h) == e else F.zero for h in group]
-             for g in group]
-        big, deg = _to_rational_blocks(F, T)
-        rank, method = _rank_exact_certified(big, primes_for_modular(m)[:3])
+        index = np.array([[int(compose(g, h) == e) for h in group]
+                          for g in group])
+        values, index, deg = _to_rational_blocks(F, [F.zero, F.embed(N)],
+                                                 index)
+        rank, method = _rank_exact_certified(values, index,
+                                             primes_for_modular(m)[:3])
         assert rank == N * deg, (m, rank, method)
 
 
@@ -192,6 +289,26 @@ def test_oracle_flags_off_locus_points():
     F = CyclotomicField(3)
     v = semisimple_verdict(3, 2, F, [F.embed(1), F.embed(2), F.embed(3)])
     assert v["admissible"] is False and "note" in v
+
+
+def test_cold_verdict_leaves_numpy_ma_unimported():
+    # some numpy set routines (np.unique without return flags, np.isin,
+    # np.setdiff1d) import numpy.ma lazily, which costs several MiB of
+    # memory per process; a verdict must not pull it in
+    code = "\n".join([
+        "import sys",
+        "from cycbrauer.oracle import semisimple_verdict",
+        "from cycbrauer.scalars import CyclotomicField",
+        "F = CyclotomicField(3)",
+        "v = semisimple_verdict(3, 2, F, [F.zero] * 3)",
+        "assert v['radical'] == 9 and v['cross_check_agrees']",
+        "print('numpy.ma' in sys.modules)"])
+    src = os.path.dirname(os.path.dirname(cycbrauer.__file__))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_oracle_refuses_char_p():
