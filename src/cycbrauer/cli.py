@@ -1,11 +1,11 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 usage error (including a malformed --delta value
-or --config file), 2 computational failure (cap exceeded, no root of unity
-in the requested characteristic, unsupported case), 3 when a verification
-subcommand finds failures (relation failures, Gram shape or equivariance
-violations, generic-stratum concordance disagreements, internal cross-check
-failures).
+or an unreadable or malformed --config file), 2 computational failure (cap
+exceeded, no root of unity in the requested characteristic, unsupported
+case), 3 when a verification subcommand finds failures (relation failures,
+Gram shape or equivariance violations, generic-stratum concordance
+disagreements, internal cross-check failures).
 
 Scalar syntax for --delta: comma-separated components delta_0..delta_{m-1};
 each component is a rational like 7/2 or a colon-separated coefficient
@@ -382,11 +382,14 @@ def _check_grid_item(item):
 
 def _read_config(path):
     """The --config file as (grid, settings), checked at the boundary."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError("config is not JSON: %s" % exc) from None
+    except OSError as exc:
+        raise UsageError("cannot read config %r: %s"
+                         % (path, exc.strerror)) from None
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise UsageError("config is not JSON: %s" % exc) from None
     if not isinstance(cfg, dict):
         raise UsageError("config must be a JSON object")
     unknown = set(cfg) - set(_CONCORD_INTS) - {"grid"}

@@ -96,10 +96,10 @@ def brauer_z(n):
     return frozenset(out)
 
 
-def g_lambda_mu(field, deltas, pair):
-    """The cell factor attached to an admissible pair lambda/mu."""
-    m = len(deltas)
-    bars = bar_deltas(field, deltas)
+def g_lambda_mu(field, bars, pair):
+    """The cell factor attached to an admissible pair lambda/mu, from the
+    bar vector ``bars = bar_deltas(field, deltas)``."""
+    m = len(bars)
     c = field.embed(m * pair.content)
     out = bars[0] - field.embed(m) + c
     for i in range(1, m):
@@ -109,10 +109,10 @@ def g_lambda_mu(field, deltas, pair):
 
 def g_mu(field, deltas, mu):
     """g_mu = product of g_{lambda,mu} over admissible lambda."""
-    m = len(deltas)
+    bars = bar_deltas(field, deltas)
     out = field.one
-    for pair in admissible_set(mu, m):
-        out = out * g_lambda_mu(field, deltas, pair)
+    for pair in admissible_set(mu, len(deltas)):
+        out = out * g_lambda_mu(field, bars, pair)
     return out
 
 

@@ -8,6 +8,7 @@ Gram matrices and symbolic determinants at small sizes.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .scalars import FieldElement, power
 
@@ -124,11 +125,8 @@ class DeltaPoly:
         field = self.ring.field
         out = field.zero
         for exps, c in self.terms.items():
-            term = c
-            for d, e in zip(deltas, exps):
-                for _ in range(e):
-                    term = term * d
-            out = out + term
+            out = out + prod((power(d, e, field.one)
+                              for d, e in zip(deltas, exps) if e), start=c)
         return out
 
     def __repr__(self):

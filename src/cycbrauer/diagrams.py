@@ -7,14 +7,11 @@ matching with a Z/m label per arc.  Label conventions (normal form):
 * horizontal arc: label counts dots adjacent to the left (smaller-index)
   endpoint.
 
-Multiplication stacks x on top of y and traces composite strands.  The sign
-rule is geometric: a dot counts +1 when its strand is traversed downward and
--1 upward, so a top-row arc contributes +label when traversed left-to-right,
-a bottom-row arc -label, and a vertical arc +label downward.  Each closed
-loop is traversed counterclockwise (starting at its leftmost point, heading
-into the lower diagram); a loop of net label a is removed against a factor
-delta_a.  This pins the rules so that e_i t_i^a e_i = delta_a e_i and
-e_i t_i t_{i+1} = e_i hold, which the relation suite verifies exhaustively.
+Multiplication stacks x on top of y and traces composite strands, summing
+arc labels under the one sign rule stated in compose_strands; a closed loop
+of net label a is removed against a factor delta_a.  This pins the rules
+so that e_i t_i^a e_i = delta_a e_i and e_i t_i t_{i+1} = e_i hold, which
+the relation suite verifies exhaustively.
 
 Admissibility.  The defining relations themselves force delta_a = delta_{m-a}
 in any associative algebra: e_1 s_1 t_1^a e_1 evaluates to delta_a e_1 via
@@ -174,141 +171,56 @@ def multiply_diagrams(x, y):
 def compose_strands(n, x_items, y_items):
     """Stack x on top of y and trace every composite strand.
 
-    ``x_items``/``y_items`` are the ((p, q), label) arcs of the two factors.
-    Labels only need ``+`` and unary ``-``: integers give the product of two
-    diagrams, and vectors of coefficients give each output label as a signed
-    linear form in the input labels (never updated in place, so array
-    labels may be shared).  Returns (arcs, loops): the output arcs
-    as ((p, q), label) in no particular order and the closed-loop labels,
-    all before reduction mod m.
-    """
-    # adjacency with traversal signs; mid row = x bottom = y top
-    x_top = {}       # top point -> (other top point, label)  [terminal]
-    x_vert_t = {}    # top -> (mid, +label)
-    x_vert_m = {}    # mid -> (top, -label)
-    x_step = {}      # mid -> (mid', signed label)  crossing an x bottom arc
-    for (p, q), lab in x_items:
-        if q <= n:
-            x_top[p] = (q, lab)
-            x_top[q] = (p, lab)
-        elif p <= n:
-            x_vert_t[p] = (q - n, lab)
-            x_vert_m[q - n] = (p, -lab)
-        else:
-            a, b = p - n, q - n
-            x_step[a] = (b, -lab)
-            x_step[b] = (a, lab)
+    Points: x's top row is 1..n, the middle row n+1..2n is x's bottom and
+    y's top, and y's bottom row is 2n+1..3n.  ``x_items``/``y_items`` are
+    the ((p, q), label) arcs of the two factors, p < q in the factor's own
+    numbering.  The one sign rule: traversed p -> q an arc counts +label,
+    except an arc in its factor's bottom row (p > n), which counts -label;
+    the reverse traversal counts the negation.  Labels only need ``+`` and
+    unary ``-``: integers give the product of two diagrams, and vectors of
+    coefficients give each output label as a signed linear form in the
+    input labels (never updated in place, so array labels may be shared).
 
-    y_bot = {}       # bottom point (1..n) -> (other, label)  [terminal]
-    y_vert_m = {}    # mid -> (bottom, +label)
-    y_vert_b = {}    # bottom -> (mid, -label)
-    y_step = {}      # mid -> (mid', signed label)  crossing a y top arc
-    for (p, q), lab in y_items:
-        if q <= n:
-            a, b = p, q
-            y_step[a] = (b, lab)
-            y_step[b] = (a, -lab)
-        elif p <= n:
-            y_vert_m[p] = (q - n, lab)
-            y_vert_b[q - n] = (p, -lab)
-        else:
-            y_bot[p - n] = (q - n, lab)
-            y_bot[q - n] = (p - n, lab)
+    Returns (arcs, loops), all labels before reduction mod m: the output
+    arcs as ((p, q), label) in the 1..2n numbering of the product, and the
+    closed-loop labels.  A strand from the top row counts from its smaller
+    endpoint, one between bottom points stores the label of its
+    right-to-left traversal, and a loop starts at its smallest middle point
+    and enters y first.
+    """
+    x, y = {}, {}  # per factor: point -> (next point, signed label)
+    for step, items, off in ((x, x_items, 0), (y, y_items, n)):
+        for (p, q), lab in items:
+            fwd, back = (-lab, lab) if p > n else (lab, -lab)
+            step[p + off] = (q + off, fwd)
+            step[q + off] = (p + off, back)
+    last = 2 * n  # the middle row is n + 1..last
+    seen = set()
+
+    def walk(start, step, other):
+        """Follow the strand leaving ``start`` through the factor whose map
+        is ``step`` until it leaves the middle row or closes: (end, label)."""
+        p, acc = step[start]
+        seen.add(start)
+        seen.add(p)
+        while n < p <= last and p != start:
+            step, other = other, step
+            p, lab = step[p]
+            acc = acc + lab
+            seen.add(p)
+        return p, acc
 
     arcs = []
-    used_mid = set()
-
-    # arcs entirely inside one layer
-    done_top = set()
-    for p, (q, lab) in x_top.items():
-        if p < q:
-            arcs.append(((p, q), lab))
-        done_top.add(p)
-    done_bot = set()
-    for p, (q, lab) in y_bot.items():
-        if p < q:
-            arcs.append(((n + p, n + q), lab))
-        done_bot.add(p)
-
-    def walk_from_mid(mid, layer, acc):
-        """Follow the composite strand from a mid point about to enter
-        ``layer`` ('x' or 'y'); returns (end kind, end point, acc)."""
-        while True:
-            used_mid.add(mid)
-            if layer == "y":
-                if mid in y_vert_m:
-                    b, lab = y_vert_m[mid]
-                    return "bot", b, acc + lab
-                mid2, slab = y_step[mid]
-                used_mid.add(mid2)
-                acc = acc + slab
-                mid = mid2
-                layer = "x"
-            else:
-                if mid in x_vert_m:
-                    t, lab = x_vert_m[mid]
-                    return "top", t, acc + lab
-                mid2, slab = x_step[mid]
-                used_mid.add(mid2)
-                acc = acc + slab
-                mid = mid2
-                layer = "y"
-
-    # strands touching the composite top row
-    for p in range(1, n + 1):
-        if p in done_top:
-            continue
-        mid, lab = x_vert_t[p]
-        kind, end, acc = walk_from_mid(mid, "y", lab)
-        if kind == "bot":
-            arcs.append(((p, n + end), acc))
-        else:
-            done_top.add(end)
-            arcs.append(((p, end), acc))
-            # traversal started at the smaller endpoint p, matching the
-            # left-endpoint storage convention for top arcs
-
-    # strands connecting two bottom points through the middle
-    seen_bot = set(done_bot)
-    for (p, q), _ in arcs:
-        if p > n:
-            seen_bot.add(p - n)
-        if q > n:
-            seen_bot.add(q - n)
-    for b in range(1, n + 1):
-        if b in seen_bot:
-            continue
-        mid, lab = y_vert_b[b]
-        kind, end, acc = walk_from_mid(mid, "x", lab)
-        assert kind == "bot"
-        seen_bot.add(end)
-        # bottom arcs store the label of the right-to-left traversal
-        arcs.append(((n + b, n + end), -acc))
-
-    # closed loops among the remaining mid points
-    loops = []
     for start in range(1, n + 1):
-        if start in used_mid or start not in x_step or start not in y_step:
-            continue
-        # leftmost-in-its-loop check: walk it once marking points
-        loop_pts = [start]
-        mid, acc = y_step[start]
-        cur, layer = mid, "x"
-        while cur != start:
-            loop_pts.append(cur)
-            if layer == "x":
-                nxt, slab = x_step[cur]
-            else:
-                nxt, slab = y_step[cur]
-            acc = acc + slab
-            cur, layer = nxt, ("y" if layer == "x" else "x")
-        if min(loop_pts) != start:
-            continue  # will be handled from its leftmost point
-        used_mid.update(loop_pts)
-        loops.append(acc)
-
-    # any loop whose leftmost point was skipped above is impossible: starts
-    # iterate ascending, so the leftmost point comes first
+        if start not in seen:
+            end, acc = walk(start, x, y)
+            arcs.append(((start, end if end <= n else end - n), acc))
+    for start in range(last + 1, last + n + 1):
+        if start not in seen:
+            end, acc = walk(start, y, x)
+            arcs.append(((start - n, end - n), -acc))
+    loops = [walk(start, y, x)[1] for start in range(n + 1, last + 1)
+             if start not in seen]
     return arcs, loops
 
 

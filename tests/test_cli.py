@@ -219,6 +219,20 @@ def test_concord_rejects_malformed_config(tmp_path, capsys, cfg, key):
     assert code == 1 and key in err, err
 
 
+@pytest.mark.parametrize("name", ["missing.json", "."])  # "." is a directory
+def test_concord_rejects_unreadable_config(tmp_path, capsys, name):
+    path = str(tmp_path / name)
+    code, err = usage_error(capsys, "concord", "--config", path)
+    assert code == 1 and repr(path) in err, err
+
+
+def test_concord_rejects_non_utf8_config(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff{}")
+    code, err = usage_error(capsys, "concord", "--config", str(path))
+    assert code == 1 and "not JSON" in err, err
+
+
 @pytest.mark.parametrize("argv", [
     ("decide", "--m", "2", "--n", "2"),
     ("gmu", "--m", "2", "--n", "3"),

@@ -87,7 +87,7 @@ def test_g_lambda_mu_vanishes_on_hyperplane():
     b0, b1 = F.embed(2 - 2 * c), F.embed(17)
     half = F.embed(Fraction(1, 2))
     deltas = [(b0 + b1) * half, (b0 - b1) * half]
-    assert not g_lambda_mu(F, deltas, pair)
+    assert not g_lambda_mu(F, bar_deltas(F, deltas), pair)
 
 
 def test_decide_delta_zero():

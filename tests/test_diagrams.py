@@ -71,6 +71,18 @@ def test_basis_closure_exhaustive():
                 assert all(0 <= a < m for a in loops)
 
 
+def test_multiply_diagrams_at_n_0_and_1():
+    for m in (1, 2, 3, 5):
+        empty = make_diagram(m, 0, [])
+        assert multiply_diagrams(empty, empty) == (empty, ())
+        for a in range(m):
+            for b in range(m):
+                x = make_diagram(m, 1, [((1, 2), a)])
+                y = make_diagram(m, 1, [((1, 2), b)])
+                assert multiply_diagrams(x, y) == \
+                    (make_diagram(m, 1, [((1, 2), a + b)]), ())
+
+
 def test_associativity_sampling():
     rep = associativity_check(2, 3, trials=300, seed=7)
     assert rep["ok"], rep

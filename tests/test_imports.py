@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import of the package is used."""
+"""Source hygiene: every module-level import of the package is used, and
+every module-level private name is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,44 @@ def test_unused_imports_detected():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_names(sources):
+    """Module-level private names (``_x``, not dunders) that no source in
+    ``sources`` (a {module: text} map) reads or imports, as sorted
+    (module, line, name) triples."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [getattr(node.target, "id", "")]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+    return sorted(d for d in defined if d[2] not in used)
+
+
+def test_unreferenced_private_names_detected():
+    sources = {"a": "_A = 1\n_b: int = 2\ndef _f():\n    return _A\n"
+                    "class _K:\n    pass\n__all__ = []\n",
+               "b": "from a import _K\n"}
+    assert unreferenced_private_names(sources) == [("a", 2, "_b"),
+                                                   ("a", 3, "_f")]
+
+
+def test_no_unreferenced_private_names():
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert unreferenced_private_names(sources) == []
