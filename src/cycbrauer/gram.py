@@ -7,22 +7,26 @@ Two different bilinear forms live here and are kept clearly apart:
   x and y is the coefficient of e_{n-1} in iota(x) * y.  Generally not
   symmetric for m >= 3; its use is structural (entry shape, equivariance).
 * the cellular star-form on the cell modules (1, mu') for n - 2 <= 1,
-  computed via star-products of explicit cell generators.  Symmetric; its
-  determinants are the ones that govern semisimplicity.
+  read off the products star(v_x) * v_y of half diagrams: each entry is
+  one character value times one loop parameter (identity and proof in
+  cell_gram).  Symmetric; its determinants are the ones that govern
+  semisimplicity.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dfield
 
 from .deltapoly import DeltaPoly
-from .diagrams import (AlgebraElement, SymbolicParams, from_awb, generator,
-                       iota_diagram, is_admissible, multiply_diagrams,
+from .diagrams import (SymbolicParams, from_awb, generator, iota_diagram,
+                       is_admissible, multiply_diagrams, star_diagram, to_awb,
                        wreath_to_diagram)
 from .linalg import gauss_det, gauss_rank, minor_det
 from .partitions import check_multipartition
 from .scalars import CyclotomicField
-from .wreath import WreathElement, compose, enumerate_group, gen_s, gen_t
+from .wreath import (WreathElement, compose, enumerate_group, gen_s, gen_t,
+                     identity)
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,6 @@ def v_diagram(m, n, idx):
 
 def v_index_of(diagram):
     """Inverse of v_diagram; raises if the diagram is not in M_1 form."""
-    from .diagrams import to_awb
     tops, w, bots = to_awb(diagram)
     n = diagram.n
     if len(tops) != 1 or bots != [(n - 1, n, 0)]:
@@ -191,94 +194,56 @@ def equivariance_check(m, n, params, cap=5000):
 def cell_gram(m, n, mu, params, compute_det=True):
     """Symmetric Gram matrix of the cell (1, mu') for n in {2, 3}.
 
-    n = 2: mu is the empty m-multipartition; cell basis t_1^s e_1 and
-    entries delta_{s+t}.  n = 3: mu has one box, in component j; the cell
-    basis is v_i^{(k)} (x) g_l(t_1) (x) v_3^{(0)} with l = (1 - j) mod m
-    (taken in 1..m) and g_l(t) = prod_{j' != l}(t - xi^{j'}); the form reads
-    the xi^{l s} character of the coefficient of alpha_0 (x) t_1^s (x)
-    alpha_0 in star(x) * y.
+    One pairing of the half diagrams v = alpha (x) 1 (x) alpha_0 (alpha one
+    labelled top arc, alpha_0 the arc {n-1, n} with label 0) gives both
+    cells: star(v_x) * v_y = delta_a alpha_0 (x) t^r0 (x) alpha_0, with r0
+    the through-strand label (none at n = 2) and delta_a the loop, if any;
+    any other product raises ValueError.
+
+    n = 2, mu empty: v_x = t_1^s e_1 and G[x, y] = delta_a.
+    n = 3, the box of mu in component j, l = (1 - j) mod m: the cell basis
+    is v_x (x) g_l(t_1), g_l(t) = prod_{j' != l}(t - xi^{j'}), and the form
+    reads the xi^{l r} character of the coefficient of alpha_0 (x) t^r (x)
+    alpha_0 in star(x) * y, divided by g_l(xi^l).  So
+    G[x, y] = m xi^{-l} xi^{l r0} delta_a.  Proof: t^s and t^{s'} only add
+    s + s' to the through strand, so the double sum over the coefficients
+    of g_l is xi^{l r0} delta_a g_l(xi^l)^2; and g_l(xi^l) =
+    prod_{j' != l}(xi^l - xi^{j'}) = m xi^{l(m-1)} = m xi^{-l}.
     """
     if n not in (2, 3):
         raise ValueError("cells with n - 2 > 1 unsupported")
     mu = check_multipartition(mu, m)
     field = params.field
-
-    if n == 2:
-        if any(p for p in mu):
-            raise ValueError("mu must be the empty multipartition")
-        e1 = generator(m, 2, "e", 1)
-        basis = []
-        for s in range(m):
-            w = WreathElement(m, 2, (1, 2), (s % m, 0))
-            X = AlgebraElement.of(params, wreath_to_diagram(w)) * \
-                AlgebraElement.of(params, e1)
-            basis.append(X)
-        entries = [[(x.star() * y).coefficient(e1) for y in basis]
-                   for x in basis]
-        gm = GramMatrix("cellular-form", m, entries, list(range(m)))
-        if compute_det:
-            gm.det = _sym_or_num_det(entries, params)
-        return gm
-
-    # n = 3
     sizes = [sum(p) for p in mu]
-    if sum(sizes) != 1:
-        raise ValueError("mu must be a one-box multipartition")
-    j = sizes.index(1) + 1  # component of the box, 1-based
-    l = (1 - j) % m
-    if l == 0:
-        l = m
-    xi = field.root_of_unity(m)
-    # g_l(t) = prod_{j' = 1..m, j' != l} (t - xi^{j'}) as coefficients of t^s
-    coeffs = [field.one]
-    for jp in range(1, m + 1):
-        if jp == l:
-            continue
-        root = xi ** (jp % m)
-        nxt = [field.zero] * (len(coeffs) + 1)
-        for s, c in enumerate(coeffs):
-            nxt[s + 1] = nxt[s + 1] + c
-            nxt[s] = nxt[s] - c * root
-        coeffs = nxt
+    if n == 2:
+        if any(sizes):
+            raise ValueError("mu must be the empty multipartition")
+        weight = [field.one]  # no through strand: r0 = 0, trivial character
+    else:
+        if sum(sizes) != 1:
+            raise ValueError("mu must be a one-box multipartition")
+        l = -sizes.index(1) % m  # (1 - j) mod m, j the box's component
+        xi = field.root_of_unity(m)
+        weight = [field.embed(m) * xi ** (l * (r - 1) % m) for r in range(m)]
+    alpha0 = [(n - 1, n, 0)]
+    unit = identity(m, n - 2)
+    basis = [VBasisIndex(arc, k, unit)
+             for arc in itertools.combinations(range(1, n + 1), 2)
+             for k in range(m)]
+    half = [v_diagram(m, n, b) for b in basis]
 
-    arcs0 = {1: (1, 2), 2: (1, 3), 3: (2, 3)}  # v_1, v_2, v_3 top arcs
+    def entry(x_star, y):
+        prod, loops = multiply_diagrams(x_star, y)
+        tops, w, bots = to_awb(prod)
+        if tops != alpha0 or bots != alpha0:
+            raise ValueError("product left the span of alpha_0 (x) t^s (x) alpha_0")
+        c = params.one * weight[sum(w.colors)]
+        for a in loops:
+            c = c * params.delta(a)
+        return c
 
-    def basis_vector(i, k):
-        terms = None
-        for s, c in enumerate(coeffs):
-            if not c:
-                continue
-            w = WreathElement(m, 1, (1,), (s % m,))
-            d = from_awb(m, 3, [(arcs0[i][0], arcs0[i][1], k)], w, [(2, 3, 0)])
-            el = AlgebraElement.of(params, d, params.one * c)
-            terms = el if terms is None else terms + el
-        return terms
-
-    # target diagrams alpha_0 (x) t_1^s (x) alpha_0
-    targets = {}
-    for s in range(m):
-        w = WreathElement(m, 1, (1,), (s,))
-        targets[from_awb(m, 3, [(2, 3, 0)], w, [(2, 3, 0)])] = s
-
-    # reading against one copy of g_l: the xi^{ls} character applied to
-    # star(x)*y picks up chi_l(g_l) = prod_{j != l}(xi^l - xi^j)
-    # = m * xi^{l(m-1)}, so divide it back out
-    norm = (field.embed(m) * xi ** ((l * (m - 1)) % m)).inverse()
-    character = [xi ** ((l * s) % m) for s in range(m)]
-
-    def phi(X_star, Y):
-        out = params.zero
-        for d, c in (X_star * Y).terms.items():
-            if d not in targets:
-                raise ValueError("product left the span of alpha_0 (x) t^s (x) alpha_0")
-            out = out + c * character[targets[d]]
-        return out * norm
-
-    basis = [(i, k) for i in (1, 2, 3) for k in range(m)]
-    vecs = [basis_vector(*bk) for bk in basis]
-    stars = [v.star() for v in vecs]
-    entries = [[phi(x, y) for y in vecs] for x in stars]
-    gm = GramMatrix("cellular-form", 3 * m, entries, basis)
+    entries = [[entry(x, y) for y in half] for x in map(star_diagram, half)]
+    gm = GramMatrix("cellular-form", len(basis), entries, basis)
     if compute_det:
         gm.det = _sym_or_num_det(entries, params)
     return gm

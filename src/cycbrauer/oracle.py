@@ -249,7 +249,7 @@ def radical_dimension(table, field, deltas):
 
 
 def _cell_det_values(m, n, field, deltas):
-    """Determinants of the k = 1 cell Gram matrices (n <= 3 only)."""
+    """Determinants of the k = 1 cell Gram matrices (n in {2, 3} only)."""
     params = NumericParams(field, deltas)
     dets = []
     if n == 2:
@@ -264,12 +264,13 @@ def _cell_det_values(m, n, field, deltas):
 
 
 def semisimple_verdict(m, n, field, deltas, table=None, cap=500):
-    """Oracle verdict with the n <= 3 cell-determinant cross-check.
+    """Oracle verdict with the cell-determinant cross-check for n in {2, 3}.
 
     Returns a dict: verdict ("semisimple" / "not-semisimple" /
-    "unsupported"), radical dimension, cell determinants, and the
-    cross-check agreement flag (must always be True; a failure is an
-    implementation bug, never an acceptable discrepancy).
+    "unsupported"), radical dimension and, for n in {2, 3} only, the cell
+    determinants and the cross-check agreement flag (must always be True;
+    a failure is an implementation bug, never an acceptable discrepancy).
+    For n <= 1 there is no k = 1 cell to check against.
     """
     if field.characteristic:
         return {"verdict": "unsupported", "reason": "characteristic p"}
@@ -283,7 +284,7 @@ def semisimple_verdict(m, n, field, deltas, table=None, cap=500):
            "radical": rad, "admissible": deltas_admissible(deltas)}
     if not out["admissible"]:
         out["note"] = OFF_LOCUS_NOTE
-    if n <= 3:
+    if n in (2, 3):
         dets = _cell_det_values(m, n, field, deltas)
         out["cell_dets"] = [(tag, str(v)) for tag, v in dets]
         cells_ok = all(v for _, v in dets)

@@ -28,13 +28,16 @@ class NoRootError(ValueError):
 def power(x, k, one):
     """x ** k for k >= 0 by square and multiply; ``one`` is the identity.
     Field elements, delta polynomials and diagram-algebra elements all
-    raise to powers through this one routine."""
-    out = one
+    raise to powers through this one routine.  It multiplies
+    bit_length(k) - 1 + popcount(k) - 1 times for k >= 1: no product
+    with ``one`` and no square after the top bit."""
+    out = one if not k else None
     while k:
         if k & 1:
-            out = out * x
-        x = x * x
+            out = x if out is None else out * x
         k >>= 1
+        if k:
+            x = x * x
     return out
 
 

@@ -1,5 +1,6 @@
 """Command line interface: outputs, files, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -78,6 +79,72 @@ def test_oracle(capsys):
                          "--delta", "0,0")
     assert code == 0 and obj["verdict"] == "not-semisimple"
     assert obj["radical"] == 4
+
+
+def test_oracle_omits_cross_check_below_n2(capsys):
+    # n <= 1 has no k = 1 cell: no cell determinants, no cross-check flag
+    for n in ("0", "1"):
+        code, obj = run_json(capsys, "oracle", "--m", "2", "--n", n,
+                             "--delta", "0,0")
+        assert code == 0 and obj["verdict"] == "semisimple"
+        assert "cell_dets" not in obj and "cross_check_agrees" not in obj
+
+
+def test_concord_below_n2_has_no_cross_check_failures(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(["concord", "--pairs", "2,1", "--out", str(out)])
+    capsys.readouterr()
+    rep = json.loads(out.read_text())
+    assert code == 0 and rep["summary"]["cross_check_failures"] == 0
+    assert rep["points"]
+    assert all("cross_check_agrees" not in p["oracle"] for p in rep["points"])
+
+
+# sha256 of stdout and the exit code of Gram and oracle invocations; the
+# cell Gram code may change how it computes, never what these print
+PINNED_OUTPUT = [
+    (("cell-gram", "--m", "2", "--n", "2", "--mu", "[[],[]]"), 0,
+     "ce8875c60416485450e5c34b32bf51e9cb9f64a9c17a8d1efec6554b163a4003"),
+    (("cell-gram", "--m", "3", "--n", "2", "--mu", "[[],[],[]]"), 0,
+     "807d6e914b7ddc226f50705ce3e96d627b89be65a443ca58c11776af4a9df49b"),
+    (("cell-gram", "--m", "3", "--n", "2", "--mu", "[[],[],[]]",
+      "--delta", "1/2,3,3"), 0,
+     "26b4bcfb6e9d196438115d20ba25875543c012079c64334304d5ddc055667657"),
+    (("cell-gram", "--m", "2", "--n", "3", "--mu", "[[1],[]]"), 0,
+     "97aef14bd2b228de2902d2c6c9f4c90b318716dc212e550c6d0fd768fa0917b1"),
+    (("cell-gram", "--m", "3", "--n", "3", "--mu", "[[],[1],[]]"), 0,
+     "47d50f219f9890d283c9b0fab0bfd5fc94383856cdeda5e2a449668af82fafba"),
+    (("cell-gram", "--m", "3", "--n", "3", "--mu", "[[1],[],[]]",
+      "--delta", "1/2,3,3"), 0,
+     "3784f62b421eaed68854b4cdb675360a418d88926b88c9cb1f3414b0e7f8b574"),
+    (("cell-gram", "--m", "4", "--n", "3", "--mu", "[[],[],[1],[]]",
+      "--delta", "1,2,3,2"), 0,
+     "34dd4e30ebca1984e14372da2142b78fd53ccd37515db152f338ea2d9b5d61b2"),
+    (("cell-gram", "--m", "2", "--n", "3", "--mu", "[[],[1]]",
+      "--char", "5", "--delta", "1,2"), 0,
+     "a641e2e4a0bfcdfe368d061e562c9da225bac136d9d17892bcc5760c6a5dca67"),
+    (("cell-gram", "--m", "3", "--n", "3", "--mu", "[[],[],[1]]",
+      "--char", "7", "--delta", "1,2,2"), 0,
+     "339939eb939019f902d8c956fb4ec53fdc95abed7e9c2210c9151caef2570d71"),
+    (("single-box", "--m", "2"), 0,
+     "d23a890506624eef90c0bc8e8ae365fbc81301d09f3ce061968e850db289bcfb"),
+    (("single-box", "--m", "3"), 0,
+     "401190fd02c5dbb557488bd7a4c8cc39ea32af6bd046d2e383407ea0268f6131"),
+    (("single-box", "--m", "4"), 0,
+     "d0bf8596f457683713d8faf5c0dd3131a7deda1ce190f03cb71c183e30fa7ec0"),
+    (("single-box", "--m", "5"), 0,
+     "808eb2b77c6c133da59041872202e5d353bbf94e41a0294e45f5b1a83c64ef85"),
+    (("oracle", "--m", "2", "--n", "3", "--delta", "0,0"), 0,
+     "9c24d8afd6b9403176abbc57348136539cae1621a8e6bd807b7ce791f074b60f"),
+]
+
+
+@pytest.mark.parametrize("argv,want_code,want_sha", PINNED_OUTPUT,
+                         ids=[" ".join(a) for a, _, _ in PINNED_OUTPUT])
+def test_pinned_output_bytes(capsys, argv, want_code, want_sha):
+    code, out = run(capsys, *argv)
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == want_sha
 
 
 def test_oracle_rejects_char_p(capsys):

@@ -4,10 +4,17 @@ one-box matrix at n = 3."""
 import random
 from fractions import Fraction
 
-from cycbrauer.diagrams import NumericParams, SymbolicParams
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cycbrauer.diagrams import (AlgebraElement, NumericParams, SymbolicParams,
+                                from_awb, generator, wreath_to_diagram)
 from cycbrauer.gram import (anticirculant_det, cell_gram, equivariance_check,
                             gram_big, shape_check, single_box_gram, v_basis)
-from cycbrauer.scalars import CyclotomicField
+from cycbrauer.linalg import gauss_det, minor_det
+from cycbrauer.scalars import CyclotomicField, field_with_root
+from cycbrauer.wreath import WreathElement
 
 Q = CyclotomicField(1)
 
@@ -99,11 +106,123 @@ def test_cell_gram_n2_det_matches_reference_numeric():
     assert g.det == anticirculant_det(F, deltas)
 
 
-def test_cell_gram_n3_symmetric():
-    F = CyclotomicField(2)
-    params = NumericParams(F, [F.embed(3), F.embed(Fraction(1, 2))])
-    mu = ((1,), ())
-    g = cell_gram(2, 3, mu, params)
+def _reference_cell_gram(m, n, mu, params, compute_det=True):
+    """The star-product construction cell_gram replaced, kept as the slow
+    reference: explicit cell generators as algebra elements, star(x) * y
+    expanded in full, then read off.  Returns (entries, det)."""
+    field = params.field
+    if n == 2:
+        e1 = generator(m, 2, "e", 1)
+        basis = [AlgebraElement.of(params, wreath_to_diagram(
+                     WreathElement(m, 2, (1, 2), (s, 0))))
+                 * AlgebraElement.of(params, e1) for s in range(m)]
+        entries = [[(x.star() * y).coefficient(e1) for y in basis]
+                   for x in basis]
+    else:
+        j = [sum(p) for p in mu].index(1) + 1
+        l = (1 - j) % m or m
+        xi = field.root_of_unity(m)
+        # g_l(t) = prod_{j' = 1..m, j' != l} (t - xi^{j'}), coefficients of t^s
+        coeffs = [field.one]
+        for jp in range(1, m + 1):
+            if jp == l:
+                continue
+            root = xi ** (jp % m)
+            nxt = [field.zero] * (len(coeffs) + 1)
+            for s, c in enumerate(coeffs):
+                nxt[s + 1] = nxt[s + 1] + c
+                nxt[s] = nxt[s] - c * root
+            coeffs = nxt
+
+        def basis_vector(arc, k):
+            terms = None
+            for s, c in enumerate(coeffs):
+                if not c:
+                    continue
+                w = WreathElement(m, 1, (1,), (s % m,))
+                d = from_awb(m, 3, [arc + (k,)], w, [(2, 3, 0)])
+                el = AlgebraElement.of(params, d, params.one * c)
+                terms = el if terms is None else terms + el
+            return terms
+
+        targets = {from_awb(m, 3, [(2, 3, 0)], WreathElement(m, 1, (1,), (s,)),
+                            [(2, 3, 0)]): s for s in range(m)}
+        # the xi^{ls} character of star(x) * y, divided by chi_l(g_l)
+        norm = (field.embed(m) * xi ** ((l * (m - 1)) % m)).inverse()
+
+        def phi(x_star, y):
+            out = params.zero
+            for d, c in (x_star * y).terms.items():
+                out = out + c * xi ** ((l * targets[d]) % m)
+            return out * norm
+
+        vecs = [basis_vector(arc, k) for arc in ((1, 2), (1, 3), (2, 3))
+                for k in range(m)]
+        entries = [[phi(x.star(), y) for y in vecs] for x in vecs]
+    det = None
+    if compute_det:
+        det = (minor_det(entries, params.zero, params.one)
+               if isinstance(params, SymbolicParams)
+               else gauss_det(entries, field.one))
+    return entries, det
+
+
+def _cell_mus(m, n):
+    """The empty multipartition at n = 2.  At n = 3 the box in components
+    1, 2 and m, so that l = 0, m - 1 and 1 all occur; for m >= 4, where
+    the reference costs 9 m^4 diagram products, only component 2."""
+    if n == 2:
+        return [tuple(() for _ in range(m))]
+    comps = {2} if m >= 4 else {1, min(2, m), m}
+    return [tuple((1,) if c == j else () for c in range(1, m + 1))
+            for j in sorted(comps)]
+
+
+def _params_of_kind(kind, m):
+    F = CyclotomicField(m)
+    xi = F.root_of_unity(m)
+    if kind == "rational":
+        return NumericParams(F, [Fraction(3 * a - 4, a + 2) for a in range(m)])
+    if kind == "zeta":
+        return NumericParams(F, [xi ** a + Fraction(a, 2) for a in range(m)])
+    if kind == "finite":  # GF(p^k) with p not dividing m
+        K = field_with_root(7, m)
+        return NumericParams(K, [K.embed(a * a + 3) for a in range(m)])
+    return SymbolicParams(m, F, symmetric=kind == "symmetric")
+
+
+@pytest.mark.parametrize("kind", ["rational", "zeta", "finite", "symbolic",
+                                  "symmetric"])
+def test_cell_gram_matches_star_product_reference(kind):
+    # the n = 3 reference takes over a second at m = 5, 6: there two kinds,
+    # one numeric and one symbolic, stand for all five
+    wide = kind in ("zeta", "symmetric")
+    for m in range(1, 7):
+        params = _params_of_kind(kind, m)
+        for n in (2, 3) if m <= 4 or wide else (2,):
+            for mu in _cell_mus(m, n):
+                # determinants at small sizes only (minor expansion when
+                # symbolic): equal entries already fix the rest
+                size = m if n == 2 else 3 * m
+                with_det = size <= (6 if kind in ("symbolic", "symmetric")
+                                    else 12)
+                g = cell_gram(m, n, mu, params, compute_det=with_det)
+                entries, det = _reference_cell_gram(m, n, mu, params, with_det)
+                assert g.entries == entries, (kind, m, n, mu)
+                assert g.det == det, (kind, m, n, mu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 6), n=st.sampled_from([2, 3]), box=st.integers(0, 5),
+       admissible=st.booleans(),
+       raw=st.lists(st.fractions(min_value=-9, max_value=9,
+                                 max_denominator=9), min_size=6, max_size=6))
+def test_cell_gram_symmetric(m, n, box, admissible, raw):
+    # the cell form is symmetric on and off the admissible locus
+    F = CyclotomicField(m)
+    deltas = [raw[min(a, m - a)] if admissible else raw[a] for a in range(m)]
+    mu = tuple((1,) if c == box % m and n == 3 else () for c in range(m))
+    g = cell_gram(m, n, mu, NumericParams(F, deltas), compute_det=False)
     for i in range(g.size):
         for j in range(g.size):
             assert g.entries[i][j] == g.entries[j][i]

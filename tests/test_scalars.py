@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycbrauer.deltapoly import DeltaRing
+from cycbrauer.diagrams import symbolic_algebra
 from cycbrauer.scalars import (CyclotomicField, FiniteField, NoRootError,
                                _smallest_irreducible, cyclotomic_polynomial,
-                               field_with_root, is_prime)
+                               field_with_root, is_prime, power)
 
 
 def random_elements(field, rng, count):
@@ -159,3 +161,45 @@ def test_is_prime_matches_trial_division():
     assert not is_prime(3_215_031_751)  # strong pseudoprime to bases 2..7
     with pytest.raises(ValueError):
         FiniteField(12, 1)
+
+
+class _Exponent:
+    """Stands for x^e and counts every product it takes part in."""
+
+    products = 0
+
+    def __init__(self, e):
+        self.e = e
+
+    def __mul__(self, other):
+        _Exponent.products += 1
+        return _Exponent(self.e + other.e)
+
+
+def test_power_multiplication_count():
+    # bit_length(k) - 1 squares and popcount(k) - 1 multiplies for k >= 1;
+    # nothing is multiplied by one
+    counts = [0, 0, 1, 2, 2, 3, 3, 4, 3, 4, 4, 5, 4, 5, 5, 6, 4]
+    for k, want in enumerate(counts):
+        _Exponent.products = 0
+        assert power(_Exponent(1), k, _Exponent(0)).e == k
+        assert _Exponent.products == want, k
+        if k:
+            assert want == k.bit_length() - 1 + bin(k).count("1") - 1
+
+
+def test_power_equals_repeated_multiplication():
+    F = CyclotomicField(5)
+    ring = DeltaRing(F, 2)
+    algebra = symbolic_algebra(2, 2)
+    cases = [
+        (F.element([Fraction(1, 2), -1, 3, Fraction(2, 7)]), F.one),
+        (FiniteField(5, 2).element([2, 3]), FiniteField(5, 2).one),
+        (ring.delta(0) + ring.embed(F.zeta) * ring.delta(1), ring.one),
+        (algebra.s(1) + algebra.t(1), algebra.one()),
+    ]
+    for x, one in cases:
+        want = one
+        for k in range(10):
+            assert power(x, k, one) == want, (x, k)
+            want = want * x
