@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 usage error (including a malformed --delta value
-or an unreadable or malformed --config file), 2 computational failure (cap
+Exit codes: 0 success, 1 usage error (including a malformed --delta value,
+a --char that is neither 0 nor a prime, an unknown --variant, or an
+unreadable or malformed --config file), 2 computational failure (cap
 exceeded, no root of unity in the requested characteristic, unsupported
 case), 3 when a verification subcommand finds failures (relation failures,
 Gram shape or equivariance violations, generic-stratum concordance
@@ -20,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .criterion import bar_deltas, decide, g_mu, z_set, z_tilde
+from .criterion import VARIANTS, bar_deltas, decide, g_mu, z_set, z_tilde
 from .diagrams import (OFF_LOCUS_NOTE, NumericParams, SymbolicParams,
                        associativity_check, basis_size, deltas_admissible,
                        verify_prop_eta, verify_relations)
@@ -30,7 +31,7 @@ from .oracle import (concordance_report, concordance_sweep, report_csv,
                      semisimple_verdict)
 from .partitions import admissible_set, check_multipartition, \
     multipartitions, t_set
-from .scalars import CyclotomicField, NoRootError, field_with_root
+from .scalars import CyclotomicField, NoRootError, field_with_root, is_prime
 from .wreath import enumerate_group, group_order
 
 USAGE_ERROR, COMPUTE_ERROR, VERIFY_FAILED = 1, 2, 3
@@ -47,21 +48,28 @@ class UsageError(Exception):
     reported like an argparse error, with exit code 1."""
 
 
-def _int_at_least(low):
-    """argparse type: an integer >= low (m >= 1, n >= 0)."""
+def _int_arg(ok, want):
+    """argparse type: an integer for which ok(value) holds, described by
+    want in the error message."""
     def parse(text):
         try:
             value = int(text)
         except ValueError:
             value = None
-        if value is None or value < low:
+        if value is None or not ok(value):
             raise argparse.ArgumentTypeError(
-                "expected an integer >= %d, got %r" % (low, text))
+                "expected %s, got %r" % (want, text))
         return value
     return parse
 
 
-M_ARG, N_ARG = _int_at_least(1), _int_at_least(0)
+M_ARG = _int_arg(lambda v: v >= 1, "an integer >= 1")
+N_ARG = _int_arg(lambda v: v >= 0, "an integer >= 0")
+CHAR_ARG = _int_arg(lambda v: v == 0 or is_prime(v), "0 or a prime")
+# --variant of zset: the decide variant names and the set names they use
+ZSET_VARIANTS = {"printed-z": "printed", "printed": "printed",
+                 "combinatorial-rho": "combinatorial",
+                 "combinatorial": "combinatorial"}
 
 
 def _pairs(text):
@@ -116,16 +124,16 @@ def main(argv=None):
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, mn=True, char_delta=False, variant=False):
+    def add(name, help_text, mn=True, char_delta=False, variants=None):
         p = sub.add_parser(name, help=help_text)
         if mn:
             p.add_argument("--m", type=M_ARG, required=True)
             p.add_argument("--n", type=N_ARG, required=True)
         if char_delta:
-            p.add_argument("--char", type=int, default=0)
+            p.add_argument("--char", type=CHAR_ARG, default=0)
             p.add_argument("--delta", type=str, default=None)
-        if variant:
-            p.add_argument("--variant", type=str, default="printed-z")
+        if variants:
+            p.add_argument("--variant", choices=variants, default="printed-z")
         p.add_argument("--out", type=str, default=None)
         return p
 
@@ -139,7 +147,7 @@ def main(argv=None):
     p.add_argument("--list", action="store_true")
     p.add_argument("--cap", type=int, default=10 ** 6)
     p = add("zset", "the integer set Z_{m,n} (or its 1/m scaling)", mn=True,
-            variant=True)
+            variants=ZSET_VARIANTS)
     p.add_argument("--tilde", action="store_true",
                    help="emit the unscaled set")
     p = sub.add_parser("admissible", help="admissible two-box extensions of mu")
@@ -151,10 +159,11 @@ def main(argv=None):
         char_delta=True)
     p = sub.add_parser("bar-delta", help="transformed parameters bar_delta_i")
     p.add_argument("--m", type=M_ARG, required=True)
-    p.add_argument("--char", type=int, default=0)
+    p.add_argument("--char", type=CHAR_ARG, default=0)
     p.add_argument("--delta", type=str, required=True)
     p.add_argument("--out", type=str, default=None)
-    add("decide", "semisimplicity verdict", char_delta=True, variant=True)
+    add("decide", "semisimplicity verdict", char_delta=True,
+        variants=VARIANTS)
     p = add("gram", "iota-form Gram matrix on the one-arc module V",
             char_delta=True)
     p.add_argument("--cap", type=int, default=5000)
@@ -236,11 +245,7 @@ def _dispatch(args):
         return 0
 
     if cmd == "zset":
-        variant = {"printed-z": "printed", "printed": "printed",
-                   "combinatorial-rho": "combinatorial",
-                   "combinatorial": "combinatorial"}.get(args.variant)
-        if variant is None:
-            raise ValueError("unknown variant %r" % args.variant)
+        variant = ZSET_VARIANTS[args.variant]
         s = z_tilde(args.m, args.n, variant) if args.tilde \
             else z_set(args.m, args.n, variant)
         _emit(sorted(s), args.out)

@@ -13,6 +13,10 @@ of net label a is removed against a factor delta_a.  This pins the rules
 so that e_i t_i^a e_i = delta_a e_i and e_i t_i t_{i+1} = e_i hold, which
 the relation suite verifies exhaustively.
 
+Involutions.  star flips a diagram top to bottom and keeps every label;
+iota = star o (negate every label), see iota_diagram.  The Gram forms in
+gram pair half diagrams through these two maps.
+
 Admissibility.  The defining relations themselves force delta_a = delta_{m-a}
 in any associative algebra: e_1 s_1 t_1^a e_1 evaluates to delta_a e_1 via
 e_1 s_1 = e_1, but to delta_{m-a} e_1 via s_1 t_1 = t_2 s_1, s_1 e_1 = e_1
@@ -34,8 +38,7 @@ from dataclasses import dataclass
 from .deltapoly import DeltaRing
 from .linalg import gauss_rank
 from .scalars import CyclotomicField, power
-from .wreath import (WreathElement, enumerate_group, gen_s, gen_t,
-                     inverse as w_inverse)
+from .wreath import enumerate_group, gen_s, gen_t
 
 
 @dataclass(frozen=True)
@@ -164,7 +167,10 @@ def multiply_diagrams(x, y):
         raise ValueError("mismatched (m, n)")
     m = x.m
     arcs, loops = compose_strands(x.n, x.arc_items(), y.arc_items())
-    return (make_diagram(m, x.n, arcs),
+    # compose_strands emits each arc once as (p, q), p < q, in increasing p:
+    # already the normal form, so make_diagram's checks are skipped
+    return (Diagram(m, x.n, tuple(pq for pq, _ in arcs),
+                    tuple(lab % m for _, lab in arcs)),
             tuple(sorted(acc % m for acc in loops)))
 
 
@@ -239,36 +245,6 @@ def star_diagram(d):
 # parenthesis decomposition  D = alpha (x) w (x) beta
 # ---------------------------------------------------------------------------
 
-def to_awb(d):
-    """Split a basis diagram into (top arcs, wreath element, bottom arcs).
-
-    Top and bottom arcs are lists of (i, j, label) with 1-based row-local
-    indices; the wreath element lives in W_{m, n-2k} on the free points.
-    """
-    n = d.n
-    tops, bots, verts = [], [], []
-    for (p, q), lab in d.arc_items():
-        if q <= n:
-            tops.append((p, q, lab))
-        elif p <= n:
-            verts.append((p, q - n, lab))
-        else:
-            bots.append((p - n, q - n, lab))
-    free_top = sorted(set(range(1, n + 1)) - {i for a in tops for i in a[:2]})
-    free_bot = sorted(set(range(1, n + 1)) - {i for a in bots for i in a[:2]})
-    pos_bot = {pt: k + 1 for k, pt in enumerate(free_bot)}
-    perm = [0] * len(free_top)
-    colors = [0] * len(free_top)
-    for k, pt in enumerate(free_top):
-        for t, b, lab in verts:
-            if t == pt:
-                perm[k] = pos_bot[b]
-                colors[k] = lab
-                break
-    w = WreathElement(d.m, len(free_top), tuple(perm), tuple(colors))
-    return tops, w, bots
-
-
 def from_awb(m, n, tops, w, bots):
     """Assemble a basis diagram from its parenthesis decomposition."""
     arcs = [((i, j), lab) for i, j, lab in tops]
@@ -283,12 +259,12 @@ def from_awb(m, n, tops, w, bots):
 def iota_diagram(d):
     """The linear map iota on basis diagrams: alpha (x) w (x) beta maps to
     tilde(beta) (x) w^{-1} (x) tilde(alpha), where tilde negates every
-    horizontal-arc label mod m.  Not an algebra (anti-)homomorphism."""
-    tops, w, bots = to_awb(d)
+    horizontal-arc label mod m.  star turns the strands of w over with
+    their labels kept, which is w^{-1} with every label negated, so iota is
+    star with every label negated.  Not an algebra (anti-)homomorphism."""
     m = d.m
-    new_tops = [(i, j, (-lab) % m) for i, j, lab in bots]
-    new_bots = [(i, j, (-lab) % m) for i, j, lab in tops]
-    return from_awb(m, d.n, new_tops, w_inverse(w), new_bots)
+    return star_diagram(Diagram(m, d.n, d.arcs,
+                                tuple(-lab % m for lab in d.labels)))
 
 
 def wreath_to_diagram(w):

@@ -1,16 +1,18 @@
 """Gram forms on the one-arc module V and on small cell modules.
 
-Two different bilinear forms live here and are kept clearly apart:
+Both forms pair half diagrams alpha (x) w (x) alpha_0 (alpha one labelled
+top arc, w a wreath element on the free points, alpha_0 the arc {n-1, n}
+with label 0) through one diagram product each, and read the entry off that
+product and its closed loops.  They are kept clearly apart:
 
-* the iota-form on V = span{alpha (x) w (x) alpha_0} (alpha one labelled top
-  arc, w in W_{m,n-2}, alpha_0 the arc {n-1,n} with label 0): the pairing of
+* the iota-form on V, spanned by all these half diagrams: the pairing of
   x and y is the coefficient of e_{n-1} in iota(x) * y.  Generally not
   symmetric for m >= 3; its use is structural (entry shape, equivariance).
 * the cellular star-form on the cell modules (1, mu') for n - 2 <= 1,
-  read off the products star(v_x) * v_y of half diagrams: each entry is
-  one character value times one loop parameter (identity and proof in
-  cell_gram).  Symmetric; its determinants are the ones that govern
-  semisimplicity.
+  spanned by the half diagrams with w = 1, read off star(x) * y: each
+  entry is one character value times one loop parameter (identity and
+  proof in cell_gram).  Symmetric; its determinants are the ones that
+  govern semisimplicity.
 """
 
 from __future__ import annotations
@@ -20,20 +22,11 @@ from dataclasses import dataclass, field as dfield
 
 from .deltapoly import DeltaPoly
 from .diagrams import (SymbolicParams, from_awb, generator, iota_diagram,
-                       is_admissible, multiply_diagrams, star_diagram, to_awb,
-                       wreath_to_diagram)
+                       is_admissible, multiply_diagrams, star_diagram)
 from .linalg import gauss_det, gauss_rank, minor_det
 from .partitions import check_multipartition
 from .scalars import CyclotomicField
-from .wreath import (WreathElement, compose, enumerate_group, gen_s, gen_t,
-                     identity)
-
-
-@dataclass(frozen=True)
-class VBasisIndex:
-    arc: tuple  # (i, j), i < j <= n
-    label: int
-    w: WreathElement  # element of W_{m, n-2}
+from .wreath import enumerate_group, identity
 
 
 @dataclass
@@ -54,56 +47,39 @@ class GramMatrix:
 
 
 def v_basis(m, n, cap=5000):
-    """Basis of V: one labelled top arc, a wreath element on the rest, and
-    the fixed bottom arc {n-1, n} with label 0."""
+    """Basis of V: the half diagrams alpha (x) w (x) alpha_0, ordered by the
+    top arc, then its label, then w in enumerate_group order."""
     if n < 2:
         raise ValueError("n >= 2 required")
     group = enumerate_group(m, n - 2)
     f = m * (n * (n - 1) // 2) * len(group)
     if f > cap:
         raise ValueError("dim V = %d exceeds cap %d" % (f, cap))
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for lab in range(m):
-                for w in group:
-                    out.append(VBasisIndex((i, j), lab, w))
-    return out
+    alpha0 = [(n - 1, n, 0)]
+    return [from_awb(m, n, [(i, j, lab)], w, alpha0)
+            for i, j in itertools.combinations(range(1, n + 1), 2)
+            for lab in range(m) for w in group]
 
 
-def v_diagram(m, n, idx):
-    return from_awb(m, n, [(idx.arc[0], idx.arc[1], idx.label)], idx.w,
-                    [(n - 1, n, 0)])
-
-
-def v_index_of(diagram):
-    """Inverse of v_diagram; raises if the diagram is not in M_1 form."""
-    tops, w, bots = to_awb(diagram)
-    n = diagram.n
-    if len(tops) != 1 or bots != [(n - 1, n, 0)]:
-        raise ValueError("diagram not of the form alpha (x) w (x) alpha_0")
-    i, j, lab = tops[0]
-    return VBasisIndex((i, j), lab, w)
-
-
-def pairing(params, x, y, n):
-    """<x, y> = coefficient of e_{n-1} in iota(diagram x) * diagram y."""
-    m = params.m
-    dx = v_diagram(m, n, x)
-    dy = v_diagram(m, n, y)
-    prod, loops = multiply_diagrams(iota_diagram(dx), dy)
-    if prod != generator(m, n, "e", n - 1):
-        return params.zero
-    c = params.one
+def _times_loops(params, c, loops):
+    """c times delta_a for each closed loop of label a."""
     for a in loops:
         c = c * params.delta(a)
     return c
 
 
 def gram_big(m, n, params, cap=5000):
-    """The f x f iota-form matrix on V."""
+    """The f x f iota-form matrix on V: entry (x, y) is the coefficient of
+    e_{n-1} in iota(x) * y, one diagram product per entry."""
     basis = v_basis(m, n, cap)
-    entries = [[pairing(params, x, y, n) for y in basis] for x in basis]
+    e = generator(m, n, "e", n - 1)
+
+    def entry(x_iota, y):
+        prod, loops = multiply_diagrams(x_iota, y)
+        return _times_loops(params, params.one, loops) if prod == e \
+            else params.zero
+
+    entries = [[entry(x, y) for y in basis] for x in map(iota_diagram, basis)]
     return GramMatrix("iota-form", len(basis), entries, basis)
 
 
@@ -125,29 +101,14 @@ def shape_check(gram, params):
     return bad
 
 
-def _action_matrix_left(m, n, basis, index, w):
-    """Permutation matrix of left multiplication by the group element w on
-    the basis of V (no loops and no extra arcs can form)."""
-    dw = wreath_to_diagram(w)
-    cols = []
-    for b in basis:
-        prod, loops = multiply_diagrams(dw, v_diagram(m, n, b))
-        assert not loops
-        cols.append(index[v_index_of(prod)])
-    return cols  # cols[j] = image row of basis j
-
-
-def _action_matrix_right(basis, index, y):
-    """Right action of y in W_{m,n-2}: w |-> w*y on the middle factor."""
-    cols = []
-    for b in basis:
-        cols.append(index[VBasisIndex(b.arc, b.label, compose(b.w, y))])
-    return cols
-
-
 def equivariance_check(m, n, params, cap=5000):
     """Check that the iota-form endomorphism commutes with the left
     W_{m,n} action and the right W_{m,n-2} action, generator by generator.
+
+    Both actions permute the basis of V and are diagram products: the left
+    one g * b, the right one b * (y (+) 1_2), which is w |-> w y on the
+    middle factor.  The generators y (+) 1_2 are t_1 and s_i, i < n - 2, of
+    W_{m,n}.  A product with a group element closes no loop.
 
     The commutation identities only hold on the admissible parameter locus
     delta_a = delta_{m-a} (automatic for m <= 2); the report records the
@@ -173,16 +134,21 @@ def equivariance_check(m, n, params, cap=5000):
                     return
         checked.append(tag)
 
+    def left(name, i):
+        g = generator(m, n, name, i)
+        return [index[multiply_diagrams(g, b)[0]] for b in basis]
+
+    def right(name, i):
+        y = generator(m, n, name, i)
+        return [index[multiply_diagrams(b, y)[0]] for b in basis]
+
     for i in range(1, n):
-        commutes(_action_matrix_left(m, n, basis, index, gen_s(m, n, i)),
-                 "left-s%d" % i)
-    commutes(_action_matrix_left(m, n, basis, index, gen_t(m, n, 1)), "left-t1")
+        commutes(left("s", i), "left-s%d" % i)
+    commutes(left("t", 1), "left-t1")
     if n - 2 >= 1:
-        commutes(_action_matrix_right(basis, index, gen_t(m, n - 2, 1)),
-                 "right-t1")
+        commutes(right("t", 1), "right-t1")
     for i in range(1, n - 2):
-        commutes(_action_matrix_right(basis, index, gen_s(m, n - 2, i)),
-                 "right-s%d" % i)
+        commutes(right("s", i), "right-s%d" % i)
     return {"m": m, "n": n, "ok": not failures, "checked": checked,
             "failures": failures, "admissible": is_admissible(params)}
 
@@ -227,23 +193,22 @@ def cell_gram(m, n, mu, params, compute_det=True):
         weight = [field.embed(m) * xi ** (l * (r - 1) % m) for r in range(m)]
     alpha0 = [(n - 1, n, 0)]
     unit = identity(m, n - 2)
-    basis = [VBasisIndex(arc, k, unit)
-             for arc in itertools.combinations(range(1, n + 1), 2)
-             for k in range(m)]
-    half = [v_diagram(m, n, b) for b in basis]
+    half = [from_awb(m, n, [arc + (k,)], unit, alpha0)
+            for arc in itertools.combinations(range(1, n + 1), 2)
+            for k in range(m)]
+    # the m targets alpha_0 (x) t^r (x) alpha_0 (one at n = 2), by r
+    targets = {from_awb(m, n, alpha0, w, alpha0): sum(w.colors)
+               for w in enumerate_group(m, n - 2)}
 
     def entry(x_star, y):
         prod, loops = multiply_diagrams(x_star, y)
-        tops, w, bots = to_awb(prod)
-        if tops != alpha0 or bots != alpha0:
+        r0 = targets.get(prod)
+        if r0 is None:
             raise ValueError("product left the span of alpha_0 (x) t^s (x) alpha_0")
-        c = params.one * weight[sum(w.colors)]
-        for a in loops:
-            c = c * params.delta(a)
-        return c
+        return _times_loops(params, params.one * weight[r0], loops)
 
     entries = [[entry(x, y) for y in half] for x in map(star_diagram, half)]
-    gm = GramMatrix("cellular-form", len(basis), entries, basis)
+    gm = GramMatrix("cellular-form", len(half), entries, half)
     if compute_det:
         gm.det = _sym_or_num_det(entries, params)
     return gm

@@ -136,6 +136,20 @@ PINNED_OUTPUT = [
      "808eb2b77c6c133da59041872202e5d353bbf94e41a0294e45f5b1a83c64ef85"),
     (("oracle", "--m", "2", "--n", "3", "--delta", "0,0"), 0,
      "9c24d8afd6b9403176abbc57348136539cae1621a8e6bd807b7ce791f074b60f"),
+    (("gram", "--m", "3", "--n", "2"), 0,
+     "553a12581ca884570e6d7e61c7e94b71190855895bf7c07f89939db6b3d94c62"),
+    (("gram", "--m", "2", "--n", "3"), 0,
+     "928e4bfb03eb3777fb70592f0625b7e6de0b726c2f51d427712221cea43e9876"),
+    (("gram", "--m", "3", "--n", "3"), 0,
+     "0e8d145e773cd0dafde795c9f2d58d63505081ee4ef743a595f42c2a546798c6"),
+    (("gram", "--m", "4", "--n", "3"), 0,
+     "0da993987c7d65f7101f718b82aee615b64b7edcf8a23b19419323ce7a0794b6"),
+    (("gram", "--m", "2", "--n", "4"), 0,
+     "21becc69def40c702ac33dcdf6ed8561c6d946dc7c20775c8452122e5a4c53ed"),
+    (("gram", "--m", "3", "--n", "3", "--delta", "1,2,3"), 3,
+     "5ae2407d75161036f59c881658f46f559c5891cd4c3d0a4609c047663c44f9f5"),
+    (("gram", "--m", "2", "--n", "2", "--char", "5"), 0,
+     "09b79302ea152f47a36196da3c4f9fb8f92b18a58a5b0a6438a878cb92123841"),
 ]
 
 
@@ -312,6 +326,37 @@ def test_concord_rejects_non_utf8_config(tmp_path, capsys):
 def test_malformed_delta_is_a_usage_error(capsys, argv, delta):
     code, err = usage_error(capsys, *argv, "--delta", delta)
     assert code == 1 and "--delta" in err and repr(delta) in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ("assoc", "--m", "2", "--n", "2", "--trials", "1"),
+    ("gmu", "--m", "2", "--n", "3", "--delta", "1,1"),
+    ("bar-delta", "--m", "2", "--delta", "1,1"),
+    ("decide", "--m", "2", "--n", "2", "--delta", "1,1"),
+    ("gram", "--m", "2", "--n", "2"),
+    ("cell-gram", "--m", "2", "--n", "2", "--mu", "[[],[]]"),
+    ("oracle", "--m", "2", "--n", "2", "--delta", "1,1"),
+])
+@pytest.mark.parametrize("char", ["4", "9", "-3", "1"])
+def test_char_must_be_zero_or_prime(capsys, argv, char):
+    code, err = usage_error(capsys, *argv, "--char", char)
+    assert code == 1 and "--char" in err and repr(char) in err, err
+
+
+def test_char_without_the_root_is_a_compute_error(capsys):
+    # a prime characteristic is accepted; GF(2^k) has no order-2 root
+    code = main(["decide", "--m", "2", "--n", "2", "--delta", "1,1",
+                 "--char", "2"])
+    assert code == 2 and "characteristic 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("decide", "--m", "2", "--n", "2", "--delta", "1,1"),
+    ("zset", "--m", "2", "--n", "2"),
+])
+def test_unknown_variant_is_a_usage_error(capsys, argv):
+    code, err = usage_error(capsys, *argv, "--variant", "bogus")
+    assert code == 1 and "--variant" in err and "'bogus'" in err, err
 
 
 def test_decide_flags_off_locus_points(capsys):

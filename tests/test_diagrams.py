@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from cycbrauer.diagrams import (Diagram, DiagramAlgebra, NumericParams,
                                 SymbolicParams, associativity_check,
                                 associativity_witness, basis_size,
-                                enumerate_basis, generator, identity_diagram,
-                                iota_diagram, is_admissible, make_diagram,
+                                compose_strands, enumerate_basis, from_awb,
+                                generator, identity_diagram, iota_diagram,
+                                is_admissible, make_diagram,
                                 multiply_diagrams, star_diagram,
                                 symbolic_algebra, verify_relations,
                                 wreath_to_diagram)
 from cycbrauer.scalars import CyclotomicField
-from cycbrauer.wreath import enumerate_group, inverse
+from cycbrauer.wreath import WreathElement, enumerate_group, inverse
 
 Q = CyclotomicField(1)
 
@@ -81,6 +82,34 @@ def test_multiply_diagrams_at_n_0_and_1():
                 y = make_diagram(m, 1, [((1, 2), b)])
                 assert multiply_diagrams(x, y) == \
                     (make_diagram(m, 1, [((1, 2), a + b)]), ())
+
+
+def random_diagram(rng, m, n):
+    points = rng.sample(range(1, 2 * n + 1), 2 * n)
+    return make_diagram(m, n, [((points[k], points[k + 1]), rng.randrange(m))
+                               for k in range(0, 2 * n, 2)])
+
+
+def test_multiply_builds_the_normal_form_directly():
+    # multiply_diagrams skips make_diagram: its product must equal the one
+    # make_diagram canonicalizes and validates from the same composed arcs,
+    # on every pair with N <= 405 and on random pairs at n = 4..6
+    def check(x, y):
+        arcs, _ = compose_strands(x.n, x.arc_items(), y.arc_items())
+        assert multiply_diagrams(x, y)[0] == make_diagram(x.m, x.n, arcs)
+
+    for m in range(1, 6):
+        for n in range(5):
+            if basis_size(m, n) <= 405:
+                basis = enumerate_basis(m, n)
+                for x in basis:
+                    for y in basis:
+                        check(x, y)
+    rng = random.Random(5)
+    for m in range(1, 5):
+        for n in range(4, 7):
+            for _ in range(300):
+                check(random_diagram(rng, m, n), random_diagram(rng, m, n))
 
 
 def test_associativity_sampling():
@@ -183,6 +212,34 @@ def test_iota_is_an_involution():
         for d in enumerate_basis(m, n):
             assert iota_diagram(iota_diagram(d)) == d
             assert star_diagram(star_diagram(d)) == d
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_iota_is_its_parenthesis_definition(data):
+    # iota(alpha (x) w (x) beta) = ~beta (x) w^{-1} (x) ~alpha, ~ negating
+    # the arc labels; iota_diagram computes it as star after negation
+    m = data.draw(st.integers(1, 5), "m")
+    n = data.draw(st.integers(0, 6), "n")
+    k = data.draw(st.integers(0, n // 2), "k")
+    label = st.integers(0, m - 1)
+
+    def arcs():
+        pts = data.draw(st.permutations(range(1, n + 1)))[:2 * k]
+        return [tuple(sorted(pts[a:a + 2])) + (data.draw(label),)
+                for a in range(0, 2 * k, 2)]
+
+    tops, bots = arcs(), arcs()
+    r = n - 2 * k
+    w = WreathElement(m, r, tuple(data.draw(st.permutations(range(1, r + 1)))),
+                      tuple(data.draw(st.lists(label, min_size=r,
+                                               max_size=r))))
+
+    def neg(arcs):
+        return [(i, j, -lab % m) for i, j, lab in arcs]
+
+    assert iota_diagram(from_awb(m, n, tops, w, bots)) == \
+        from_awb(m, n, neg(bots), inverse(w), neg(tops))
 
 
 def test_iota_group_action():

@@ -1,6 +1,7 @@
 """Gram matrices: the iota-form on V, cellular forms, and the 3m x 3m
 one-box matrix at n = 3."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycbrauer.diagrams import (AlgebraElement, NumericParams, SymbolicParams,
-                                from_awb, generator, wreath_to_diagram)
+                                from_awb, generator, multiply_diagrams,
+                                wreath_to_diagram)
 from cycbrauer.gram import (anticirculant_det, cell_gram, equivariance_check,
                             gram_big, shape_check, single_box_gram, v_basis)
 from cycbrauer.linalg import gauss_det, minor_det
 from cycbrauer.scalars import CyclotomicField, field_with_root
-from cycbrauer.wreath import WreathElement
+from cycbrauer.wreath import (WreathElement, compose, enumerate_group, gen_s,
+                              gen_t)
 
 Q = CyclotomicField(1)
 
@@ -37,6 +40,34 @@ def admissible_numeric(m, seed=0):
 def test_v_basis_sizes():
     for (m, n) in [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)]:
         assert len(v_basis(m, n)) == v_dim(m, n)
+
+
+@pytest.mark.parametrize("mn", [(2, 3), (3, 3), (2, 4)])
+def test_right_action_is_a_diagram_product(mn):
+    # V is spanned by b = alpha (x) w (x) alpha_0, in this order, and the
+    # right W_{m,n-2} action w |-> w y is b * (y (+) 1_2), closing no loop
+    m, n = mn
+    group = enumerate_group(m, n - 2)
+    alpha0 = [(n - 1, n, 0)]
+    halves = [([arc + (lab,)], w)
+              for arc in itertools.combinations(range(1, n + 1), 2)
+              for lab in range(m) for w in group]
+    basis = v_basis(m, n)
+    assert basis == [from_awb(m, n, alpha, w, alpha0) for alpha, w in halves]
+
+    def plus_two(y):  # the diagram of y (+) 1_2
+        return wreath_to_diagram(WreathElement(m, n, y.perm + (n - 1, n),
+                                               y.colors + (0, 0)))
+
+    for y in group:
+        for b, (alpha, w) in zip(basis, halves):
+            assert multiply_diagrams(b, plus_two(y)) == \
+                (from_awb(m, n, alpha, compose(w, y), alpha0), ())
+    # equivariance_check multiplies by the generators of W_{m,n} that fix
+    # n - 1 and n: these are the y (+) 1_2 of the generators y of W_{m,n-2}
+    assert plus_two(gen_t(m, n - 2, 1)) == generator(m, n, "t", 1)
+    for i in range(1, n - 2):
+        assert plus_two(gen_s(m, n - 2, i)) == generator(m, n, "s", i)
 
 
 def test_gram_shape():
