@@ -63,7 +63,7 @@ def _int_arg(ok, want):
     return parse
 
 
-M_ARG = _int_arg(lambda v: v >= 1, "an integer >= 1")
+POSITIVE_ARG = _int_arg(lambda v: v >= 1, "an integer >= 1")
 N_ARG = _int_arg(lambda v: v >= 0, "an integer >= 0")
 CHAR_ARG = _int_arg(lambda v: v == 0 or is_prime(v), "0 or a prime")
 # --variant of zset: the decide variant names and the set names they use
@@ -78,7 +78,7 @@ def _pairs(text):
     for chunk in text.split(";"):
         try:
             m, n = chunk.split(",")
-            grid.append((M_ARG(m), N_ARG(n)))
+            grid.append((POSITIVE_ARG(m), N_ARG(n)))
         except (ValueError, argparse.ArgumentTypeError):
             raise argparse.ArgumentTypeError(
                 "bad pair %r: expected m,n with m >= 1 and n >= 0"
@@ -127,7 +127,7 @@ def main(argv=None):
     def add(name, help_text, mn=True, char_delta=False, variants=None):
         p = sub.add_parser(name, help=help_text)
         if mn:
-            p.add_argument("--m", type=M_ARG, required=True)
+            p.add_argument("--m", type=POSITIVE_ARG, required=True)
             p.add_argument("--n", type=N_ARG, required=True)
         if char_delta:
             p.add_argument("--char", type=CHAR_ARG, default=0)
@@ -151,14 +151,14 @@ def main(argv=None):
     p.add_argument("--tilde", action="store_true",
                    help="emit the unscaled set")
     p = sub.add_parser("admissible", help="admissible two-box extensions of mu")
-    p.add_argument("--m", type=M_ARG, required=True)
+    p.add_argument("--m", type=POSITIVE_ARG, required=True)
     p.add_argument("--mu", type=str, required=True,
                    help="JSON multipartition, e.g. [[1],[]]")
     p.add_argument("--out", type=str, default=None)
     add("gmu", "cell factors g_mu over the multipartitions of n-2",
         char_delta=True)
     p = sub.add_parser("bar-delta", help="transformed parameters bar_delta_i")
-    p.add_argument("--m", type=M_ARG, required=True)
+    p.add_argument("--m", type=POSITIVE_ARG, required=True)
     p.add_argument("--char", type=CHAR_ARG, default=0)
     p.add_argument("--delta", type=str, required=True)
     p.add_argument("--out", type=str, default=None)
@@ -173,7 +173,7 @@ def main(argv=None):
     p.add_argument("--mu", type=str, required=True)
     p = sub.add_parser("single-box",
                        help="3m x 3m Gram matrix of the one-box cell at n=3")
-    p.add_argument("--m", type=M_ARG, required=True)
+    p.add_argument("--m", type=POSITIVE_ARG, required=True)
     p.add_argument("--out", type=str, default=None)
     p = add("oracle", "trace-form radical verdict (characteristic 0)",
             char_delta=True)
@@ -187,12 +187,12 @@ def main(argv=None):
                         "generic_points/hyperplane_points")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=500)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=POSITIVE_ARG, default=1)
     p.add_argument("--csv", type=str, default=None)
     p.add_argument("--out", type=str, default=None)
     p = sub.add_parser("prop-eta",
                        help="degree-2 eigenvector decomposition check")
-    p.add_argument("--m", type=M_ARG, required=True)
+    p.add_argument("--m", type=POSITIVE_ARG, required=True)
     p.add_argument("--out", type=str, default=None)
     p = sub.add_parser("tset", help="one-box addition contents vs closed form")
     p.add_argument("--a", type=int, required=True)
@@ -299,7 +299,8 @@ def _dispatch(args):
                 # for m >= 3, where the commutation identities cannot hold;
                 # check at a generic admissible point instead
                 eq_params = SymbolicParams(args.m, field, symmetric=True)
-            rep = equivariance_check(args.m, args.n, eq_params, args.cap)
+            rep = equivariance_check(args.m, args.n, eq_params, args.cap,
+                                     gm if eq_params is params else None)
             obj["equivariance"] = rep
             if not rep["ok"]:
                 bad = bad or rep["failures"]
@@ -423,8 +424,9 @@ def _run_concord(args):
         grid.extend(args.pairs)
     if not grid:
         raise ValueError("empty grid: pass --pairs or --config")
-    if args.jobs > 1:
-        report = _parallel_sweep(grid, kwargs, args.jobs)
+    workers = min(args.jobs, len(grid))
+    if workers > 1:
+        report = _parallel_sweep(grid, kwargs, workers)
     else:
         report = _merged_sweep(grid, kwargs, map)
     _emit(report, args.out)

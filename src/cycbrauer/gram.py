@@ -101,7 +101,7 @@ def shape_check(gram, params):
     return bad
 
 
-def equivariance_check(m, n, params, cap=5000):
+def equivariance_check(m, n, params, cap=5000, gram=None):
     """Check that the iota-form endomorphism commutes with the left
     W_{m,n} action and the right W_{m,n-2} action, generator by generator.
 
@@ -113,8 +113,9 @@ def equivariance_check(m, n, params, cap=5000):
     The commutation identities only hold on the admissible parameter locus
     delta_a = delta_{m-a} (automatic for m <= 2); the report records the
     admissibility of the supplied parameters so off-locus failures at m >= 3
-    are interpretable."""
-    gm = gram_big(m, n, params, cap)
+    are interpretable.  ``gram`` is gram_big(m, n, params, cap) when the
+    caller has built it already."""
+    gm = gram_big(m, n, params, cap) if gram is None else gram
     basis, G = gm.basis, gm.entries
     index = {b: k for k, b in enumerate(basis)}
     f = gm.size

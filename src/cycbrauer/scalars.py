@@ -8,9 +8,15 @@ The coefficient tower used everywhere else in the package:
 * ``FiniteField(p, k)`` -- GF(p^k), elements stored as length-k vectors modulo
   the lexicographically smallest monic irreducible polynomial of degree k.
 
-One polynomial stack (``_poly_*``, coefficients in any field) serves both:
-Q(zeta_m) runs it on Fractions and GF(p^k) on elements of GF(p).  All
-arithmetic is exact; there is no floating point anywhere in this package.
+Both moduli are monic over Z, so each field builds a fold table once:
+zeta^k for deg <= k <= 2 deg - 2 as integer rows on the power basis
+(``_fold_table``).  A product is a schoolbook convolution and one pass
+through that table (``_fold_mul``), on Fractions for Q(zeta_m) and on
+integers taken mod p for GF(p^k).  In Q(zeta_m) a factor in Q, the bulk
+of the Gram and determinant traffic, just scales the other factor.  The
+``_poly_*`` helpers (coefficients in any field) serve inversion and the
+reduction of long input.  All arithmetic is exact; there is no floating
+point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -30,7 +36,10 @@ def power(x, k, one):
     Field elements, delta polynomials and diagram-algebra elements all
     raise to powers through this one routine.  It multiplies
     bit_length(k) - 1 + popcount(k) - 1 times for k >= 1: no product
-    with ``one`` and no square after the top bit."""
+    with ``one`` and no square after the top bit.  A negative k raises
+    ValueError; only field elements invert, in ``FieldElement.__pow__``."""
+    if k < 0:
+        raise ValueError("negative exponent %d" % k)
     out = one if not k else None
     while k:
         if k & 1:
@@ -117,15 +126,44 @@ def _prime_factors(n):
 
 
 def _poly_rem(num, den):
+    """Remainder of ``num`` modulo the monic polynomial ``den``."""
     num = list(num)
     dn = len(den) - 1
-    lead = den[-1]
     for i in range(len(num) - 1, dn - 1, -1):
-        f = num[i] / lead
+        f = num[i]
         if f:
-            for j in range(dn + 1):
+            for j in range(dn):
                 num[i - dn + j] -= f * den[j]
     return num[:dn]
+
+
+def _fold_table(modulus):
+    """Rows of zeta^k for deg <= k <= 2 deg - 2 on the power basis
+    1, zeta, ..., zeta^(deg-1), zeta a root of the monic integer polynomial
+    ``modulus``: every power a product of two reduced elements reaches."""
+    top = [-c for c in modulus[:-1]]  # zeta^deg
+    rows, row = [], top
+    for _ in range(len(top) - 1):
+        rows.append(tuple(row))
+        row = [a + row[-1] * b for a, b in zip([0] + row[:-1], top)]
+    return tuple(rows)
+
+
+def _fold_mul(a, b, fold, zero):
+    """Product of two reduced power-basis vectors: the schoolbook
+    convolution, then each zeta^k (k >= deg) replaced by its fold row."""
+    d = len(a)
+    out = [zero] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    for c, row in zip(out[d:], fold):
+        if c:
+            for j, r in enumerate(row):
+                if r:
+                    out[j] += r * c
+    return out[:d]
 
 
 def _poly_xgcd(a, b, zero, one):
@@ -294,6 +332,7 @@ class CyclotomicField(_Field):
         mod = cyclotomic_polynomial(m)
         self.degree = len(mod) - 1
         self.modulus = tuple(Fraction(c) for c in mod)
+        self.fold = _fold_table(mod)
         self.zero = CycElt(self, (Fraction(0),) * self.degree)
         self.one = self.embed(1)
 
@@ -387,14 +426,22 @@ class CycElt(FieldElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        prod = _poly_mul(list(self.coeffs), list(o.coeffs), Fraction(0))
-        return self.field.element(prod)
+        a, b = self.coeffs, o.coeffs
+        if any(a[1:]):
+            if any(b[1:]):
+                return CycElt(self.field, tuple(
+                    _fold_mul(a, b, self.field.fold, Fraction(0))))
+            a, b = b, a
+        c = a[0]  # a lies in Q: scale b, keeping its zero coefficients
+        return CycElt(self.field, tuple(c * y if y else y for y in b))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero")
+        if not any(self.coeffs[1:]):
+            return CycElt(self.field, (1 / self.coeffs[0],) + self.coeffs[1:])
         g, s = _poly_xgcd(self.field.modulus, self.coeffs, Fraction(0), Fraction(1))
         # g is a nonzero constant (modulus irreducible)
         c = g[0]
@@ -423,6 +470,7 @@ class FiniteField(_Field):
         self.degree = k
         self.order = p ** k
         self.modulus = modulus
+        self.fold = _fold_table(modulus)
         self.zero = FFElt(self, (0,) * k)
         self.one = self.embed(1)
 
@@ -430,9 +478,9 @@ class FiniteField(_Field):
         return "GF(%d)" % self.p if self.k == 1 else "GF(%d^%d)" % (self.p, self.k)
 
     def element(self, coeffs):
-        coeffs = [c % self.p for c in coeffs]
         if len(coeffs) > self.k:
-            coeffs = _ff_rem(coeffs, self.modulus, self.p)
+            coeffs = _poly_rem(coeffs, self.modulus)
+        coeffs = [c % self.p for c in coeffs]
         coeffs += [0] * (self.k - len(coeffs))
         return FFElt(self, tuple(coeffs))
 
@@ -470,27 +518,6 @@ class FiniteField(_Field):
 
     def parse_element(self, text):
         return self.element([int(part) for part in text.split(",")])
-
-
-def _ff_rem(num, den, p):
-    num = [c % p for c in num]
-    dn = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p)
-    for i in range(len(num) - 1, dn - 1, -1):
-        f = num[i] * inv_lead % p
-        if f:
-            for j in range(dn + 1):
-                num[i - dn + j] = (num[i - dn + j] - f * den[j]) % p
-    return num[:dn]
-
-
-def _poly_mul_int(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else [0]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
 
 
 def _gf_xgcd(p, a, b):
@@ -554,8 +581,9 @@ class FFElt(FieldElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        prod = _poly_mul_int(list(self.coeffs), list(o.coeffs), self.field.p)
-        return self.field.element(prod)
+        field = self.field
+        return FFElt(field, tuple(c % field.p for c in _fold_mul(
+            self.coeffs, o.coeffs, field.fold, 0)))
 
     __rmul__ = __mul__
 

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+import cycbrauer.cli
+import cycbrauer.gram
 from cycbrauer.cli import main
 
 
@@ -67,6 +69,27 @@ def test_gram(capsys):
     assert code == 0
     assert obj["shape_violations"] == []
     assert obj["equivariance"]["ok"] and obj["equivariance"]["admissible"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("gram", "--m", "2", "--n", "4"),
+    ("gram", "--m", "3", "--n", "2", "--delta", "1,2,2"),
+])
+def test_gram_builds_the_iota_form_once(capsys, monkeypatch, argv):
+    # the equivariance check reuses the shape check's form when both use
+    # the same parameters
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    build = cycbrauer.gram.gram_big
+    monkeypatch.setattr(cycbrauer.cli, "gram_big", counting)
+    monkeypatch.setattr(cycbrauer.gram, "gram_big", counting)
+    code, obj = run_json(capsys, *argv)
+    assert code == 0 and obj["equivariance"]["ok"]
+    assert len(calls) == 1
 
 
 def test_single_box(capsys):
@@ -247,6 +270,13 @@ def test_dim_rejects_m_zero(capsys):
 def test_relations_rejects_m_zero(capsys):
     code, err = usage_error(capsys, "relations", "--m", "0", "--n", "2")
     assert code == 1 and "--m" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "x"])
+def test_concord_rejects_jobs_below_one(capsys, jobs):
+    code, err = usage_error(capsys, "concord", "--pairs", "2,2",
+                            "--jobs", jobs)
+    assert code == 1 and "--jobs" in err and repr(jobs) in err, err
 
 
 def test_concord_rejects_malformed_pairs(capsys):

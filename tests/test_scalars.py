@@ -5,14 +5,15 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from cycbrauer.deltapoly import DeltaRing
 from cycbrauer.diagrams import symbolic_algebra
 from cycbrauer.scalars import (CyclotomicField, FiniteField, NoRootError,
-                               _smallest_irreducible, cyclotomic_polynomial,
-                               field_with_root, is_prime, power)
+                               _poly_mul, _poly_xgcd, _smallest_irreducible,
+                               cyclotomic_polynomial, field_with_root,
+                               is_prime, power)
 
 
 def random_elements(field, rng, count):
@@ -203,3 +204,86 @@ def test_power_equals_repeated_multiplication():
         for k in range(10):
             assert power(x, k, one) == want, (x, k)
             want = want * x
+
+
+def test_power_rejects_negative_exponents():
+    F = CyclotomicField(2)
+    ring = DeltaRing(F, 2)
+    algebra = symbolic_algebra(2, 2)
+    for x, one in [(F.zeta, F.one), (ring.delta(0), ring.one),
+                   (algebra.s(1), algebra.one())]:
+        with pytest.raises(ValueError):
+            power(x, -2, one)
+    with pytest.raises(ValueError):
+        ring.delta(0) ** -1
+    with pytest.raises(ValueError):
+        algebra.s(1) ** -1
+    # field elements invert first, then take the positive power
+    assert F.zeta ** -2 == F.one and CyclotomicField(5).zeta ** -1 == \
+        CyclotomicField(5).zeta ** 4
+
+
+# the product and inverse the fold-table kernel replaced: a generic
+# polynomial product reduced by long division in field.element, and the
+# extended Euclid inverse for every nonzero element
+def reference_mul(a, b):
+    zero = a.field.zero.coeffs[0]
+    return a.field.element(_poly_mul(list(a.coeffs), list(b.coeffs), zero))
+
+
+def reference_inverse(a):
+    F = a.field
+    g, s = _poly_xgcd(F.modulus, a.coeffs, Fraction(0), Fraction(1))
+    return F.element([x / g[0] for x in s])
+
+
+def make_element(F, kind, coeffs):
+    """A zero, a prime-field or a full element of F from drawn
+    coefficients (full: some coefficient beyond the constant one nonzero,
+    when F is not Q)."""
+    if kind == "zero":
+        return F.zero
+    if kind == "rational":
+        return F.embed(coeffs[0])
+    coeffs = list(coeffs[:F.degree])
+    if F.degree > 1 and not any(coeffs[1:]):
+        coeffs[-1] = 1
+    return F.element(coeffs)
+
+
+KINDS = st.sampled_from(["zero", "rational", "full"])
+# phi(m) <= 10 for m <= 12
+RATIONALS = st.lists(st.builds(Fraction, st.integers(-50, 50),
+                               st.integers(1, 30)), min_size=10, max_size=10)
+# reduced mod p by FiniteField.element
+RESIDUES = st.lists(st.integers(0, 420), min_size=4, max_size=4)
+# no explain phase: it traces every line of a failing case, which turns
+# a failure of these Fraction-heavy tests into minutes of tracing
+NO_EXPLAIN = [Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink]
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+@settings(max_examples=60, deadline=None, phases=NO_EXPLAIN)
+@given(KINDS, RATIONALS, KINDS, RATIONALS)
+def test_cyclotomic_kernel_matches_reference(m, kind_a, ca, kind_b, cb):
+    F = CyclotomicField(m)
+    a, b = make_element(F, kind_a, ca), make_element(F, kind_b, cb)
+    for got, want in [(a * b, reference_mul(a, b)),
+                      (b * a, reference_mul(b, a))] + \
+            [(x.inverse(), reference_inverse(x)) for x in (a, b) if x]:
+        assert got.coeffs == want.coeffs and hash(got) == hash(want)
+        assert len(got.coeffs) == F.degree
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 5, 7)
+                                 for k in range(1, 5)])
+@settings(max_examples=40, deadline=None, phases=NO_EXPLAIN)
+@given(KINDS, RESIDUES, KINDS, RESIDUES)
+def test_finite_field_kernel_matches_reference(p, k, kind_a, ca, kind_b, cb):
+    F = FiniteField(p, k)
+    a, b = make_element(F, kind_a, ca), make_element(F, kind_b, cb)
+    got = a * b
+    assert got.coeffs == reference_mul(a, b).coeffs
+    assert hash(got) == hash(reference_mul(a, b))
+    assert all(type(c) is int and 0 <= c < p for c in got.coeffs)
