@@ -1,12 +1,17 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 usage error (including a malformed --delta value,
-a --char that is neither 0 nor a prime, an unknown --variant, or an
-unreadable or malformed --config file), 2 computational failure (cap
-exceeded, no root of unity in the requested characteristic, unsupported
-case), 3 when a verification subcommand finds failures (relation failures,
-Gram shape or equivariance violations, generic-stratum concordance
-disagreements, internal cross-check failures).
+Exit codes:
+
+- 0 success;
+- 1 usage error: a missing or malformed argument, including a missing or
+  malformed --delta value, a --char that is neither 0 nor a prime, an
+  unknown --variant, a --cap, --trials or --jobs below 1, or an
+  unreadable or malformed --config file;
+- 2 computational failure: cap exceeded, no root of unity in the
+  requested characteristic, unsupported case;
+- 3 a verification subcommand found failures: relation failures, Gram
+  shape or equivariance violations, generic-stratum concordance
+  disagreements, internal cross-check failures.
 
 Scalar syntax for --delta: comma-separated components delta_0..delta_{m-1};
 each component is a rational like 7/2 or a colon-separated coefficient
@@ -17,21 +22,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .criterion import VARIANTS, bar_deltas, decide, g_mu, z_set, z_tilde
-from .diagrams import (OFF_LOCUS_NOTE, NumericParams, SymbolicParams,
-                       associativity_check, basis_size, deltas_admissible,
-                       verify_prop_eta, verify_relations)
+from .deltapoly import SymbolicParams
+from .diagrams import (OFF_LOCUS_NOTE, NumericParams, associativity_check,
+                       basis_size, deltas_admissible, verify_prop_eta,
+                       verify_relations)
 from .gram import (cell_gram, equivariance_check, gram_big, shape_check,
                    single_box_gram)
-from .oracle import (concordance_report, concordance_sweep, report_csv,
-                     semisimple_verdict)
+from .oracle import (concordance_report, report_csv, semisimple_verdict,
+                     sweep_item, sweep_points)
 from .partitions import admissible_set, check_multipartition, \
     multipartitions, t_set
-from .scalars import CyclotomicField, NoRootError, field_with_root, is_prime
+from .scalars import NoRootError, field_with_root, is_prime
 from .wreath import enumerate_group, group_order
 
 USAGE_ERROR, COMPUTE_ERROR, VERIFY_FAILED = 1, 2, 3
@@ -86,21 +94,6 @@ def _pairs(text):
     return grid
 
 
-def _parse_deltas(field, m, text):
-    """The --delta value: m comma-separated components, each a rational or
-    a colon-separated coefficient vector."""
-    try:
-        parts = [[Fraction(c) for c in t.split(":")] for t in text.split(",")]
-    except (ValueError, ZeroDivisionError):
-        parts = None
-    if parts is None or len(parts) != m:
-        raise UsageError("argument --delta: expected %d comma-separated "
-                         "rationals or coefficient vectors (like 7/2 or "
-                         "1:2/3), got %r" % (m, text))
-    return [field.element(c) if len(c) > 1 else field.embed(c[0])
-            for c in parts]
-
-
 def _emit(obj, out):
     payload = json.dumps(obj, indent=2, sort_keys=True)
     if out:
@@ -110,12 +103,24 @@ def _emit(obj, out):
         print(payload)
 
 
-def _params(args, m):
-    field = field_with_root(args.char, m)
-    if args.delta is None:
-        return SymbolicParams(m, field), field, None
-    deltas = _parse_deltas(field, m, args.delta)
-    return NumericParams(field, deltas), field, deltas
+def _params(args, symmetric=False):
+    """The loop parameters of a --char/--delta command: generic symbolic
+    ones (on the admissible locus if symmetric) when --delta is absent,
+    else the --delta point, m comma-separated components, each a rational
+    or a colon-separated coefficient vector."""
+    field, m, text = field_with_root(args.char, args.m), args.m, args.delta
+    if text is None:
+        return SymbolicParams(m, field, symmetric)
+    try:
+        parts = [[Fraction(c) for c in t.split(":")] for t in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        parts = None
+    if parts is None or len(parts) != m:
+        raise UsageError("argument --delta: expected %d comma-separated "
+                         "rationals or coefficient vectors (like 7/2 or "
+                         "1:2/3), got %r" % (m, text))
+    return NumericParams(field, [field.element(c) if len(c) > 1
+                                 else field.embed(c[0]) for c in parts])
 
 
 def main(argv=None):
@@ -124,14 +129,17 @@ def main(argv=None):
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, mn=True, char_delta=False, variants=None):
+    def add(name, help_text, dims="mn", delta=None, variants=None):
+        """One subcommand with --m and --n (as dims lists them), --char and
+        --delta when delta is "optional" or "required", and --out."""
         p = sub.add_parser(name, help=help_text)
-        if mn:
+        if "m" in dims:
             p.add_argument("--m", type=POSITIVE_ARG, required=True)
+        if "n" in dims:
             p.add_argument("--n", type=N_ARG, required=True)
-        if char_delta:
+        if delta:
             p.add_argument("--char", type=CHAR_ARG, default=0)
-            p.add_argument("--delta", type=str, default=None)
+            p.add_argument("--delta", type=str, required=delta == "required")
         if variants:
             p.add_argument("--variant", choices=variants, default="printed-z")
         p.add_argument("--out", type=str, default=None)
@@ -139,64 +147,52 @@ def main(argv=None):
 
     add("relations", "verify the 17 defining relations on diagrams")
     p = add("assoc", "sample associativity of the diagram product",
-            char_delta=True)
-    p.add_argument("--trials", type=int, default=1000)
+            delta="optional")
+    p.add_argument("--trials", type=POSITIVE_ARG, default=1000)
     p.add_argument("--seed", type=int, default=0)
     add("dim", "basis size m^n (2n-1)!!")
     p = add("group", "wreath group order and optional element list")
     p.add_argument("--list", action="store_true")
-    p.add_argument("--cap", type=int, default=10 ** 6)
-    p = add("zset", "the integer set Z_{m,n} (or its 1/m scaling)", mn=True,
+    p.add_argument("--cap", type=POSITIVE_ARG, default=10 ** 6)
+    p = add("zset", "the integer set Z_{m,n} (or its 1/m scaling)",
             variants=ZSET_VARIANTS)
     p.add_argument("--tilde", action="store_true",
                    help="emit the unscaled set")
-    p = sub.add_parser("admissible", help="admissible two-box extensions of mu")
-    p.add_argument("--m", type=POSITIVE_ARG, required=True)
+    p = add("admissible", "admissible two-box extensions of mu", dims="m")
     p.add_argument("--mu", type=str, required=True,
                    help="JSON multipartition, e.g. [[1],[]]")
-    p.add_argument("--out", type=str, default=None)
     add("gmu", "cell factors g_mu over the multipartitions of n-2",
-        char_delta=True)
-    p = sub.add_parser("bar-delta", help="transformed parameters bar_delta_i")
-    p.add_argument("--m", type=POSITIVE_ARG, required=True)
-    p.add_argument("--char", type=CHAR_ARG, default=0)
-    p.add_argument("--delta", type=str, required=True)
-    p.add_argument("--out", type=str, default=None)
-    add("decide", "semisimplicity verdict", char_delta=True,
+        delta="required")
+    add("bar-delta", "transformed parameters bar_delta_i", dims="m",
+        delta="required")
+    add("decide", "semisimplicity verdict", delta="required",
         variants=VARIANTS)
     p = add("gram", "iota-form Gram matrix on the one-arc module V",
-            char_delta=True)
-    p.add_argument("--cap", type=int, default=5000)
+            delta="optional")
+    p.add_argument("--cap", type=POSITIVE_ARG, default=5000)
     p.add_argument("--skip-equivariance", action="store_true")
     p = add("cell-gram", "cellular Gram matrix of the cell (1, mu')",
-            char_delta=True)
+            delta="optional")
     p.add_argument("--mu", type=str, required=True)
-    p = sub.add_parser("single-box",
-                       help="3m x 3m Gram matrix of the one-box cell at n=3")
-    p.add_argument("--m", type=POSITIVE_ARG, required=True)
-    p.add_argument("--out", type=str, default=None)
+    add("single-box", "3m x 3m Gram matrix of the one-box cell at n=3",
+        dims="m")
     p = add("oracle", "trace-form radical verdict (characteristic 0)",
-            char_delta=True)
-    p.add_argument("--cap", type=int, default=500)
-    p = sub.add_parser("concord",
-                       help="concordance sweep: criterion variants vs oracle")
+            delta="required")
+    p.add_argument("--cap", type=POSITIVE_ARG, default=500)
+    p = add("concord", "concordance sweep: criterion variants vs oracle",
+            dims="")
     p.add_argument("--pairs", type=_pairs, default=None,
                    help="semicolon list of m,n pairs, e.g. 2,2;3,2")
     p.add_argument("--config", type=str, default=None,
                    help="JSON config with keys grid/seed/cap/"
                         "generic_points/hyperplane_points")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=500)
+    p.add_argument("--cap", type=POSITIVE_ARG, default=500)
     p.add_argument("--jobs", type=POSITIVE_ARG, default=1)
     p.add_argument("--csv", type=str, default=None)
-    p.add_argument("--out", type=str, default=None)
-    p = sub.add_parser("prop-eta",
-                       help="degree-2 eigenvector decomposition check")
-    p.add_argument("--m", type=POSITIVE_ARG, required=True)
-    p.add_argument("--out", type=str, default=None)
-    p = sub.add_parser("tset", help="one-box addition contents vs closed form")
+    add("prop-eta", "degree-2 eigenvector decomposition check", dims="m")
+    p = add("tset", "one-box addition contents vs closed form", dims="")
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--out", type=str, default=None)
 
     args = top.parse_args(argv)
     try:
@@ -219,12 +215,8 @@ def _dispatch(args):
         return VERIFY_FAILED if bad else 0
 
     if cmd == "assoc":
-        if args.delta is None:
-            field = field_with_root(args.char, args.m)
-            params = SymbolicParams(args.m, field, symmetric=True)
-        else:
-            params, field, _ = _params(args, args.m)
-        rep = associativity_check(args.m, args.n, params,
+        rep = associativity_check(args.m, args.n,
+                                  _params(args, symmetric=True),
                                   trials=args.trials, seed=args.seed)
         out = dict(rep)
         out["witnesses"] = [[d.to_json() for d in w] for w in rep["witnesses"]]
@@ -259,35 +251,30 @@ def _dispatch(args):
         return 0
 
     if cmd == "gmu":
-        field = field_with_root(args.char, args.m)
-        if args.delta is None:
-            raise ValueError("--delta required")
-        deltas = _parse_deltas(field, args.m, args.delta)
+        params = _params(args)
         out = [{"mu": [list(p) for p in mu],
-                "g_mu": str(g_mu(field, deltas, mu))}
+                "g_mu": str(g_mu(params.field, params.deltas, mu))}
                for mu in multipartitions(args.m, args.n - 2)]
         _emit({"m": args.m, "n": args.n, "values": out}, args.out)
         return 0
 
     if cmd == "bar-delta":
-        field = field_with_root(args.char, args.m)
-        deltas = _parse_deltas(field, args.m, args.delta)
-        _emit([str(b) for b in bar_deltas(field, deltas)], args.out)
+        params = _params(args)
+        _emit([str(b) for b in bar_deltas(params.field, params.deltas)],
+              args.out)
         return 0
 
     if cmd == "decide":
-        field = field_with_root(args.char, args.m)
-        if args.delta is None:
-            raise ValueError("--delta required")
-        deltas = _parse_deltas(field, args.m, args.delta)
-        v = decide(args.m, args.n, field, deltas, args.variant).to_json()
-        if not deltas_admissible(deltas):
+        params = _params(args)
+        v = decide(args.m, args.n, params.field, params.deltas,
+                   args.variant).to_json()
+        if not deltas_admissible(params.deltas):
             v.update(admissible=False, note=OFF_LOCUS_NOTE)
         _emit(v, args.out)
         return 0
 
     if cmd == "gram":
-        params, field, _ = _params(args, args.m)
+        params = _params(args)
         gm = gram_big(args.m, args.n, params, args.cap)
         bad = shape_check(gm, params)
         obj = gm.to_json()
@@ -298,7 +285,7 @@ def _dispatch(args):
                 # generic symbolic parameters are off the admissible locus
                 # for m >= 3, where the commutation identities cannot hold;
                 # check at a generic admissible point instead
-                eq_params = SymbolicParams(args.m, field, symmetric=True)
+                eq_params = _params(args, symmetric=True)
             rep = equivariance_check(args.m, args.n, eq_params, args.cap,
                                      gm if eq_params is params else None)
             obj["equivariance"] = rep
@@ -308,7 +295,7 @@ def _dispatch(args):
         return VERIFY_FAILED if bad else 0
 
     if cmd == "cell-gram":
-        params, field, _ = _params(args, args.m)
+        params = _params(args)
         mu = check_multipartition(json.loads(args.mu), args.m)
         gm = cell_gram(args.m, args.n, mu, params)
         _emit(gm.to_json(), args.out)
@@ -324,11 +311,9 @@ def _dispatch(args):
     if cmd == "oracle":
         if args.char:
             raise ValueError("oracle supports characteristic 0 only")
-        field = CyclotomicField(args.m)
-        if args.delta is None:
-            raise ValueError("--delta required")
-        deltas = _parse_deltas(field, args.m, args.delta)
-        v = semisimple_verdict(args.m, args.n, field, deltas, cap=args.cap)
+        params = _params(args)
+        v = semisimple_verdict(args.m, args.n, params.field, params.deltas,
+                               cap=args.cap)
         _emit(v, args.out)
         return COMPUTE_ERROR if v["verdict"] == "unsupported" else 0
 
@@ -350,7 +335,7 @@ def _dispatch(args):
 
 
 # config key -> lowest allowed value (None: any integer)
-_CONCORD_INTS = {"seed": None, "cap": None, "generic_points": 0,
+_CONCORD_INTS = {"seed": None, "cap": 1, "generic_points": 0,
                  "hyperplane_points": 0}
 
 
@@ -415,20 +400,24 @@ def _read_config(path):
 
 
 def _run_concord(args):
-    kwargs = {"seed": args.seed, "cap": args.cap}
-    grid = []
-    if args.config:
-        grid, settings = _read_config(args.config)
-        kwargs.update(settings)
-    if args.pairs:
-        grid.extend(args.pairs)
+    grid, settings = _read_config(args.config) if args.config else ([], {})
+    settings = {"seed": args.seed, "cap": args.cap, **settings}
+    grid += args.pairs or []
     if not grid:
         raise ValueError("empty grid: pass --pairs or --config")
-    workers = min(args.jobs, len(grid))
+    seed, cap = settings.pop("seed"), settings.pop("cap")
+    # oracle.concordance_sweep, with only its evaluation step spread over
+    # workers: every point is drawn before any worker starts
+    items = sweep_points(grid, seed, **settings)
+    evaluate = partial(sweep_item, cap=cap)
+    workers = min(args.jobs, len(items))
     if workers > 1:
-        report = _parallel_sweep(grid, kwargs, workers)
+        with multiprocessing.Pool(workers) as pool:
+            parts = pool.map(evaluate, items)
     else:
-        report = _merged_sweep(grid, kwargs, map)
+        parts = map(evaluate, items)
+    report = concordance_report([rec for part in parts for rec in part],
+                                seed, cap)
     _emit(report, args.out)
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -436,30 +425,6 @@ def _run_concord(args):
     bad = report["summary"]["generic_disagreements"] or \
         report["summary"]["cross_check_failures"]
     return VERIFY_FAILED if bad else 0
-
-
-def _sweep_one(job):
-    item, kwargs = job
-    return concordance_sweep([item], **kwargs)
-
-
-def _merged_sweep(grid, kwargs, mapper):
-    # one sweep per grid item with a derived per-item seed, so jobs=1 and
-    # jobs=N produce byte-identical reports
-    jobs = []
-    for idx, item in enumerate(grid):
-        kw = dict(kwargs)
-        kw["seed"] = kwargs["seed"] * 10007 + idx
-        jobs.append((item, kw))
-    parts = mapper(_sweep_one, jobs)
-    return concordance_report([p for part in parts for p in part["points"]],
-                              kwargs["seed"], kwargs["cap"])
-
-
-def _parallel_sweep(grid, kwargs, jobs):
-    import multiprocessing as mp
-    with mp.Pool(jobs) as pool:
-        return _merged_sweep(grid, kwargs, pool.map)
 
 
 if __name__ == "__main__":

@@ -7,20 +7,27 @@ Gram matrices and symbolic determinants at small sizes.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import prod
 
-from .scalars import FieldElement, power
+from .scalars import CyclotomicField, FieldElement, power
 
 
-class DeltaRing:
-    """Polynomial ring field[delta_0, ..., delta_{m-1}]."""
+class SymbolicParams:
+    """Loop parameters as polynomial generators: the ring
+    field[delta_0, ..., delta_{m-1}] of DeltaPoly.
 
-    def __init__(self, field, m):
-        self.field = field
+    With symmetric=True the generators for delta_a and delta_{m-a} are
+    identified, i.e. the parameters are generic on the admissible locus
+    (the largest locus where the diagram product is associative)."""
+
+    def __init__(self, m, field=None, symmetric=False):
+        self.field = field or CyclotomicField(1)
         self.m = m
+        self.symmetric = symmetric
         self.zero = DeltaPoly(self, {})
-        self.one = self.embed(field.one)
+        self.one = self.embed(self.field.one)
 
     def __repr__(self):
         return "%r[delta_0..delta_%d]" % (self.field, self.m - 1)
@@ -31,14 +38,18 @@ class DeltaRing:
             return DeltaPoly(self, {})
         return DeltaPoly(self, {(0,) * self.m: scalar})
 
-    def delta(self, i):
+    def delta(self, a):
+        a = a % self.m
+        if self.symmetric:
+            a = min(a, self.m - a) if a else 0
         exp = [0] * self.m
-        exp[i % self.m] = 1
+        exp[a] = 1
         return DeltaPoly(self, {tuple(exp): self.field.one})
 
 
 class DeltaPoly:
-    """Element of a DeltaRing.  Terms never store zero coefficients."""
+    """Element of the ring of a SymbolicParams.  Terms never store zero
+    coefficients."""
 
     __slots__ = ("ring", "terms")
 
@@ -93,7 +104,7 @@ class DeltaPoly:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 c = c1 * c2
                 s = terms.get(e)
                 s = c if s is None else s + c

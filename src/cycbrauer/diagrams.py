@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .deltapoly import DeltaRing
+from .deltapoly import SymbolicParams
 from .linalg import gauss_rank
 from .scalars import CyclotomicField, power
 from .wreath import enumerate_group, gen_s, gen_t
@@ -290,28 +290,6 @@ class NumericParams:
 
     def delta(self, a):
         return self.deltas[a % self.m]
-
-
-class SymbolicParams:
-    """Loop parameters as polynomial generators.
-
-    With symmetric=True the generators for delta_a and delta_{m-a} are
-    identified, i.e. the parameters are generic on the admissible locus
-    (the largest locus where the diagram product is associative)."""
-
-    def __init__(self, m, field=None, symmetric=False):
-        self.ring = DeltaRing(field or CyclotomicField(1), m)
-        self.field = self.ring.field
-        self.m = m
-        self.symmetric = symmetric
-        self.one = self.ring.one
-        self.zero = self.ring.zero
-
-    def delta(self, a):
-        a = a % self.m
-        if self.symmetric:
-            a = min(a, self.m - a) if a else 0
-        return self.ring.delta(a)
 
 
 class AlgebraElement:

@@ -20,9 +20,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dfield
 
-from .deltapoly import DeltaPoly
-from .diagrams import (SymbolicParams, from_awb, generator, iota_diagram,
-                       is_admissible, multiply_diagrams, star_diagram)
+from .deltapoly import DeltaPoly, SymbolicParams
+from .diagrams import (from_awb, generator, iota_diagram, is_admissible,
+                       multiply_diagrams, star_diagram)
 from .linalg import gauss_det, gauss_rank, minor_det
 from .partitions import check_multipartition
 from .scalars import CyclotomicField

@@ -335,9 +335,20 @@ def concordance_sweep(grid, seed=0, cap=500, generic_points=2,
     kept on the admissible locus delta_a = delta_{m-a} (where the product
     is associative and the oracle sound); explicit fixture points may leave
     it and are then flagged by the oracle.  Returns the report dict.
+
+    The sweep is sweep_points followed by sweep_item on each item, so a
+    caller may evaluate the items in any order or process.
     """
+    items = sweep_points(grid, seed, generic_points, hyperplane_points)
+    points = [rec for item in items for rec in sweep_item(item, cap)]
+    return concordance_report(points, seed, cap)
+
+
+def sweep_points(grid, seed=0, generic_points=2, hyperplane_points=2):
+    """The points of a sweep, one (m, n, [(provenance, deltas), ...]) item
+    per grid item, all drawn from one generator seeded with seed."""
     rng = random.Random(seed)
-    points = []
+    items = []
     for item in grid:
         if isinstance(item, dict):
             m, n = item["m"], item["n"]
@@ -346,7 +357,6 @@ def concordance_sweep(grid, seed=0, cap=500, generic_points=2,
             m, n = item
             extra = []
         field = CyclotomicField(m)
-        table = StructureTable(m, n, cap)
         todo = [("delta-zero", [field.zero] * m)]
         for idx in range(generic_points):
             # sample on the admissible locus: free coordinates 0..m//2,
@@ -368,26 +378,37 @@ def concordance_sweep(grid, seed=0, cap=500, generic_points=2,
                     taken += 1
         for vec in extra:
             todo.append(("fixture", [field.embed(v) for v in vec]))
-        for provenance, deltas in todo:
-            rec = {"m": m, "n": n, "provenance": provenance,
-                   "deltas": [field.format_element(d) for d in deltas]}
-            verdicts = {}
-            for variant in VARIANTS:
-                v = decide(m, n, field, deltas, variant)
-                verdicts[variant] = v.to_json()
-            rec["criteria"] = verdicts
-            if n >= 2:
-                rec["g_mu"] = [
-                    {"mu": [list(p) for p in mu],
-                     "value": str(g_mu(field, deltas, mu))}
-                    for mu in multipartitions(m, n - 2)]
-            oracle = semisimple_verdict(m, n, field, deltas, table=table, cap=cap)
-            rec["oracle"] = oracle
-            rec["agreement"] = {
-                variant: verdicts[variant]["decision"] == oracle.get("verdict")
-                for variant in VARIANTS}
-            points.append(rec)
-    return concordance_report(points, seed, cap)
+        items.append((m, n, todo))
+    return items
+
+
+def sweep_item(item, cap=500):
+    """The report records of one sweep_points item: every criterion
+    variant and the oracle at each point, on one shared structure table."""
+    m, n, todo = item
+    field = CyclotomicField(m)
+    table = StructureTable(m, n, cap)
+    points = []
+    for provenance, deltas in todo:
+        rec = {"m": m, "n": n, "provenance": provenance,
+               "deltas": [field.format_element(d) for d in deltas]}
+        verdicts = {}
+        for variant in VARIANTS:
+            v = decide(m, n, field, deltas, variant)
+            verdicts[variant] = v.to_json()
+        rec["criteria"] = verdicts
+        if n >= 2:
+            rec["g_mu"] = [
+                {"mu": [list(p) for p in mu],
+                 "value": str(g_mu(field, deltas, mu))}
+                for mu in multipartitions(m, n - 2)]
+        oracle = semisimple_verdict(m, n, field, deltas, table=table, cap=cap)
+        rec["oracle"] = oracle
+        rec["agreement"] = {
+            variant: verdicts[variant]["decision"] == oracle.get("verdict")
+            for variant in VARIANTS}
+        points.append(rec)
+    return points
 
 
 def concordance_report(points, seed, cap):

@@ -1,4 +1,4 @@
-"""Partitions, m-multipartitions, duals, contents and two-box addition sets.
+"""Partitions, m-multipartitions, contents and two-box addition sets.
 
 Conventions: a partition is a tuple of weakly decreasing positive ints; an
 m-multipartition is an m-tuple of partitions.  The content of the box in row
@@ -59,25 +59,6 @@ def check_multipartition(mu, m):
         raise ValueError("mu must be %d partitions (weakly decreasing "
                          "positive integers), got %r" % (m, mu))
     return out
-
-
-def conjugate(p):
-    if not p:
-        return ()
-    out = [0] * p[0]
-    for part in p:
-        for i in range(part):
-            out[i] += 1
-    return tuple(out)
-
-
-def dual(multi):
-    """Reverse component order and conjugate each component; an involution."""
-    return tuple(conjugate(p) for p in reversed(multi))
-
-
-def size(multi):
-    return sum(sum(p) for p in multi)
 
 
 def contains(lam, mu):
@@ -142,24 +123,6 @@ def add_two_boxes_not_same_column(p):
                 continue
             seen.add(q2)
             yield q2, c1 + c2
-
-
-def wp_set(m):
-    """The m-multipartitions of 2 appearing in the degree-2 induced-module
-    decomposition, keyed by their defining index i."""
-    out = []
-    lo = m // 2 if m % 2 == 0 else (m + 1) // 2
-    for i in range(lo, m + 1):
-        eta = [()] * m
-        if i == m:
-            eta[m - 1] = (2,)
-        elif m % 2 == 0 and i == m // 2:
-            eta[m // 2 - 1] = (2,)
-        else:
-            eta[m - i - 1] = (1,)
-            eta[i - 1] = (1,)
-        out.append((i, tuple(eta)))
-    return out
 
 
 @dataclass(frozen=True)

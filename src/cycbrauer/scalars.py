@@ -231,8 +231,14 @@ class _Field:
         if obj is None:
             obj = super().__new__(cls)
             obj._init(*key)
+            obj._key = key
             _Field._instances[(cls,) + key] = obj
         return obj
+
+    def __reduce__(self):
+        # unpickling looks the field up again, so elements sent to another
+        # process land on that process's own field instance
+        return type(self), self._key
 
     def coerce(self, x):
         """``x`` in this field: ints and Fractions are embedded, its own

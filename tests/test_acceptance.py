@@ -62,12 +62,13 @@ def concord_report():
     """Criterion 13 sweep, shared with criterion 12.  The deliverable is
     written to a temporary directory, read back and compared with the
     tracked reports/concordance.{json,csv}, apart from elapsed_seconds;
-    tests never rewrite tracked files."""
+    tests never rewrite tracked files.  The grid and settings are the
+    tracked reports/concordance.config.json."""
     if "concord" not in _cache:
-        grid = [{"m": 2, "n": 2, "deltas": [[1, -1]]}, (3, 2), (2, 3)]
+        with open(os.path.join(REPORT_DIR, "concordance.config.json")) as fh:
+            config = json.load(fh)
         t0 = time.time()
-        rep = concordance_sweep(grid, seed=0, generic_points=10,
-                                hyperplane_points=99)
+        rep = concordance_sweep(**config)
         rep["elapsed_seconds"] = round(time.time() - t0, 1)
         with tempfile.TemporaryDirectory() as tmp:
             with open(os.path.join(tmp, "concordance.json"), "w") as fh:
@@ -211,14 +212,13 @@ def test_criterion_10_n2_cell_det_identity():
     for m in range(1, 5):
         F = CyclotomicField(m)
         params = SymbolicParams(m, F)
-        ring = params.ring
         g = cell_gram(m, 2, tuple(() for _ in range(m)), params)
         xi = F.root_of_unity(m)
-        prod = ring.one
+        prod = params.one
         for i in range(m):
-            bar = ring.zero
+            bar = params.zero
             for j in range(m):
-                bar = bar + ring.delta(j) * (ring.one * (xi ** ((j * i) % m)))
+                bar = bar + params.delta(j) * (xi ** ((j * i) % m))
             prod = prod * bar
         if ((m - 1) * (m - 2) // 2) % 2:
             prod = -prod

@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 import cycbrauer.cli
 import cycbrauer.gram
 from cycbrauer.cli import main
+
+REPORTS = Path(__file__).resolve().parent.parent / "reports"
+CONCORD_CONFIG = REPORTS / "concordance.config.json"
 
 
 def run(capsys, *argv):
@@ -224,6 +228,20 @@ def test_concord_jobs_deterministic(tmp_path, capsys):
     assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_concord_config_regenerates_the_tracked_report(tmp_path, capsys,
+                                                       jobs):
+    # the CLI draws its points as the library does, at any --jobs
+    out, csvf = tmp_path / "report.json", tmp_path / "report.csv"
+    code = main(["concord", "--config", str(CONCORD_CONFIG), "--jobs", jobs,
+                 "--out", str(out), "--csv", str(csvf)])
+    capsys.readouterr()
+    assert code == 0
+    tracked = json.loads((REPORTS / "concordance.json").read_text())
+    assert json.loads(out.read_text()) == tracked
+    assert csvf.read_bytes() == (REPORTS / "concordance.csv").read_bytes()
+
+
 def test_concord_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -245,9 +263,9 @@ def test_usage_error_exit_code():
 
 
 def test_compute_error_exit_code(capsys):
-    code = main(["decide", "--m", "2", "--n", "2"])  # missing --delta
-    capsys.readouterr()
-    assert code == 2
+    # G(2,1,3) has 48 elements, more than the cap allows listing
+    code = main(["group", "--m", "2", "--n", "3", "--list", "--cap", "1"])
+    assert code == 2 and "exceeds cap 1" in capsys.readouterr().err
 
 
 def usage_error(capsys, *argv):
@@ -322,6 +340,7 @@ def test_scalar_json_has_no_repr(capsys, argv):
     ({"grid": [{"m": 2, "n": 2, "deltas": [[1]]}]}, "'grid'"),
     ({"grid": "2,2"}, "'grid'"),
     ({"grid": [[2, 2]], "jobs": 2}, "'jobs'"),
+    ({"grid": [[2, 2]], "cap": 0}, "'cap'"),
 ])
 def test_concord_rejects_malformed_config(tmp_path, capsys, cfg, key):
     path = tmp_path / "cfg.json"
@@ -356,6 +375,30 @@ def test_concord_rejects_non_utf8_config(tmp_path, capsys):
 def test_malformed_delta_is_a_usage_error(capsys, argv, delta):
     code, err = usage_error(capsys, *argv, "--delta", delta)
     assert code == 1 and "--delta" in err and repr(delta) in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gmu", "--m", "2", "--n", "3"),
+    ("bar-delta", "--m", "2"),
+    ("decide", "--m", "2", "--n", "2"),
+    ("oracle", "--m", "2", "--n", "2"),
+])
+def test_missing_delta_is_a_usage_error(capsys, argv):
+    code, err = usage_error(capsys, *argv)
+    assert code == 1 and "--delta" in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ("assoc", "--m", "2", "--n", "2", "--trials", "0"),
+    ("assoc", "--m", "2", "--n", "2", "--trials", "-5"),
+    ("group", "--m", "2", "--n", "2", "--cap", "0"),
+    ("gram", "--m", "2", "--n", "2", "--cap", "-1"),
+    ("oracle", "--m", "2", "--n", "2", "--delta", "1,1", "--cap", "0"),
+    ("concord", "--pairs", "2,2", "--cap", "-1"),
+])
+def test_counts_below_one_are_usage_errors(capsys, argv):
+    code, err = usage_error(capsys, *argv)
+    assert code == 1 and argv[-2] in err and repr(argv[-1]) in err, err
 
 
 @pytest.mark.parametrize("argv", [

@@ -115,15 +115,14 @@ def test_cell_gram_n2_det_identity():
     for m in range(1, 5):
         F = CyclotomicField(m)
         params = SymbolicParams(m, F)
-        ring = params.ring
         g = cell_gram(m, 2, tuple(() for _ in range(m)), params)
         assert g.size == m
         xi = F.root_of_unity(m)
-        prod = ring.one
+        prod = params.one
         for i in range(m):
-            bar = ring.zero
+            bar = params.zero
             for j in range(m):
-                bar = bar + ring.delta(j) * (ring.one * (xi ** ((j * i) % m)))
+                bar = bar + params.delta(j) * (xi ** ((j * i) % m))
             prod = prod * bar
         if ((m - 1) * (m - 2) // 2) % 2:
             prod = -prod

@@ -1,5 +1,6 @@
 """Field tower tests: cyclotomic fields, prime fields and extensions."""
 
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from cycbrauer.deltapoly import DeltaRing
+from cycbrauer.deltapoly import SymbolicParams
 from cycbrauer.diagrams import symbolic_algebra
 from cycbrauer.scalars import (CyclotomicField, FiniteField, NoRootError,
                                _poly_mul, _poly_xgcd, _smallest_irreducible,
@@ -76,6 +77,19 @@ def test_parse_format_roundtrip():
     rng = random.Random(3)
     for x in random_elements(F, rng, 10):
         assert F.parse_element(F.format_element(x)) == x
+
+
+@pytest.mark.parametrize("x", [
+    CyclotomicField(3).element([1, Fraction(2, 3)]),
+    CyclotomicField(1).embed(Fraction(-7, 2)),
+    FiniteField(5, 2).element([1, 2]),
+    FiniteField(7, 1).embed(3),
+], ids=lambda x: repr(x.field))
+def test_pickle_round_trip_keeps_the_field_instance(x):
+    # a pickled element comes back on the one shared instance of its field
+    y = pickle.loads(pickle.dumps(x))
+    assert y == x and y.field is x.field
+    assert pickle.loads(pickle.dumps(x.field)) is x.field
 
 
 def test_field_with_root():
@@ -191,7 +205,7 @@ def test_power_multiplication_count():
 
 def test_power_equals_repeated_multiplication():
     F = CyclotomicField(5)
-    ring = DeltaRing(F, 2)
+    ring = SymbolicParams(2, F)
     algebra = symbolic_algebra(2, 2)
     cases = [
         (F.element([Fraction(1, 2), -1, 3, Fraction(2, 7)]), F.one),
@@ -208,7 +222,7 @@ def test_power_equals_repeated_multiplication():
 
 def test_power_rejects_negative_exponents():
     F = CyclotomicField(2)
-    ring = DeltaRing(F, 2)
+    ring = SymbolicParams(2, F)
     algebra = symbolic_algebra(2, 2)
     for x, one in [(F.zeta, F.one), (ring.delta(0), ring.one),
                    (algebra.s(1), algebra.one())]:
