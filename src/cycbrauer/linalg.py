@@ -1,12 +1,15 @@
 """Exact linear algebra over the scalar tower.
 
-Gaussian elimination over a field is exact here (no floats anywhere), and is
-used for ranks and determinants of field-valued matrices.  Determinants of
+Gaussian elimination over a field is exact here (no rounding anywhere), and
+is used for ranks and determinants of field-valued matrices.  Determinants of
 polynomial-valued matrices use minor expansion with subset memoisation, which
 avoids ring division entirely (sizes stay small, <= ~15).  A fast modular
-path (numpy row reduction mod p) serves as a certified pre-pass for large
+path (row reduction mod p < 2^31) serves as a certified pre-pass for large
 trace-form matrices: rank mod p is always a lower bound for the exact rank,
-and an exactly verified kernel vector certifies the deficiency.
+and an exactly verified kernel vector certifies the deficiency.  It works on
+panels of 32 columns, each updating the rest in one float64 BLAS matmul: the
+right factor is split into 16-bit halves (the left one sits beside 2^16 times
+itself mod p), so every sum stays below 32 * 2^31 * (2^16 + 2^15) < 2^53.
 """
 
 from __future__ import annotations
@@ -98,6 +101,10 @@ def minor_det(matrix, zero, one):
 # modular fast path
 # ---------------------------------------------------------------------------
 
+_PANEL = 32  # columns per elimination panel
+_CHUNK = 256  # rows per float64 update, to bound its temporaries
+
+
 def primes_for_modular(m):
     """The four largest primes p = 1 (mod m) below 2*10^9; they fit the
     int64 row operations of rref_mod_p."""
@@ -118,34 +125,51 @@ def rref_mod_p(mat, p):
     Returns (rank, pivot_cols, kernel_basis) where kernel_basis is an int64
     array whose rows (entries in [0, p)) span the right kernel mod p.
     Needs p < 2^31, so that the int64 row update cannot overflow.
+
+    Block Gauss-Jordan over _PANEL-column panels: tracker columns beside a
+    panel write each row as itself plus E times its pivot rows as they came
+    in (E = S^-1 for those), and the columns to the right gain E times them.
+    Reduced echelon form is unique: the output is that of plain elimination.
     """
     if not 2 <= p < 2 ** 31:
         raise ValueError("rref_mod_p needs 2 <= p < 2**31, got %d" % p)
     a = np.array(mat, dtype=np.int64) % p
     nrows, ncols = a.shape
     pivots = []
-    row = 0
-    for col in range(ncols):
-        sub = a[row:, col]
-        nz = np.nonzero(sub)[0]
-        if len(nz) == 0:
-            continue
-        piv = row + int(nz[0])
-        if piv != row:
-            a[[row, piv]] = a[[piv, row]]
-        inv = pow(int(a[row, col]), p - 2, p)
-        # the pivot row is zero left of col, so only columns col.. change
-        a[row, col:] = a[row, col:] * inv % p
-        colvals = a[:, col].copy()
-        colvals[row] = 0
-        mask = colvals != 0
-        if mask.any():
-            a[mask, col:] = (a[mask, col:]
-                             - colvals[mask, None] * a[row, col:][None, :]) % p
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
+    for c0 in range(0, ncols, _PANEL):
+        top = row = len(pivots)
+        c1 = min(c0 + _PANEL, ncols)
+        w = c1 - c0
+        panel = np.hstack([a[:, c0:c1], np.zeros((nrows, w), np.int64)])
+        for col in range(w):
+            nz = np.nonzero(panel[row:, col])[0]
+            if len(nz) == 0:
+                continue
+            piv = row + int(nz[0])
+            if piv != row:
+                panel[[row, piv]] = panel[[piv, row]]
+                a[[row, piv]] = a[[piv, row]]
+            end = w + row - top + 1  # the pivot row is zero outside col..end
+            panel[row, end - 1] = 1  # its tracker cell
+            inv = pow(int(panel[row, col]), p - 2, p)
+            panel[row, col:end] = panel[row, col:end] * inv % p
+            colvals = panel[:, col].copy()
+            colvals[row] = 0
+            mask = colvals != 0
+            if mask.any():
+                panel[mask, col:end] = (panel[mask, col:end] - colvals[mask, None]
+                                        * panel[row, col:end][None, :]) % p
+            pivots.append(c0 + col)
+            row += 1
+        a[:, c0:c1] = panel[:, :w]
+        old = a[top:row, c1:]
+        halves = np.vstack([old & 0xFFFF, old >> 16]).astype(np.float64)
+        track = panel[:, w:w + row - top]
+        wide = np.hstack([track, (track << 16) % p]).astype(np.float64)
+        a[top:row, c1:] = 0  # pivot rows become E times old, the others gain it
+        touched = np.flatnonzero(track.any(axis=1))
+        for rows in np.split(touched, range(_CHUNK, len(touched), _CHUNK)):
+            a[rows, c1:] = (a[rows, c1:] + (wide[rows] @ halves).astype(np.int64)) % p
     rank = len(pivots)
     free = np.ones(ncols, dtype=bool)
     free[pivots] = False

@@ -26,7 +26,7 @@ a large prime gives the fast answer;
 full rank mod p certifies semisimplicity outright, and a rank deficit is
 certified by rationally reconstructing the mod-p kernel basis and
 verifying T v = 0 exactly in integer arithmetic (T and v scaled to
-integers; int64 only under a proven overflow bound).  If reconstruction
+integers; float64 or int64 only under a proven bound).  If reconstruction
 fails at every prime (never observed), exact fraction elimination is the
 fallback for small sizes and the point is reported unresolved otherwise.
 """
@@ -150,8 +150,10 @@ def trace_matrix(table, field, deltas):
     count_rows, trace_class = np.unique(counts, axis=0, return_inverse=True)
     traces = [sum((monos[u] * c for u, c in enumerate(row) if c), field.zero)
               for row in count_rows.tolist()]
-    pairs, index = np.unique(mono * len(traces) + trace_class[k],
-                             return_inverse=True)
+    code = mono * len(traces) + trace_class[k]
+    seen = np.zeros(len(monos) * len(traces), dtype=bool)
+    seen[code] = True
+    pairs, index = np.flatnonzero(seen), (np.cumsum(seen) - 1)[code]
     values = [monos[pair // len(traces)] * traces[pair % len(traces)]
               for pair in pairs.tolist()]
     return values, index.reshape(N, N)
@@ -184,11 +186,13 @@ def _to_rational_blocks(field, values, index):
 
 def _product_is_zero(a, b):
     """Whether the product of two integer matrices (numpy object arrays of
-    Python integers) is exactly zero.  It is formed in int64 when max|a|
-    times the largest column sum of |b| bounds every partial sum below
-    2^63, and in Python integers otherwise."""
-    if abs(a).max() * abs(b).sum(axis=0).max() < 2 ** 63:
-        a, b = a.astype(np.int64), b.astype(np.int64)
+    Python integers) is exactly zero.  max|a| times the largest column sum
+    of |b| bounds every partial sum; the product is formed in float64 BLAS
+    below 2^53, in int64 below 2^63 and in Python integers otherwise."""
+    bound = abs(a).max() * abs(b).sum(axis=0).max()
+    if bound < 2 ** 63:
+        dtype = np.float64 if bound < 2 ** 53 else np.int64
+        a, b = a.astype(dtype), b.astype(dtype)
     return not np.count_nonzero(a @ b)
 
 

@@ -415,7 +415,8 @@ class CycElt(FieldElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycElt(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return CycElt(self.field, tuple(a + b if b else a
+                                        for a, b in zip(self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
@@ -423,7 +424,8 @@ class CycElt(FieldElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycElt(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return CycElt(self.field, tuple(a - b if b else a
+                                        for a, b in zip(self.coeffs, o.coeffs)))
 
     def __neg__(self):
         return CycElt(self.field, tuple(-a for a in self.coeffs))

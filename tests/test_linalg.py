@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycbrauer import oracle
+from cycbrauer.diagrams import basis_size
 from cycbrauer.linalg import (gauss_det, gauss_rank, minor_det,
                               primes_for_modular, rref_mod_p)
 from cycbrauer.scalars import CyclotomicField
@@ -44,6 +46,108 @@ def test_rref_mod_p_rank_matches_gauss_rank(mat):
     for v in kernel:
         assert not (np.array(mat, dtype=object) @ np.array(v, dtype=object)
                     % P).any()
+
+
+def _rref_reference(mat, p):
+    """Column-by-column Gauss-Jordan mod p with one masked numpy row update
+    per column: the elimination the panel-blocked rref_mod_p replaced, and
+    the reference it must match bit for bit."""
+    a = np.array(mat, dtype=np.int64) % p
+    nrows, ncols = a.shape
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        nz = np.nonzero(a[row:, col])[0]
+        if len(nz) == 0:
+            continue
+        piv = row + int(nz[0])
+        if piv != row:
+            a[[row, piv]] = a[[piv, row]]
+        inv = pow(int(a[row, col]), p - 2, p)
+        a[row, col:] = a[row, col:] * inv % p
+        colvals = a[:, col].copy()
+        colvals[row] = 0
+        mask = colvals != 0
+        if mask.any():
+            a[mask, col:] = (a[mask, col:]
+                             - colvals[mask, None] * a[row, col:][None, :]) % p
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    rank = len(pivots)
+    free = np.ones(ncols, dtype=bool)
+    free[pivots] = False
+    kernel = np.zeros((ncols - rank, ncols), dtype=np.int64)
+    kernel[:, free] = np.eye(ncols - rank, dtype=np.int64)
+    kernel[:, pivots] = -a[:rank, free].T % p
+    return rank, pivots, kernel
+
+
+def _assert_same_rref(got, want):
+    assert got[0] == want[0] and list(got[1]) == list(want[1])
+    assert got[2].dtype == want[2].dtype == np.int64
+    assert got[2].shape == want[2].shape and (got[2] == want[2]).all()
+
+
+# 2, 3, the primes the oracle uses for m = 1..6, and the largest one allowed
+PRIMES = sorted({2, 3, 2 ** 31 - 1}
+                | {p for m in range(1, 7) for p in primes_for_modular(m)})
+# sizes at the edges of the 32-column panels
+PANEL_EDGES = [31, 32, 33, 64, 65]
+
+
+@st.composite
+def modular_matrices(draw):
+    """A matrix of 1..100 rows and columns and a prime p: uniform residues,
+    residues in {0, p - 2, p - 1} (the largest partial sums in the panel
+    update), or a product through an inner dimension of 1..40 (low rank);
+    sometimes with about a third of its columns zeroed."""
+    size = st.integers(1, 100) | st.sampled_from(PANEL_EDGES)
+    rows, cols, p = draw(size), draw(size), draw(st.sampled_from(PRIMES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "top", "low-rank"]))
+    if kind == "uniform":
+        mat = rng.integers(0, p, (rows, cols))
+    elif kind == "top":
+        mat = rng.choice(np.array([0, p - 2, p - 1]), (rows, cols))
+    else:
+        inner = draw(st.integers(1, 40))
+        # entries below p times 10, summed 40 times, stay below 2^40
+        mat = rng.integers(0, p, (rows, inner)) @ rng.integers(0, 10,
+                                                               (inner, cols))
+    if draw(st.booleans()):
+        mat[:, rng.random(cols) < 0.3] = 0
+    return mat, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(modular_matrices())
+def test_rref_mod_p_matches_reference(sample):
+    mat, p = sample
+    _assert_same_rref(rref_mod_p(mat, p), _rref_reference(mat, p))
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 3)])
+@pytest.mark.parametrize("point", ["zero", "generic"])
+def test_rref_mod_p_matches_reference_on_trace_matrices(monkeypatch, m, n,
+                                                        point):
+    # every matrix the oracle reduces on the way to one radical dimension
+    reduced = []
+
+    def checked(mat, p):
+        got = rref_mod_p(mat, p)
+        _assert_same_rref(got, _rref_reference(mat, p))
+        reduced.append(len(mat))
+        return got
+
+    monkeypatch.setattr(oracle, "rref_mod_p", checked)
+    F = CyclotomicField(m)
+    ds = ([0] * m if point == "zero"
+          else [Fraction(7, 3)] + [Fraction(-5, 4)] * (m - 1))
+    oracle.radical_dimension(oracle.StructureTable(m, n), F,
+                             [F.embed(d) for d in ds])
+    assert reduced and reduced[0] == basis_size(m, n)
 
 
 def test_rref_mod_p_refuses_large_primes():

@@ -158,9 +158,39 @@ def test_trace_matrix_matches_reference(m, n, deltas):
     assert _expand(values, index) == _reference_trace_matrix(t, F, deltas)
 
 
+def _unique_trace_matrix(table, field, deltas):
+    """trace_matrix with its (monomial, trace) codes numbered by np.unique,
+    as before the dense-code lookup: the reference for that lookup."""
+    N = table.size
+    deltas = [field.coerce(d) for d in deltas]
+    monos = [_monomial_value(field, deltas, exps)
+             for exps in table.monomials.tolist()]
+    k, mono = table.products[:, 0], table.products[:, 1]
+    i, j = np.nonzero(k.reshape(N, N) == np.arange(N))
+    counts = np.bincount(i * len(monos) + mono.reshape(N, N)[i, j],
+                         minlength=N * len(monos)).reshape(N, len(monos))
+    count_rows, trace_class = np.unique(counts, axis=0, return_inverse=True)
+    traces = [sum((monos[u] * c for u, c in enumerate(row) if c), field.zero)
+              for row in count_rows.tolist()]
+    pairs, index = np.unique(mono * len(traces) + trace_class[k],
+                             return_inverse=True)
+    values = [monos[pair // len(traces)] * traces[pair % len(traces)]
+              for pair in pairs.tolist()]
+    return values, index.reshape(N, N)
+
+
+@pytest.mark.parametrize("m,n,deltas", _trace_points())
+def test_trace_matrix_numbers_values_as_np_unique(m, n, deltas):
+    F = CyclotomicField(m)
+    t = StructureTable(m, n)
+    values, index = trace_matrix(t, F, deltas)
+    want_values, want_index = _unique_trace_matrix(t, F, deltas)
+    assert values == want_values and (index == want_index).all()
+
+
 @pytest.mark.parametrize("big", [1, 10 ** 30])
 def test_product_is_zero_is_exact(big):
-    # entries of 10^30 take the Python-integer path, 1 the int64 one
+    # entries of 10^30 take the Python-integer path, 1 the float64 one
     a = np.array([[big, 2 * big], [3, 6]], dtype=object)
     assert _product_is_zero(a, np.array([[2], [-1]], dtype=object))
     assert not _product_is_zero(a, np.array([[2, 0], [-1, 1]], dtype=object))
@@ -172,6 +202,14 @@ def test_product_is_zero_bounds_the_sum():
     # each product fits int64 but the sum 2^64 wraps to 0 there
     a = np.array([[2 ** 32, 2 ** 32]], dtype=object)
     assert not _product_is_zero(a, np.array([[2 ** 31], [2 ** 31]],
+                                            dtype=object))
+
+
+def test_product_is_zero_leaves_float64_beyond_2_53():
+    # the sum is 1, but 2^53 + 1 rounds to 2^53 in float64, which would
+    # make it 0; the bound 2^54 + 1 sends the product to int64
+    a = np.array([[1, 1]], dtype=object)
+    assert not _product_is_zero(a, np.array([[2 ** 53 + 1], [-2 ** 53]],
                                             dtype=object))
 
 
@@ -295,6 +333,17 @@ def test_radical_at_delta_zero():
         assert v["verdict"] == "not-semisimple"
         assert v["radical"] == want
         assert v["cross_check_agrees"]
+
+
+@pytest.mark.parametrize("deltas,radical", [
+    ([0, 0, 0, 0], 486),
+    ([Fraction(-617, 113), Fraction(389, 271), Fraction(-733, 149),
+      Fraction(389, 271)], 0)])
+def test_radical_at_4_3(deltas, radical):
+    # N = 960: about 30 elimination panels, with row swaps across them
+    F = CyclotomicField(4)
+    v = semisimple_verdict(4, 3, F, [F.embed(d) for d in deltas], cap=960)
+    assert v["radical"] == radical and v["cross_check_agrees"]
 
 
 def test_fixture_points_2_2():

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from cycbrauer.deltapoly import SymbolicParams
 from cycbrauer.diagrams import symbolic_algebra
-from cycbrauer.scalars import (CyclotomicField, FiniteField, NoRootError,
-                               _poly_mul, _poly_xgcd, _smallest_irreducible,
+from cycbrauer.scalars import (CycElt, CyclotomicField, FiniteField,
+                               NoRootError, _poly_mul, _poly_xgcd,
+                               _smallest_irreducible,
                                cyclotomic_polynomial, field_with_root,
                                is_prime, power)
 
@@ -287,6 +288,33 @@ def test_cyclotomic_kernel_matches_reference(m, kind_a, ca, kind_b, cb):
             [(x.inverse(), reference_inverse(x)) for x in (a, b) if x]:
         assert got.coeffs == want.coeffs and hash(got) == hash(want)
         assert len(got.coeffs) == F.degree
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+
+# the sum and difference before zero pairs were skipped: every
+# coefficient pair added as Fractions
+def reference_add(a, b):
+    return CycElt(a.field, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def reference_sub(a, b):
+    return CycElt(a.field, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+@settings(max_examples=60, deadline=None, phases=NO_EXPLAIN)
+@given(KINDS, RATIONALS, KINDS, RATIONALS)
+def test_cyclotomic_add_sub_match_reference(m, kind_a, ca, kind_b, cb):
+    F = CyclotomicField(m)
+    a, b = make_element(F, kind_a, ca), make_element(F, kind_b, cb)
+    two = F.embed(2)
+    for got, want in [(a + b, reference_add(a, b)),
+                      (b + a, reference_add(b, a)),
+                      (a - b, reference_sub(a, b)),
+                      (b - a, reference_sub(b, a)),
+                      (a + 2, reference_add(a, two)),
+                      (2 - a, reference_sub(two, a))]:
+        assert got.coeffs == want.coeffs and hash(got) == hash(want)
         assert all(type(c) is Fraction for c in got.coeffs)
 
 
