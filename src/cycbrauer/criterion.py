@@ -8,8 +8,14 @@ products g_mu, and the decision procedure itself.
 
 The three decision variants are deliberately kept separate so that the
 concordance sweep can compare them against the brute-force oracle instead of
-silently reconciling them; they provably agree for n >= 4 but differ on a
-thin locus for n in {2, 3}.
+silently reconciling them.  The printed and combinatorial Ztilde sets
+coincide for n >= 4 (checked up to m = 5, n = 8) and differ by the element
+1 at n = 2, and at n = 3 for m <= 2.  None of the variants is proved
+right, and each is wrong on some hyperplanes, n = 4 included: at (2,4),
+delta = (-59/58, 405/58) has a radical of dimension 23, yet all three say
+semisimple; at (3,3), delta = (578/87, -28/87, -28/87) has none, yet all
+three say not semisimple.  They agree with the oracle at every generic
+point checked.
 """
 
 from __future__ import annotations
@@ -89,18 +95,19 @@ def z_set(m, n, variant="printed"):
 
 
 def brauer_z(n):
-    """The classical Brauer set Z(n): integer delta with B_n(delta) not
-    semisimple in characteristic 0 (n >= 2)."""
+    """The classical Brauer set Z(n), n >= 2: the nonzero integers delta
+    with B_n(delta) not semisimple in characteristic 0, and 0, which
+    decide settles apart by Rui's theorem."""
     out = set(range(4 - 2 * n, n - 1))
     out -= {i for i in range(4 - 2 * n + 1, 3 - n + 1) if i % 2}
     return frozenset(out)
 
 
-def g_lambda_mu(field, bars, pair):
-    """The cell factor attached to an admissible pair lambda/mu, from the
-    bar vector ``bars = bar_deltas(field, deltas)``."""
+def g_lambda_mu(field, bars, content):
+    """The cell factor attached to an admissible pair lambda/mu of the given
+    content, from the bar vector ``bars = bar_deltas(field, deltas)``."""
     m = len(bars)
-    c = field.embed(m * pair.content)
+    c = field.embed(m * content)
     out = bars[0] - field.embed(m) + c
     for i in range(1, m):
         out = out * (bars[i] + c)
@@ -112,8 +119,18 @@ def g_mu(field, deltas, mu):
     bars = bar_deltas(field, deltas)
     out = field.one
     for pair in admissible_set(mu, len(deltas)):
-        out = out * g_lambda_mu(field, bars, pair)
+        out = out * g_lambda_mu(field, bars, pair.content)
     return out
+
+
+@lru_cache(maxsize=None)
+def _mu_contents(m, n):
+    """Each m-multipartition mu of n - 2 with the set of contents of its
+    admissible pairs, in multipartitions order, and the union of those
+    sets."""
+    table = tuple((mu, frozenset(p.content for p in admissible_set(mu, m)))
+                  for mu in multipartitions(m, n - 2))
+    return table, frozenset().union(*(cs for _, cs in table))
 
 
 @dataclass
@@ -139,8 +156,9 @@ def decide(m, n, field, deltas, variant="printed-z"):
     hyperplane conditions eps_{i,0} m - bar_delta_i not in Z_{m,n};
     "gmu" tests g_mu != 0 over the m-multipartitions of n-2.
 
-    m = 1 always uses the classical Brauer criterion (the hyperplane form
-    of the statement is specific to m >= 2); the variant tag is recorded
+    m = 1 always uses the classical criterion for B_n(delta) (the
+    hyperplane form of the statement is specific to m >= 2): Rui's at
+    delta = 0, the Brauer set Z(n) elsewhere; the variant tag is recorded
     unchanged for reporting.
     """
     if variant not in VARIANTS:
@@ -161,6 +179,11 @@ def decide(m, n, field, deltas, variant="printed-z"):
         if divides(e, factorial(n)):
             reasons.append({"kind": "char", "divisor": factorial(n)})
             return Verdict("not-semisimple", variant, reasons)
+        if not vals[0]:  # Rui (2005): B_n(0) is semisimple iff n in {1, 3, 5}
+            if n in (3, 5):
+                return Verdict("semisimple", variant, reasons)
+            reasons.append({"kind": "delta-zero"})
+            return Verdict("not-semisimple", variant, reasons)
         for k in brauer_z(n):
             if vals[0] == field.embed(k):
                 reasons.append({"kind": "brauer-z", "k": k})
@@ -176,8 +199,13 @@ def decide(m, n, field, deltas, variant="printed-z"):
         return Verdict("not-semisimple", variant, reasons)
 
     if variant == "gmu":
-        for mu in multipartitions(m, n - 2):
-            if not g_mu(field, vals, mu):
+        # g_mu = 0 iff one of its factors is, and a factor depends on its
+        # pair only through the content: one zero test per content
+        table, contents = _mu_contents(m, n)
+        bars = bar_deltas(field, vals)
+        zeros = {c for c in contents if not g_lambda_mu(field, bars, c)}
+        for mu, cs in table:
+            if cs & zeros:
                 reasons.append({"kind": "gmu-zero", "mu": [list(p) for p in mu]})
         if reasons:
             return Verdict("not-semisimple", variant, reasons)

@@ -176,6 +176,24 @@ def cell_gram(m, n, mu, params, compute_det=True):
     s + s' to the through strand, so the double sum over the coefficients
     of g_l is xi^{l r0} delta_a g_l(xi^l)^2; and g_l(xi^l) =
     prod_{j' != l}(xi^l - xi^{j'}) = m xi^{l(m-1)} = m xi^{-l}.
+
+    Determinant.  The basis runs over b arcs (b = 1 at n = 2, 3 at n = 3),
+    then the label k, so G is a b x b array of m x m blocks.  In star(v_x)
+    * v_y one strand runs once through the arc of v_x and once through that
+    of v_y and carries the labels' signed sum: it is the loop or the through
+    strand.  So each block is anticirculant, A(k_x + k_y), or circulant,
+    C(k_y - k_x), as the two arcs are run through in the same sense or not
+    (the blocks pairing {1,2} with {2,3} are the circulant ones); _cell_det
+    checks this and raises otherwise.  With F = (xi^{lk})_{l,k} and
+    hat X(l) = sum_s X(s) xi^{ls}, F A F^T is m diag(hat A(l)) and F C F^T
+    has m hat C(-l) at (l, -l) and zeros elsewhere, so (1_b (x) F) G
+    (1_b (x) F)^T is block diagonal over the orbits {l, -l}, with blocks of
+    size b or 2b.  F^2 = m J, J the permutation l -> -l, a product of
+    floor((m-1)/2) transpositions, so det G = (-1)^{b floor((m-1)/2)} times
+    the product of the block determinants with the factors m dropped: no
+    division, and the same code for polynomial and field entries.  At n = 2
+    the single block is anticirculant in delta_{k_x + k_y} and det G is
+    (-1)^{floor((m-1)/2)} prod_l bar_delta_l.
     """
     if n not in (2, 3):
         raise ValueError("cells with n - 2 > 1 unsupported")
@@ -211,33 +229,47 @@ def cell_gram(m, n, mu, params, compute_det=True):
     entries = [[entry(x, y) for y in half] for x in map(star_diagram, half)]
     gm = GramMatrix("cellular-form", len(half), entries, half)
     if compute_det:
-        gm.det = _sym_or_num_det(entries, params)
+        gm.det = _cell_det(entries, m, params)
     return gm
 
 
-def _sym_or_num_det(entries, params):
-    """Entries are delta polynomials for symbolic parameters (minor
-    expansion, no division) and field elements otherwise."""
-    if isinstance(params, SymbolicParams):
-        if len(entries) > 12:
-            return None  # symbolic determinant kept to small sizes
-        return minor_det(entries, params.zero, params.one)
-    return gauss_det(entries, params.field.one)
+def _cell_det(entries, m, params):
+    """det G of a cell Gram matrix, one label-Fourier block per orbit
+    {l, -l}, by minor expansion (identity in cell_gram); the field must
+    hold a primitive m-th root of unity.  Raises ValueError on a block
+    that is neither anticirculant nor circulant."""
+    if isinstance(params, SymbolicParams) and len(entries) > 12:
+        return None  # symbolic determinant kept to small sizes
+    b = len(entries) // m
+    xi = params.field.root_of_unity(m)
+    powers = [xi ** e for e in range(m)]
+    hats = {}  # (arc, arc') -> (circulant?, [hat(l) for l in range(m)])
+    for a in range(b):
+        for c in range(b):
+            rows = [row[c * m:(c + 1) * m] for row in entries[a * m:(a + 1) * m]]
+            top = rows[0]
+            for circulant in (False, True):
+                sign = -1 if circulant else 1
+                if all(x == top[(t + sign * k) % m]
+                       for k, row in enumerate(rows) for t, x in enumerate(row)):
+                    break
+            else:
+                raise ValueError("cell Gram block (%d, %d) is neither "
+                                 "anticirculant nor circulant" % (a, c))
+            hats[a, c] = circulant, [
+                sum((x * powers[l * s % m] for s, x in enumerate(top) if x),
+                    params.zero) for l in range(m)]
 
+    def entry(t, a, u, c):  # of the transformed matrix, rows (t, a), cols (u, c)
+        circulant, hat = hats[a, c]
+        return hat[u] if u == (-t % m if circulant else t) else params.zero
 
-def anticirculant_det(field, deltas):
-    """Reference value +-prod_i bar_delta_i for the (m,2) cell determinant:
-    det(delta_{s+t})_{s,t} with the sign of the row-reversal permutation."""
-    from .criterion import bar_deltas
-    m = len(deltas)
-    bars = bar_deltas(field, deltas)
-    out = field.one
-    for b in bars:
-        out = out * b
-    # reversing rows 1..m-1 has sign (-1)^{(m-1)(m-2)/2}
-    if ((m - 1) * (m - 2) // 2) % 2:
-        out = -out
-    return out
+    det = -params.one if b * ((m - 1) // 2) % 2 else params.one
+    for l in range(m // 2 + 1):
+        index = [(t, a) for t in sorted({l, -l % m}) for a in range(b)]
+        block = [[entry(t, a, u, c) for u, c in index] for t, a in index]
+        det = det * minor_det(block, params.zero, params.one)
+    return det
 
 
 def single_box_gram(m, params=None):

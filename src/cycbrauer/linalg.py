@@ -3,7 +3,8 @@
 Gaussian elimination over a field is exact here (no rounding anywhere), and
 is used for ranks and determinants of field-valued matrices.  Determinants of
 polynomial-valued matrices use minor expansion with subset memoisation, which
-avoids ring division entirely (sizes stay small, <= ~15).  A fast modular
+avoids ring division entirely; the cell Gram determinants call it on their
+label-Fourier blocks, at most 6 x 6, whatever the entries.  A fast modular
 path (row reduction mod p < 2^31) serves as a certified pre-pass for large
 trace-form matrices: rank mod p is always a lower bound for the exact rank,
 and an exactly verified kernel vector certifies the deficiency.  It works on

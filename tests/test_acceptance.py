@@ -275,7 +275,7 @@ def test_criterion_13_concordance_deliverable():
     ok = (not s["generic_disagreements"] and c1_ok
           and rep["elapsed_seconds"] < 1800 and matches)
     emit(13, "concordance deliverable", ok,
-         "%d points in %.0fs, %d thin-locus disagreements, %s"
+         "%d points in %.0fs, %d with a variant against the oracle, %s"
          % (s["num_points"], rep["elapsed_seconds"],
             s["num_disagreements"],
             "equals reports/ apart from timing" if matches

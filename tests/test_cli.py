@@ -153,6 +153,11 @@ PINNED_OUTPUT = [
     (("cell-gram", "--m", "3", "--n", "3", "--mu", "[[],[],[1]]",
       "--char", "7", "--delta", "1,2,2"), 0,
      "339939eb939019f902d8c956fb4ec53fdc95abed7e9c2210c9151caef2570d71"),
+    # symbolic with free parameters: 12 x 12 determinants of polynomials
+    (("cell-gram", "--m", "4", "--n", "3", "--mu", "[[1],[],[],[]]"), 0,
+     "1e9e58c8341afc96a125c0f2ab690567812e4209725ef2f31e7018f8e5d59f67"),
+    (("cell-gram", "--m", "4", "--n", "3", "--mu", "[[],[1],[],[]]"), 0,
+     "ab086818c506d48d08262034eeb7a9bfab36d3d817c803aee0c72843b3c9b334"),
     (("single-box", "--m", "2"), 0,
      "d23a890506624eef90c0bc8e8ae365fbc81301d09f3ce061968e850db289bcfb"),
     (("single-box", "--m", "3"), 0,

@@ -1,11 +1,15 @@
 """Semisimplicity criterion: bar transform, Z sets, cell factors, verdicts."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycbrauer.criterion import (VARIANTS, bar_deltas, brauer_z, decide,
                                  g_lambda_mu, g_mu, z_set, z_tilde)
+from cycbrauer.oracle import _hyperplane_point, semisimple_verdict
 from cycbrauer.partitions import admissible_set, multipartitions
 from cycbrauer.scalars import CyclotomicField, FiniteField
 
@@ -87,7 +91,7 @@ def test_g_lambda_mu_vanishes_on_hyperplane():
     b0, b1 = F.embed(2 - 2 * c), F.embed(17)
     half = F.embed(Fraction(1, 2))
     deltas = [(b0 + b1) * half, (b0 - b1) * half]
-    assert not g_lambda_mu(F, bar_deltas(F, deltas), pair)
+    assert not g_lambda_mu(F, bar_deltas(F, deltas), c)
 
 
 def test_decide_delta_zero():
@@ -103,6 +107,46 @@ def test_decide_m1_brauer():
     v = decide(1, 3, Q, [Q.embed(1)])
     assert not v.semisimple and v.reasons[0]["kind"] == "brauer-z"
     assert decide(1, 3, Q, [Q.embed(2)]).semisimple
+
+
+def test_decide_m1_delta_zero_follows_rui():
+    # Rui (2005): B_n(0) is semisimple iff n is in {1, 3, 5}
+    for n in range(1, 9):
+        v = decide(1, n, Q, [Q.zero])
+        assert v.semisimple == (n in (1, 3, 5)), n
+        assert v.reasons == ([] if v.semisimple else [{"kind": "delta-zero"}])
+
+
+def test_decide_m1_delta_zero_matches_oracle():
+    # radicals 1, 0 and 36 at n = 2, 3, 4 (the n = 5 table takes ~9 s)
+    for n in (2, 3, 4):
+        rad = semisimple_verdict(1, n, Q, [Q.zero])["radical"]
+        assert decide(1, n, Q, [Q.zero]).semisimple == (rad == 0), (n, rad)
+
+
+def _gmu_reasons_reference(m, n, field, deltas):
+    """decide's gmu reasons, from the public g_mu of each mu."""
+    return [{"kind": "gmu-zero", "mu": [list(p) for p in mu]}
+            for mu in multipartitions(m, n - 2) if not g_mu(field, deltas, mu)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 4), n=st.integers(2, 6), i=st.integers(0, 2),
+       content=st.one_of(st.none(), st.integers(-6, 6)),
+       free=st.lists(st.fractions(min_value=-9, max_value=9,
+                                  max_denominator=9), min_size=3, max_size=3))
+def test_decide_gmu_reasons_match_g_mu(m, n, i, content, free):
+    # generic points, and points on the hyperplane of one content c, where
+    # the factor bar_i + m c (bar_0 - m + m c at i = 0) vanishes
+    F = CyclotomicField(m)
+    if content is None:
+        deltas = [F.embed(free[min(j, m - j)] + 20) for j in range(m)]
+    else:
+        deltas = _hyperplane_point(F, m, i % (m // 2 + 1), m * content,
+                                   random.Random(str(free)))
+    v = decide(m, n, F, deltas, "gmu")
+    assert v.reasons == _gmu_reasons_reference(m, n, F, deltas)
+    assert v.semisimple == (not v.reasons)
 
 
 def test_decide_char_p():

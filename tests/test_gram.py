@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from cycbrauer.diagrams import (AlgebraElement, NumericParams, SymbolicParams,
                                 from_awb, generator, multiply_diagrams,
                                 wreath_to_diagram)
-from cycbrauer.gram import (anticirculant_det, cell_gram, equivariance_check,
+from cycbrauer.criterion import bar_deltas
+from cycbrauer.gram import (_cell_det, cell_gram, equivariance_check,
                             gram_big, shape_check, single_box_gram, v_basis)
 from cycbrauer.linalg import gauss_det, minor_det
+from cycbrauer.oracle import _hyperplane_point
 from cycbrauer.scalars import CyclotomicField, field_with_root
 from cycbrauer.wreath import (WreathElement, compose, enumerate_group, gen_s,
                               gen_t)
@@ -133,7 +135,10 @@ def test_cell_gram_n2_det_matches_reference_numeric():
     F = CyclotomicField(3)
     deltas = [F.embed(Fraction(5, 2)), F.embed(-1), F.embed(7)]
     g = cell_gram(3, 2, ((), (), ()), NumericParams(F, deltas))
-    assert g.det == anticirculant_det(F, deltas)
+    # det(delta_{s+t}) is -prod_i bar_delta_i at m = 3: reversing rows
+    # 1..m-1 has sign (-1)^{(m-1)(m-2)/2}
+    b0, b1, b2 = bar_deltas(F, deltas)
+    assert g.det == -(b0 * b1 * b2)
 
 
 def _reference_cell_gram(m, n, mu, params, compute_det=True):
@@ -256,6 +261,83 @@ def test_cell_gram_symmetric(m, n, box, admissible, raw):
     for i in range(g.size):
         for j in range(g.size):
             assert g.entries[i][j] == g.entries[j][i]
+
+
+def _one_box_mus(m):
+    return [tuple((1,) if c == j else () for c in range(m)) for j in range(m)]
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_cell_det_blocks_match_full_minor_det(symmetric):
+    # the label-Fourier block determinant against the minor expansion of
+    # the whole matrix, as polynomials: every one-box mu at m <= 4, and
+    # n = 2 at m <= 5.  With free parameters at m = 4 the expansion over
+    # Q(zeta_4) takes up to 2.7 s per mu: the cell-gram pins in test_cli
+    # hold components 1 and 2 to the bytes of the full expansion, and here
+    # components 3 and 4 are expanded over GF(5)
+    cases = [(m, 2, tuple(() for _ in range(m)), CyclotomicField(m))
+             for m in range(1, 6)]
+    cases += [(m, 3, mu, CyclotomicField(m))
+              for m in range(1, 5) for mu in _one_box_mus(m)
+              if symmetric or m < 4]
+    if not symmetric:
+        cases += [(4, 3, mu, field_with_root(5, 4)) for mu in _one_box_mus(4)[2:]]
+    for m, n, mu, F in cases:
+        params = SymbolicParams(m, F, symmetric=symmetric)
+        g = cell_gram(m, n, mu, params)
+        assert g.det == minor_det(g.entries, params.zero, params.one), (m, n, mu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 6), n=st.sampled_from([2, 3]), box=st.integers(0, 5),
+       char=st.sampled_from([0, 5, 7]),
+       raw=st.lists(st.fractions(min_value=-9, max_value=9,
+                                 max_denominator=9), min_size=6, max_size=6))
+def test_cell_det_matches_gauss_det(m, n, box, char, raw):
+    # at random points of Q(zeta_m) and of GF(p^k), on and off the locus
+    if char == 5 and m == 5:
+        char = 7
+    F = field_with_root(char, m)
+    deltas = [F.embed(x if char == 0 else x.numerator) for x in raw[:m]]
+    mu = tuple((1,) if c == box % m and n == 3 else () for c in range(m))
+    g = cell_gram(m, n, mu, NumericParams(F, deltas))
+    assert g.det == gauss_det(g.entries, F.one)
+
+
+def test_cell_det_on_hyperplanes():
+    # bar_i = bar_{-i} = v, the other bars random integers: the points where
+    # one Fourier block is singular, and det G = 0
+    rng = random.Random(0)
+    zeros = 0
+    for m in (2, 3, 4):
+        F = CyclotomicField(m)
+        for i in range(m // 2 + 1):
+            for v in (-2 * m, -m, 0, m):
+                k = (m if i == 0 else 0) - v
+                params = NumericParams(F, _hyperplane_point(F, m, i, k, rng))
+                for n, mus in ((2, [tuple(() for _ in range(m))]),
+                               (3, _one_box_mus(m))):
+                    for mu in mus:
+                        g = cell_gram(m, n, mu, params)
+                        assert g.det == gauss_det(g.entries, F.one)
+                        zeros += not g.det
+    assert zeros >= 20
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_cell_det_guard_rejects_a_perturbed_entry(m):
+    # one changed entry leaves a block neither anticirculant nor circulant
+    rng = random.Random(m)
+    F = CyclotomicField(m)
+    for params in (SymbolicParams(m, F),
+                   NumericParams(F, [Fraction(3 * a - 4, a + 2) for a in range(m)])):
+        for mu in _one_box_mus(m):
+            g = cell_gram(m, 3, mu, params, compute_det=False)
+            entries = [list(row) for row in g.entries]
+            r, c = rng.randrange(3 * m), rng.randrange(3 * m)
+            entries[r][c] = entries[r][c] + params.one
+            with pytest.raises(ValueError, match="neither anticirculant"):
+                _cell_det(entries, m, params)
 
 
 def test_single_box_gram():

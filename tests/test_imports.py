@@ -120,8 +120,6 @@ def test_unreferenced_public_names_detected():
 NO_SRC_CALLER = {
     # the reference that tests compare group products against
     "compose",
-    # the reference that tests compare the (m, 2) cell determinant against
-    "anticirculant_det",
     # documented in the README: a minimal failing triple off the locus
     "associativity_witness",
     # the library's serial sweep, which the benchmark and the acceptance
