@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .partitions import admissible_set, multipartitions, partitions, \
     add_two_boxes_not_same_column
@@ -125,12 +125,23 @@ def g_mu(field, deltas, mu):
 
 @lru_cache(maxsize=None)
 def _mu_contents(m, n):
-    """Each m-multipartition mu of n - 2 with the set of contents of its
-    admissible pairs, in multipartitions order, and the union of those
-    sets."""
-    table = tuple((mu, frozenset(p.content for p in admissible_set(mu, m)))
+    """Each m-multipartition mu of n - 2 with the contents of its
+    admissible pairs (one per pair), in multipartitions order, and the set
+    of all those contents."""
+    table = tuple((mu, tuple(p.content for p in admissible_set(mu, m)))
                   for mu in multipartitions(m, n - 2))
     return table, frozenset().union(*(cs for _, cs in table))
+
+
+def g_mu_values(m, n, field, deltas):
+    """(mu, g_mu) for each m-multipartition mu of n - 2, in multipartitions
+    order: one bar transform, and one cell factor per content, which
+    enters g_mu once per admissible pair of that content."""
+    table, contents = _mu_contents(m, n)
+    bars = bar_deltas(field, deltas)
+    factor = {c: g_lambda_mu(field, bars, c) for c in contents}
+    return [(mu, prod((factor[c] for c in cs), start=field.one))
+            for mu, cs in table]
 
 
 @dataclass
@@ -205,7 +216,7 @@ def decide(m, n, field, deltas, variant="printed-z"):
         bars = bar_deltas(field, vals)
         zeros = {c for c in contents if not g_lambda_mu(field, bars, c)}
         for mu, cs in table:
-            if cs & zeros:
+            if zeros.intersection(cs):
                 reasons.append({"kind": "gmu-zero", "mu": [list(p) for p in mu]})
         if reasons:
             return Verdict("not-semisimple", variant, reasons)

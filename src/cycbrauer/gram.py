@@ -195,8 +195,37 @@ def cell_gram(m, n, mu, params, compute_det=True):
     the single block is anticirculant in delta_{k_x + k_y} and det G is
     (-1)^{floor((m-1)/2)} prod_l bar_delta_l.
     """
+    return cell_form(m, n, mu, params, cell_pairing(m, n), compute_det)
+
+
+def cell_pairing(m, n):
+    """The pairing behind cell_gram, which depends on neither mu nor the
+    parameters: (half, pairs), half the half diagrams v and pairs[x][y] =
+    (r0, loops) when star(v_x) * v_y is the loops' deltas times
+    alpha_0 (x) t^r0 (x) alpha_0.  Any other product raises ValueError."""
     if n not in (2, 3):
         raise ValueError("cells with n - 2 > 1 unsupported")
+    alpha0 = [(n - 1, n, 0)]
+    unit = identity(m, n - 2)
+    half = [from_awb(m, n, [arc + (k,)], unit, alpha0)
+            for arc in itertools.combinations(range(1, n + 1), 2)
+            for k in range(m)]
+    # the m targets alpha_0 (x) t^r (x) alpha_0 (one at n = 2), by r
+    targets = {from_awb(m, n, alpha0, w, alpha0): sum(w.colors)
+               for w in enumerate_group(m, n - 2)}
+
+    def pair(x_star, y):
+        prod, loops = multiply_diagrams(x_star, y)
+        r0 = targets.get(prod)
+        if r0 is None:
+            raise ValueError("product left the span of alpha_0 (x) t^s (x) alpha_0")
+        return r0, loops
+
+    return half, [[pair(x, y) for y in half] for x in map(star_diagram, half)]
+
+
+def cell_form(m, n, mu, params, pairing, compute_det=True):
+    """cell_gram evaluated on a pairing = cell_pairing(m, n)."""
     mu = check_multipartition(mu, m)
     field = params.field
     sizes = [sum(p) for p in mu]
@@ -210,23 +239,10 @@ def cell_gram(m, n, mu, params, compute_det=True):
         l = -sizes.index(1) % m  # (1 - j) mod m, j the box's component
         xi = field.root_of_unity(m)
         weight = [field.embed(m) * xi ** (l * (r - 1) % m) for r in range(m)]
-    alpha0 = [(n - 1, n, 0)]
-    unit = identity(m, n - 2)
-    half = [from_awb(m, n, [arc + (k,)], unit, alpha0)
-            for arc in itertools.combinations(range(1, n + 1), 2)
-            for k in range(m)]
-    # the m targets alpha_0 (x) t^r (x) alpha_0 (one at n = 2), by r
-    targets = {from_awb(m, n, alpha0, w, alpha0): sum(w.colors)
-               for w in enumerate_group(m, n - 2)}
-
-    def entry(x_star, y):
-        prod, loops = multiply_diagrams(x_star, y)
-        r0 = targets.get(prod)
-        if r0 is None:
-            raise ValueError("product left the span of alpha_0 (x) t^s (x) alpha_0")
-        return _times_loops(params, params.one * weight[r0], loops)
-
-    entries = [[entry(x, y) for y in half] for x in map(star_diagram, half)]
+    weight = [params.one * w for w in weight]
+    half, pairs = pairing
+    entries = [[_times_loops(params, weight[r0], loops) for r0, loops in row]
+               for row in pairs]
     gm = GramMatrix("cellular-form", len(half), entries, half)
     if compute_det:
         gm.det = _cell_det(entries, m, params)

@@ -16,6 +16,7 @@ itself mod p), so every sum stays below 32 * 2^31 * (2^16 + 2^15) < 2^53.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -106,9 +107,10 @@ _PANEL = 32  # columns per elimination panel
 _CHUNK = 256  # rows per float64 update, to bound its temporaries
 
 
+@lru_cache(maxsize=None)
 def primes_for_modular(m):
-    """The four largest primes p = 1 (mod m) below 2*10^9; they fit the
-    int64 row operations of rref_mod_p."""
+    """The four largest primes p = 1 (mod m) below 2*10^9, as a tuple; they
+    fit the int64 row operations of rref_mod_p."""
     out = []
     p = 2_000_000_000 - (2_000_000_000 - 1) % m  # p = 1 mod m
     while len(out) < 4:
@@ -117,7 +119,7 @@ def primes_for_modular(m):
         if is_prime(p):
             out.append(p)
         p -= m
-    return out
+    return tuple(out)
 
 
 def rref_mod_p(mat, p):
@@ -152,7 +154,7 @@ def rref_mod_p(mat, p):
                 a[[row, piv]] = a[[piv, row]]
             end = w + row - top + 1  # the pivot row is zero outside col..end
             panel[row, end - 1] = 1  # its tracker cell
-            inv = pow(int(panel[row, col]), p - 2, p)
+            inv = pow(int(panel[row, col]), -1, p)
             panel[row, col:end] = panel[row, col:end] * inv % p
             colvals = panel[:, col].copy()
             colvals[row] = 0

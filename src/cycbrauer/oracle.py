@@ -16,6 +16,15 @@ exact field arithmetic; index is an N x N integer array with
 T_ij = values[index[i, j]].  Flattening, reduction mod p and the exact
 check all work per distinct value, and numpy only counts and indexes.
 
+Plan and evaluation.  What does not depend on delta is built once per
+StructureTable, which a sweep item shares across its points: the products,
+the trace plan (diagonal monomial counts, the distinct count rows, the
+numbering of (monomial, trace class) pairs and the read-only index) and,
+on first use, the cell pairing of the n in {2, 3} cross-check.  The modular
+primes are found once per m.  Each point then evaluates only its
+monomials, traces and values, the cell Gram entries and determinants (the
+circulant guard included), and the certified rank.
+
 Rank strategy: a trace matrix whose entries are all rational (so whenever
 every delta_a is real and m is 1, 2, 3, 4 or 6, as Q(zeta_m) meets R in Q;
 this covers every point the concordance sweep generates) has the same rank
@@ -36,17 +45,17 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 
 import numpy as np
 
 from . import __version__
-from .criterion import VARIANTS, decide, g_mu, z_set
+from .criterion import VARIANTS, decide, g_mu_values, z_set
 from .diagrams import (OFF_LOCUS_NOTE, NumericParams, basis_size,
                        compose_strands, deltas_admissible, enumerate_basis)
-from .gram import cell_gram
+from .gram import cell_form, cell_pairing
 from .linalg import gauss_rank, primes_for_modular, rational_reconstruct, rref_mod_p
-from .partitions import multipartitions
 from .scalars import CyclotomicField, power
 
 CONTENT_ASSUMPTION = ("box content c = col - row, 1-based, identical in every "
@@ -68,6 +77,12 @@ class StructureTable:
     in the 2n input labels, so each skeleton pair is traced once (by
     ``compose_strands``, on unit-vector labels) and all m^{2n} labellings
     follow from one integer matrix product mod m.
+
+    The trace plan, what trace_matrix needs that no delta changes:
+    ``trace_rows[t]`` lists the (monomial, count) pairs whose sum is the
+    t-th distinct trace, ``value_pairs[v]`` the (monomial, trace) pair of
+    the v-th distinct entry of T, and ``index`` (N x N, read-only) the
+    entry of each T_ij.
     """
 
     def __init__(self, m, n, cap=500):
@@ -126,6 +141,30 @@ class StructureTable:
         slots = np.flatnonzero(seen)[:, None] // code_of % (m + 1)
         self.monomials = (slots[:, :, None] == np.arange(1, m + 1)).sum(axis=1)
         self.products = products
+        # the trace plan (see trace_matrix): trace(L_{b_k}) sums the
+        # monomials on the diagonal of L_{b_k}, so its class is the row of
+        # their counts, and T_ij is numbered by its (monomial, class) pair
+        U = len(self.monomials)
+        k, mono = products[:, 0], products[:, 1]
+        i, j = np.nonzero(k.reshape(N, N) == np.arange(N))
+        counts = np.bincount(i * U + mono.reshape(N, N)[i, j],
+                             minlength=N * U).reshape(N, U)
+        count_rows, trace_class = np.unique(counts, axis=0, return_inverse=True)
+        self.trace_rows = [[(u, c) for u, c in enumerate(row) if c]
+                           for row in count_rows.tolist()]
+        T = len(self.trace_rows)
+        code = mono * T + trace_class[k]
+        occurs = np.zeros(U * T, dtype=bool)
+        occurs[code] = True
+        self.value_pairs = [divmod(pair, T)
+                            for pair in np.flatnonzero(occurs).tolist()]
+        self.index = (np.cumsum(occurs) - 1)[code].reshape(N, N)
+        self.index.flags.writeable = False
+
+    @cached_property
+    def cell_pairing(self):
+        """gram.cell_pairing(m, n), built on first use (n in {2, 3})."""
+        return cell_pairing(self.m, self.n)
 
 
 def trace_matrix(table, field, deltas):
@@ -134,29 +173,19 @@ def trace_matrix(table, field, deltas):
 
     With b_i b_j = mono_ij b_k, T_ij = mono_ij * trace(L_{b_k}), and
     trace(L_{b_k}) sums mono_kr over the r with b_k b_r in the span of b_r.
-    Each distinct monomial, trace and (monomial, trace) product is computed
-    once in exact field arithmetic; numpy only counts and indexes.
+    The table's trace plan fixes which sums and products occur and the
+    index; here each distinct monomial, trace and (monomial, trace) product
+    is computed once in exact field arithmetic.  The index is the table's
+    own, read-only.
     """
-    N = table.size
     deltas = [field.coerce(d) for d in deltas]
     monos = [prod((power(d, e, field.one) for d, e in zip(deltas, exps)),
                   start=field.one)
              for exps in table.monomials.tolist()]
-    k, mono = table.products[:, 0], table.products[:, 1]
-    # trace of L_{b_k}: how often each monomial sits on the diagonal
-    i, j = np.nonzero(k.reshape(N, N) == np.arange(N))
-    counts = np.bincount(i * len(monos) + mono.reshape(N, N)[i, j],
-                         minlength=N * len(monos)).reshape(N, len(monos))
-    count_rows, trace_class = np.unique(counts, axis=0, return_inverse=True)
-    traces = [sum((monos[u] * c for u, c in enumerate(row) if c), field.zero)
-              for row in count_rows.tolist()]
-    code = mono * len(traces) + trace_class[k]
-    seen = np.zeros(len(monos) * len(traces), dtype=bool)
-    seen[code] = True
-    pairs, index = np.flatnonzero(seen), (np.cumsum(seen) - 1)[code]
-    values = [monos[pair // len(traces)] * traces[pair % len(traces)]
-              for pair in pairs.tolist()]
-    return values, index.reshape(N, N)
+    traces = [sum((monos[u] * c for u, c in row), field.zero)
+              for row in table.trace_rows]
+    values = [monos[u] * traces[t] for u, t in table.value_pairs]
+    return values, table.index
 
 
 def _to_rational_blocks(field, values, index):
@@ -252,19 +281,19 @@ def radical_dimension(table, field, deltas):
     return table.size - rank_q // deg
 
 
-def _cell_det_values(m, n, field, deltas):
-    """Determinants of the k = 1 cell Gram matrices (n in {2, 3} only)."""
-    params = NumericParams(field, deltas)
-    dets = []
+def _cell_det_values(table, field, deltas):
+    """Determinants of the k = 1 cell Gram matrices (n in {2, 3} only),
+    evaluated on the table's cell pairing."""
+    m, n = table.m, table.n
     if n == 2:
-        g = cell_gram(m, 2, tuple(() for _ in range(m)), params)
-        dets.append(("empty", g.det))
+        cells = [("empty", tuple(() for _ in range(m)))]
     else:
-        for j in range(1, m + 1):
-            mu = tuple((1,) if c == j else () for c in range(1, m + 1))
-            g = cell_gram(m, 3, mu, params)
-            dets.append(("box-comp-%d" % j, g.det))
-    return dets
+        cells = [("box-comp-%d" % j,
+                  tuple((1,) if c == j else () for c in range(1, m + 1)))
+                 for j in range(1, m + 1)]
+    params = NumericParams(field, deltas)
+    return [(tag, cell_form(m, n, mu, params, table.cell_pairing).det)
+            for tag, mu in cells]
 
 
 def semisimple_verdict(m, n, field, deltas, table=None, cap=500):
@@ -289,7 +318,7 @@ def semisimple_verdict(m, n, field, deltas, table=None, cap=500):
     if not out["admissible"]:
         out["note"] = OFF_LOCUS_NOTE
     if n in (2, 3):
-        dets = _cell_det_values(m, n, field, deltas)
+        dets = _cell_det_values(table, field, deltas)
         out["cell_dets"] = [(tag, str(v)) for tag, v in dets]
         cells_ok = all(v for _, v in dets)
         out["cross_check_agrees"] = (rad == 0) == cells_ok
@@ -402,10 +431,8 @@ def sweep_item(item, cap=500):
             verdicts[variant] = v.to_json()
         rec["criteria"] = verdicts
         if n >= 2:
-            rec["g_mu"] = [
-                {"mu": [list(p) for p in mu],
-                 "value": str(g_mu(field, deltas, mu))}
-                for mu in multipartitions(m, n - 2)]
+            rec["g_mu"] = [{"mu": [list(p) for p in mu], "value": str(v)}
+                           for mu, v in g_mu_values(m, n, field, deltas)]
         oracle = semisimple_verdict(m, n, field, deltas, table=table, cap=cap)
         rec["oracle"] = oracle
         rec["agreement"] = {

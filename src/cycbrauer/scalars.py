@@ -387,7 +387,7 @@ class CyclotomicField(_Field):
                 den = c.denominator % p
                 if den == 0:
                     raise ZeroDivisionError("bad prime for reduction")
-                acc = (acc + c.numerator * pow(den, p - 2, p) * pw) % p
+                acc = (acc + c.numerator * pow(den, -1, p) * pw) % p
                 pw = pw * r % p
             return acc
 
@@ -497,7 +497,7 @@ class FiniteField(_Field):
             den = a.denominator % self.p
             if den == 0:
                 raise ZeroDivisionError("denominator divisible by p")
-            return self.element([a.numerator * pow(den, self.p - 2, self.p)])
+            return self.element([a.numerator * pow(den, -1, self.p)])
         return self.element([a])
 
     def elements(self):
@@ -600,7 +600,7 @@ class FFElt(FieldElement):
             raise ZeroDivisionError("inverse of zero")
         field, p = self.field, self.field.p
         if field.k == 1:
-            return FFElt(field, (pow(self.coeffs[0], p - 2, p),))
+            return FFElt(field, (pow(self.coeffs[0], -1, p),))
         # extended Euclid over GF(p); the modulus is irreducible, so the gcd
         # g is a nonzero constant
         g, s = _gf_xgcd(p, field.modulus, self.coeffs)

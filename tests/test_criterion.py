@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycbrauer.criterion import (VARIANTS, bar_deltas, brauer_z, decide,
-                                 g_lambda_mu, g_mu, z_set, z_tilde)
+                                 g_lambda_mu, g_mu, g_mu_values, z_set,
+                                 z_tilde)
 from cycbrauer.oracle import _hyperplane_point, semisimple_verdict
 from cycbrauer.partitions import admissible_set, multipartitions
 from cycbrauer.scalars import CyclotomicField, FiniteField
@@ -147,6 +148,25 @@ def test_decide_gmu_reasons_match_g_mu(m, n, i, content, free):
     v = decide(m, n, F, deltas, "gmu")
     assert v.reasons == _gmu_reasons_reference(m, n, F, deltas)
     assert v.semisimple == (not v.reasons)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 4), n=st.integers(2, 6), i=st.integers(0, 2),
+       content=st.one_of(st.none(), st.integers(-6, 6)),
+       free=st.lists(st.fractions(min_value=-9, max_value=9,
+                                  max_denominator=9), min_size=3, max_size=3))
+def test_g_mu_values_match_g_mu(m, n, i, content, free):
+    # one factor per content, repeated once per pair of that content
+    # (at (2,2) the one mu has two pairs of content 1), against the public
+    # g_mu of each mu, at generic points and on content hyperplanes
+    F = CyclotomicField(m)
+    if content is None:
+        deltas = [F.embed(free[min(j, m - j)]) for j in range(m)]
+    else:
+        deltas = _hyperplane_point(F, m, i % (m // 2 + 1), m * content,
+                                   random.Random(str(free)))
+    assert g_mu_values(m, n, F, deltas) == \
+        [(mu, g_mu(F, deltas, mu)) for mu in multipartitions(m, n - 2)]
 
 
 def test_decide_char_p():

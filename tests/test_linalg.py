@@ -11,9 +11,20 @@ from cycbrauer import oracle
 from cycbrauer.diagrams import basis_size
 from cycbrauer.linalg import (gauss_det, gauss_rank, minor_det,
                               primes_for_modular, rref_mod_p)
-from cycbrauer.scalars import CyclotomicField
+from cycbrauer.scalars import CyclotomicField, is_prime
 
 P = primes_for_modular(1)[0]
+
+
+def test_primes_for_modular_are_one_shared_tuple():
+    # memoised per m, so the value is a tuple no caller can change
+    for m in range(1, 7):
+        primes = primes_for_modular(m)
+        assert type(primes) is tuple and primes is primes_for_modular(m)
+        # the four largest primes p = 1 (mod m) below 2*10^9, descending
+        top = 2_000_000_000 - (2_000_000_000 - 1) % m
+        want = [p for p in range(top, primes[-1] - 1, -m) if is_prime(p)]
+        assert primes == tuple(want) and (top - 1) % m == 0
 
 
 @st.composite

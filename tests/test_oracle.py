@@ -5,19 +5,27 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cycbrauer
-from cycbrauer.diagrams import basis_size, multiply_diagrams
-from cycbrauer.oracle import (StructureTable,
+from cycbrauer import diagrams
+from cycbrauer.criterion import z_set
+from cycbrauer.diagrams import NumericParams, basis_size, multiply_diagrams
+from cycbrauer.gram import cell_gram
+from cycbrauer.oracle import (StructureTable, _cell_det_values,
+                              _hyperplane_point,
                               _product_is_zero, _rank_exact_certified,
                               _to_rational_blocks,
                               concordance_sweep, deltas_admissible,
                               radical_dimension,
-                              report_csv, semisimple_verdict, trace_matrix)
+                              report_csv, semisimple_verdict, sweep_item,
+                              sweep_points, trace_matrix)
 from cycbrauer.linalg import gauss_rank, primes_for_modular
 from cycbrauer.scalars import CyclotomicField, FiniteField
 from cycbrauer.wreath import compose, enumerate_group, identity
@@ -156,6 +164,32 @@ def test_trace_matrix_matches_reference(m, n, deltas):
     values, index = trace_matrix(t, F, deltas)
     assert index.shape == (t.size, t.size)
     assert _expand(values, index) == _reference_trace_matrix(t, F, deltas)
+
+
+def _m3_points():
+    """delta = 0, a generic point, a point on a hyperplane of the printed
+    locus and a fixture off the admissible locus, at m = 3."""
+    F = CyclotomicField(3)
+    return [[F.zero] * 3,
+            [F.embed(Fraction(7, 3))] + [F.embed(Fraction(-5, 4))] * 2,
+            _hyperplane_point(F, 3, 1, min(z_set(3, 2)), random.Random(0)),
+            [F.embed(1), F.embed(2), F.embed(3)]]
+
+
+@settings(max_examples=12, deadline=None)
+@given(order=st.permutations(range(4)))
+def test_one_table_serves_points_in_any_order(order):
+    # the trace plan is built once per table; what a point evaluates must
+    # not depend on the points the table served before it
+    F = CyclotomicField(3)
+    points = _m3_points()
+    shared = StructureTable(3, 2)
+    for k in order:
+        values, index = trace_matrix(shared, F, points[k])
+        assert _expand(values, index) == \
+            _reference_trace_matrix(StructureTable(3, 2), F, points[k]), k
+        with pytest.raises(ValueError):
+            index[0, 0] = 0  # the plan's index is shared, so read-only
 
 
 def _unique_trace_matrix(table, field, deltas):
@@ -447,3 +481,76 @@ def test_concordance_sweep_points_are_admissible():
                             hyperplane_points=3)
     for p in rep["points"]:
         assert p["oracle"]["admissible"], p["provenance"]
+
+
+def _cell_points(m):
+    """An admissible point, one on an n = 2 cell hyperplane (bar_0 = 0, so
+    det G = 0) and one off the admissible locus with a zeta entry."""
+    F = CyclotomicField(m)
+    free = [F.embed(Fraction(3 * a - 4, a + 2)) for a in range(m // 2 + 1)]
+    return [[free[min(a, m - a)] for a in range(m)],
+            _hyperplane_point(F, m, 0, m, random.Random(m)),
+            [F.embed(a + 2) for a in range(m - 1)] + [F.zeta + F.one]]
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in (2, 3)])
+def test_cell_det_values_match_cell_gram(m, n):
+    # the sweep side reads the table's one pairing; cell_gram builds its own
+    F = CyclotomicField(m)
+    t = StructureTable(m, n, cap=basis_size(m, n))
+    mus = [tuple((1,) if c == j and n == 3 else () for c in range(m))
+           for j in range(m if n == 3 else 1)]
+    for deltas in _cell_points(m):
+        got = _cell_det_values(t, F, deltas)
+        want = [cell_gram(m, n, mu, NumericParams(F, deltas)).det
+                for mu in mus]
+        assert [v for _, v in got] == want, (m, n, deltas)
+        assert [tag for tag, _ in got] == (
+            ["empty"] if n == 2 else
+            ["box-comp-%d" % j for j in range(1, m + 1)])
+
+
+@pytest.fixture
+def strand_calls(monkeypatch):
+    """Calls of multiply_diagrams and compose_strands, through every
+    binding of them in the package."""
+    calls = Counter()
+    for name in ("multiply_diagrams", "compose_strands"):
+        orig = getattr(diagrams, name)
+
+        def counted(*args, name=name, orig=orig):
+            calls[name] += 1
+            return orig(*args)
+        for mod in [mod for key, mod in sys.modules.items()
+                    if key.split(".")[0] == "cycbrauer"]:
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3)])
+def test_sweep_item_pairs_the_half_diagrams_once(strand_calls, m, n):
+    # one table and one cell pairing per item, (b m)^2 products with b = 1
+    # arc at n = 2 and 3 at n = 3, however many points the item has
+    StructureTable(m, n)
+    table = strand_calls["multiply_diagrams"]
+    (item,) = sweep_points([(m, n)], seed=3, generic_points=3)
+    for k in (1, len(item[2])):
+        strand_calls.clear()
+        sweep_item((m, n, item[2][:k]))
+        assert strand_calls["multiply_diagrams"] == \
+            table + ((1 if n == 2 else 3) * m) ** 2, k
+
+
+def test_fresh_verdicts_share_no_structure(strand_calls):
+    # no cache outlives a table: the tenth cold verdict traces as many
+    # strands as the first
+    F = CyclotomicField(2)
+    counts = []
+    for _ in range(10):
+        strand_calls.clear()
+        semisimple_verdict(2, 3, F, [F.one, F.embed(3)])
+        counts.append(dict(strand_calls))
+    assert counts == [counts[0]] * 10
+    assert counts[0]["multiply_diagrams"] == 36

@@ -119,6 +119,19 @@ def test_reduction_hom():
         assert hom(a + b) == (hom(a) + hom(b)) % p
 
 
+def test_modular_inverses_match_fermat():
+    # pow(x, -1, p) at the GF(p) sites, against x^(p-2) mod p
+    for p in (7, 13):
+        K = FiniteField(p, 1)
+        hom = CyclotomicField(3).reduction_hom(p)
+        for x in range(1, p):
+            fermat = pow(x, p - 2, p)
+            assert K.embed(x).inverse().coeffs == (fermat,)
+            assert K.embed(Fraction(5, x)).coeffs == (5 * fermat % p,)
+            assert hom(CyclotomicField(3).embed(Fraction(5, x))) == \
+                5 * fermat % p
+
+
 def test_prod_one_minus_roots():
     # prod_{a=1}^{m-1}(1 - zeta^a) = m for every m >= 2 (derivative of x^m-1)
     for m in range(2, 9):
