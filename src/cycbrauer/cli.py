@@ -353,13 +353,15 @@ def _is_rational(value):
 
 
 def _check_grid_item(item):
-    """A config grid item is [m, n] or {"m": m, "n": n, "deltas": [...]},
-    with m >= 1 and n >= 0 as for --pairs and m rationals per delta."""
+    """A config grid item is [m, n] or {"m": m, "n": n, "deltas": [...]}
+    (no other keys), with m >= 1 and n >= 0 as for --pairs and m rationals
+    per delta."""
     if isinstance(item, dict):
         pair, vectors = [item.get("m"), item.get("n")], item.get("deltas", [])
+        ok = set(item) <= {"m", "n", "deltas"}
     else:
-        pair, vectors = item, []
-    ok = (isinstance(pair, list) and len(pair) == 2
+        pair, vectors, ok = item, [], True
+    ok = (ok and isinstance(pair, list) and len(pair) == 2
           and _is_int(pair[0], 1) and _is_int(pair[1], 0)
           and isinstance(vectors, list)
           and all(isinstance(v, list) and len(v) == pair[0]

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from .deltapoly import SymbolicParams
 from .linalg import gauss_rank
 from .scalars import CyclotomicField, power
-from .wreath import enumerate_group, gen_s, gen_t
+from .wreath import enumerate_group, gen_s, gen_t, identity
 
 
 @dataclass(frozen=True)
@@ -66,16 +66,6 @@ class Diagram:
             "labels": list(self.labels),
         }
 
-    @classmethod
-    def from_json(cls, obj):
-        n = obj["n"]
-
-        def pt(row, i):
-            return i if row == "T" else n + i
-
-        pairs = [tuple(sorted((pt(*a), pt(*b)))) for a, b in obj["arcs"]]
-        return make_diagram(obj["m"], n, list(zip(pairs, obj["labels"])))
-
 
 def make_diagram(m, n, arc_label_pairs):
     """Canonicalize and validate a list of ((p, q), label) pairs."""
@@ -87,34 +77,21 @@ def make_diagram(m, n, arc_label_pairs):
 
 
 def identity_diagram(m, n):
-    return make_diagram(m, n, [((i, n + i), 0) for i in range(1, n + 1)])
+    return wreath_to_diagram(identity(m, n))
 
 
 def generator(m, n, name, i):
-    """Generator diagrams: 's' (transposition), 'e' (contraction), 't' (dot)."""
-    if name in ("s", "e") and not 1 <= i < n:
-        raise ValueError("index out of range")
-    if name == "t" and not 1 <= i <= n:
-        raise ValueError("index out of range")
-    arcs = []
-    if name == "s":
-        for j in range(1, n + 1):
-            if j == i:
-                arcs.append(((j, n + i + 1), 0))
-            elif j == i + 1:
-                arcs.append(((j, n + i), 0))
-            else:
-                arcs.append(((j, n + j), 0))
-    elif name == "e":
-        arcs.append(((i, i + 1), 0))
-        arcs.append(((n + i, n + i + 1), 0))
-        for j in range(1, n + 1):
-            if j not in (i, i + 1):
-                arcs.append(((j, n + j), 0))
-    else:
-        for j in range(1, n + 1):
-            arcs.append(((j, n + j), 1 % m if j == i else 0))
-    return make_diagram(m, n, arcs)
+    """Generator diagrams: 's' (transposition) and 't' (dot) embed the
+    generators of G(m,1,n); 'e' (contraction) caps strands i, i+1 at the
+    top and the bottom."""
+    if name == "e":
+        if not 1 <= i < n:
+            raise ValueError("index out of range")
+        cap = [(i, i + 1, 0)]
+        return from_awb(m, n, cap, identity(m, n - 2), cap)
+    if name not in ("s", "t"):
+        raise ValueError("unknown generator %r" % name)
+    return wreath_to_diagram((gen_s if name == "s" else gen_t)(m, n, i))
 
 
 def double_factorial(k):

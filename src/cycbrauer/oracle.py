@@ -51,7 +51,7 @@ from math import lcm, prod
 import numpy as np
 
 from . import __version__
-from .criterion import VARIANTS, decide, g_mu_values, z_set
+from .criterion import VARIANTS, bar_deltas, decide, g_mu_values, z_set
 from .diagrams import (OFF_LOCUS_NOTE, NumericParams, basis_size,
                        compose_strands, deltas_admissible, enumerate_basis)
 from .gram import cell_form, cell_pairing
@@ -346,15 +346,9 @@ def _hyperplane_point(field, m, i, k, rng):
         bars[(m - j) % m] = bars[j]
     bars[i] = field.embed((m if i == 0 else 0) - k)
     bars[(m - i) % m] = bars[i]
-    xi = field.root_of_unity(m)
+    twice = bar_deltas(field, bars)  # m delta_{-j} at j
     minv = field.embed(Fraction(1, m))
-    deltas = []
-    for j in range(m):
-        acc = field.zero
-        for ii in range(m):
-            acc = acc + bars[ii] * xi ** ((-j * ii) % m)
-        deltas.append(acc * minv)
-    return deltas
+    return [twice[-j % m] * minv for j in range(m)]
 
 
 def concordance_sweep(grid, seed=0, cap=500, generic_points=2,

@@ -14,7 +14,8 @@ zeta^k for deg <= k <= 2 deg - 2 as integer rows on the power basis
 through that table (``_fold_mul``), on Fractions for Q(zeta_m) and on
 integers taken mod p for GF(p^k).  In Q(zeta_m) a factor in Q, the bulk
 of the Gram and determinant traffic, just scales the other factor.  The
-``_poly_*`` helpers (coefficients in any field) serve inversion and the
+``_poly_*`` helpers (coefficients in any field) serve the cyclotomic
+polynomials, inversion in Q(zeta_m), the irreducibility test and the
 reduction of long input.  All arithmetic is exact; there is no floating
 point anywhere in this package.
 """
@@ -83,32 +84,17 @@ def is_prime(n):
 # polynomial helpers (coefficient lists, ascending degree)
 # ---------------------------------------------------------------------------
 
-def _int_polydiv_exact(num, den):
-    """Exact division of integer polynomials; raises if not exact."""
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        coeff = num[i + len(den) - 1]
-        if coeff % den[-1] != 0:
-            raise ArithmeticError("inexact polynomial division")
-        q[i] = coeff // den[-1]
-        for j, d in enumerate(den):
-            num[i + j] -= q[i] * d
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m):
     """Coefficients of the m-th cyclotomic polynomial (ascending, ints)."""
-    if m == 1:
-        return (-1, 1)
-    poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
+    poly = [Fraction(c) for c in [-1] + [0] * (m - 1) + [1]]  # x^m - 1
     for d in range(1, m):
         if m % d == 0:
-            poly = _int_polydiv_exact(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d),
+                                     Fraction(0))
+            if rem:
+                raise ArithmeticError("inexact polynomial division")
+    return tuple(int(c) for c in poly)
 
 
 def _prime_factors(n):
@@ -370,9 +356,6 @@ class CyclotomicField(_Field):
     def format_element(self, x):
         return ",".join(str(c) for c in x.coeffs)
 
-    def parse_element(self, text):
-        return self.element([Fraction(part) for part in text.split(",")])
-
     def reduction_hom(self, p):
         """Ring homomorphism into GF(p) (zeta -> an order-m element mod p).
         Requires p = 1 (mod m) and p prime."""
@@ -524,9 +507,6 @@ class FiniteField(_Field):
             return str(x.coeffs[0])
         return ",".join(str(c) for c in x.coeffs)
 
-    def parse_element(self, text):
-        return self.element([int(part) for part in text.split(",")])
-
 
 def _gf_xgcd(p, a, b):
     """``_poly_xgcd`` of two integer coefficient lists over GF(p)."""
@@ -598,13 +578,10 @@ class FFElt(FieldElement):
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        field, p = self.field, self.field.p
+        field = self.field
         if field.k == 1:
-            return FFElt(field, (pow(self.coeffs[0], -1, p),))
-        # extended Euclid over GF(p); the modulus is irreducible, so the gcd
-        # g is a nonzero constant
-        g, s = _gf_xgcd(p, field.modulus, self.coeffs)
-        return field.element([(c / g[0]).coeffs[0] for c in s])
+            return FFElt(field, (pow(self.coeffs[0], -1, field.p),))
+        return power(self, field.order - 2, field.one)  # x^(q-1) = 1
 
     def __hash__(self):
         return hash((self.field.p, self.field.k, self.coeffs))

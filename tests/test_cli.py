@@ -127,6 +127,27 @@ def test_concord_below_n2_has_no_cross_check_failures(tmp_path, capsys):
     assert all("cross_check_agrees" not in p["oracle"] for p in rep["points"])
 
 
+@pytest.mark.parametrize("m", ["1", "2", "3"])
+@pytest.mark.parametrize("delta", ["0", "1"])
+def test_decide_at_n0_is_semisimple(capsys, m, delta):
+    # B_{m,0} is the field, at delta = 0 too
+    for variant in ("printed-z", "combinatorial-rho", "gmu"):
+        code, obj = run_json(capsys, "decide", "--m", m, "--n", "0",
+                             "--delta", ",".join([delta] * int(m)),
+                             "--variant", variant)
+        assert code == 0 and obj["decision"] == "semisimple", obj
+
+
+@pytest.mark.parametrize("pairs", ["1,0", "2,0", "3,0;1,1"])
+def test_concord_at_n0_agrees_with_the_oracle(tmp_path, capsys, pairs):
+    out = tmp_path / "report.json"
+    code = main(["concord", "--pairs", pairs, "--out", str(out)])
+    capsys.readouterr()
+    rep = json.loads(out.read_text())
+    assert code == 0 and rep["summary"]["num_disagreements"] == 0
+    assert all(p["oracle"]["verdict"] == "semisimple" for p in rep["points"])
+
+
 # sha256 of stdout and the exit code of Gram and oracle invocations; the
 # cell Gram code may change how it computes, never what these print
 PINNED_OUTPUT = [
@@ -346,6 +367,8 @@ def test_scalar_json_has_no_repr(capsys, argv):
     ({"grid": "2,2"}, "'grid'"),
     ({"grid": [[2, 2]], "jobs": 2}, "'jobs'"),
     ({"grid": [[2, 2]], "cap": 0}, "'cap'"),
+    # a misspelt key once dropped the fixture points silently
+    ({"grid": [{"m": 2, "n": 2, "detlas": [[1, -1]]}]}, "'grid'"),
 ])
 def test_concord_rejects_malformed_config(tmp_path, capsys, cfg, key):
     path = tmp_path / "cfg.json"

@@ -1,10 +1,12 @@
 """Semisimplicity criterion: bar transform, Z sets, cell factors, verdicts."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from cycbrauer.criterion import (VARIANTS, bar_deltas, brauer_z, decide,
@@ -12,9 +14,11 @@ from cycbrauer.criterion import (VARIANTS, bar_deltas, brauer_z, decide,
                                  z_tilde)
 from cycbrauer.oracle import _hyperplane_point, semisimple_verdict
 from cycbrauer.partitions import admissible_set, multipartitions
-from cycbrauer.scalars import CyclotomicField, FiniteField
+from cycbrauer.scalars import (CyclotomicField, FiniteField, NoRootError,
+                               field_with_root)
 
 Q = CyclotomicField(1)
+REPORT = Path(__file__).resolve().parent.parent / "reports" / "concordance.json"
 
 
 def test_bar_deltas_m2():
@@ -25,18 +29,26 @@ def test_bar_deltas_m2():
     assert bars[1] == a - b
 
 
+def _reference_inverse(field, bars):
+    """The inverse bar transform as the loop the sweep once ran:
+    delta_j = (1/m) sum_i bar_i xi^{-ji}."""
+    m = len(bars)
+    xi = field.root_of_unity(m)
+    minv = field.embed(Fraction(1, m))
+    deltas = []
+    for j in range(m):
+        acc = field.zero
+        for i in range(m):
+            acc = acc + bars[i] * xi ** ((-j * i) % m)
+        deltas.append(acc * minv)
+    return deltas
+
+
 def test_bar_deltas_inverts():
     # the transform is a bijection: recover deltas by the inverse transform
     F = CyclotomicField(3)
     deltas = [F.embed(Fraction(1, 2)), F.embed(2), F.embed(-7)]
-    bars = bar_deltas(F, deltas)
-    xi = F.root_of_unity(3)
-    minv = F.embed(Fraction(1, 3))
-    for j in range(3):
-        acc = F.zero
-        for i in range(3):
-            acc = acc + bars[i] * xi ** ((-j * i) % 3)
-        assert acc * minv == deltas[j]
+    assert _reference_inverse(F, bar_deltas(F, deltas)) == deltas
 
 
 def test_z_tilde_printed_small():
@@ -205,3 +217,99 @@ def test_decide_rejects_bad_input():
         decide(2, 2, Q, [Q.one], "printed-z")
     with pytest.raises(ValueError):
         decide(2, 2, CyclotomicField(2), [0, 0], "no-such-variant")
+
+
+def _reference_hyperplane_point(field, m, i, k, rng):
+    """oracle._hyperplane_point with its own inverse loop."""
+    bars = [None] * m
+    for j in range(m // 2 + 1):
+        bars[j] = field.embed(rng.randint(2 * m + 1, 6 * m))
+        bars[(m - j) % m] = bars[j]
+    bars[i] = field.embed((m if i == 0 else 0) - k)
+    bars[(m - i) % m] = bars[i]
+    return _reference_inverse(field, bars)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_hyperplane_point_matches_the_inverse_loop(m):
+    F = CyclotomicField(m)
+    for i in range(m // 2 + 1):
+        for k in (-2 * m, 0, m, 3 * m):
+            rng, ref_rng = random.Random(m * 100 + i), random.Random(m * 100 + i)
+            deltas = _hyperplane_point(F, m, i, k, rng)
+            assert deltas == _reference_hyperplane_point(F, m, i, k, ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
+            bars = bar_deltas(F, deltas)
+            assert F.embed(m if i == 0 else 0) - bars[i] == F.embed(k)
+
+
+# no explain phase: it traces every line of a failing case, which turns a
+# failure of this Fraction-heavy test into minutes of tracing
+@settings(max_examples=60, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(data=st.data(), m=st.integers(1, 7))
+def test_bar_transform_inverts_irrational_bars(data, m):
+    # applied to a bar vector the transform gives m delta_{-j}: the inverse
+    F = CyclotomicField(m)
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    bars = [F.element(data.draw(st.lists(coeff, min_size=F.degree,
+                                         max_size=F.degree)))
+            for _ in range(m)]
+    twice = bar_deltas(F, bars)
+    deltas = [twice[-j % m] / m for j in range(m)]
+    assert deltas == _reference_inverse(F, bars)
+    assert bar_deltas(F, deltas) == bars
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_decide_at_n0_matches_the_oracle(m):
+    # B_{m,0} is the field (and B_{m,1} the group algebra of Z/m):
+    # semisimple in characteristic 0 in every variant, at delta = 0 too
+    F = CyclotomicField(m)
+    generic = [F.embed(Fraction(355, 113 + min(j, m - j))) for j in range(m)]
+    for n in (0, 1):
+        for deltas in ([F.zero] * m, generic):
+            oracle = semisimple_verdict(m, n, F, deltas)["verdict"]
+            assert oracle == "semisimple"
+            for variant in VARIANTS:
+                v = decide(m, n, F, deltas, variant)
+                assert v.decision == oracle and v.reasons == [], (n, variant)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4), n=st.integers(0, 6),
+       p=st.sampled_from([0, 2, 3, 5, 7, 11, 13]))
+def test_gmu_and_combinatorial_rho_always_agree(data, m, n, p):
+    # g_{lambda,mu} vanishes iff one of its factors m eps_{i,0} - bar_i - m c
+    # does, and the combinatorial Z_{m,n} is m times the same contents
+    if p == 0:
+        F = CyclotomicField(m)
+        i = data.draw(st.integers(0, m // 2))
+        content = data.draw(st.one_of(st.none(), st.integers(-6, 6)))
+        if content is None:
+            deltas = [F.embed(data.draw(st.fractions(
+                min_value=-9, max_value=9, max_denominator=9)))
+                for _ in range(m)]
+        else:
+            deltas = _hyperplane_point(F, m, i, m * content,
+                                       random.Random(data.draw(st.integers())))
+    else:
+        try:
+            F = field_with_root(p, m)
+        except NoRootError:  # p divides m: no bar transform
+            return
+        deltas = [F.element(data.draw(st.lists(st.integers(0, p - 1),
+                                               min_size=F.degree,
+                                               max_size=F.degree)))
+                  for _ in range(m)]
+    assert decide(m, n, F, deltas, "gmu").decision == \
+        decide(m, n, F, deltas, "combinatorial-rho").decision
+
+
+def test_gmu_and_combinatorial_rho_agree_on_the_report():
+    with open(REPORT) as fh:
+        points = json.load(fh)["points"]
+    assert len(points) == 46
+    for p in points:
+        assert p["criteria"]["gmu"]["decision"] == \
+            p["criteria"]["combinatorial-rho"]["decision"], p["deltas"]

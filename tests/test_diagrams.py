@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycbrauer.diagrams import (Diagram, DiagramAlgebra, NumericParams,
+from cycbrauer.diagrams import (DiagramAlgebra, NumericParams,
                                 SymbolicParams, associativity_check,
                                 associativity_witness, basis_size,
                                 compose_strands, enumerate_basis, from_awb,
@@ -41,9 +41,39 @@ def test_dimension_counts():
                 assert len(enumerate_basis(m, n)) == basis_size(m, n)
 
 
-def test_json_roundtrip():
-    for d in enumerate_basis(3, 2):
-        assert Diagram.from_json(d.to_json()) == d
+def reference_generator(m, n, name, i):
+    """The generator diagrams as hand-written arc lists, the construction
+    that generator replaced by the group elements and the cap e_i."""
+    arcs = []
+    for j in range(1, n + 1):
+        if name == "s" and j in (i, i + 1):
+            arcs.append(((j, n + (2 * i + 1 - j)), 0))
+        elif name == "e" and j in (i, i + 1):
+            continue
+        else:
+            arcs.append(((j, n + j), 1 % m if name == "t" and j == i else 0))
+    if name == "e":
+        arcs += [((i, i + 1), 0), ((n + i, n + i + 1), 0)]
+    return make_diagram(m, n, arcs)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_generators_equal_the_arc_lists(m):
+    for n in range(6):
+        assert identity_diagram(m, n) == make_diagram(
+            m, n, [((j, n + j), 0) for j in range(1, n + 1)])
+        for name, top in (("s", n - 1), ("e", n - 1), ("t", n)):
+            for i in range(1, top + 1):
+                assert generator(m, n, name, i) == \
+                    reference_generator(m, n, name, i)
+
+
+@pytest.mark.parametrize("name,i", [("x", 1), ("S", 1), ("", 1), ("s", 0),
+                                    ("s", 3), ("e", 3), ("t", 0), ("t", 4)])
+def test_generator_rejects_unknown_names_and_indices(name, i):
+    # an unknown name once fell through to t_i
+    with pytest.raises(ValueError):
+        generator(2, 3, name, i)
 
 
 def test_make_diagram_validates():

@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import of the package is used, every
 module-level private name is referenced somewhere in the package, and so is
-every public module-level function or class, bar a short list that only
-tests, the benchmark or the README use."""
+every public module-level function or class and every method or property
+of a module-level class, bar a short list that only tests, the benchmark
+or the README use."""
 
 import ast
 from pathlib import Path
@@ -133,3 +134,47 @@ def test_no_unreferenced_public_names():
     sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
     assert [d for d in unreferenced_public_names(sources)
             if d[2] not in NO_SRC_CALLER] == []
+
+
+def unreferenced_methods(sources):
+    """Methods and properties (not dunders) of module-level classes whose
+    name no source in ``sources`` (a {module: text} map) reads or takes as
+    an attribute, as sorted (module, line, "Class.name") triples."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.lineno, "%s.%s" % (cls.name, node.name))
+                    for cls in tree.body if isinstance(cls, ast.ClassDef)
+                    for node in cls.body
+                    if isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("__")]
+        used |= _references(tree)
+    return sorted(d for d in defined if d[2].split(".")[1] not in used)
+
+
+def test_unreferenced_methods_detected():
+    sources = {"a": "class K:\n    def f(self):\n        return self._g()\n"
+                    "    def _g(self):\n        pass\n"
+                    "    @property\n    def h(self):\n        pass\n"
+                    "    def __eq__(self, other):\n        pass\n",
+               "b": "def f(k):\n    return k.f()\n"}
+    assert unreferenced_methods(sources) == [("a", 7, "K.h")]
+
+
+# methods and properties that no src/ module uses, each with its reason
+METHOD_NO_SRC_CALLER = {
+    # the verdict as a bool, for library callers and the tests
+    "Verdict.semisimple",
+    # the involutions on algebra elements, which the acceptance checks run
+    "AlgebraElement.star",
+    "AlgebraElement.iota",
+    # the ring map into GF(p) that the scalar tests check CycElt
+    # arithmetic against
+    "CyclotomicField.reduction_hom",
+}
+
+
+def test_no_unreferenced_methods():
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert [d for d in unreferenced_methods(sources)
+            if d[2] not in METHOD_NO_SRC_CALLER] == []

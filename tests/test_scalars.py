@@ -9,6 +9,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from cycbrauer import scalars
 from cycbrauer.deltapoly import SymbolicParams
 from cycbrauer.diagrams import symbolic_algebra
 from cycbrauer.scalars import (CycElt, CyclotomicField, FiniteField,
@@ -59,9 +60,26 @@ def test_cyclotomic_polynomials():
     assert list(cyclotomic_polynomial(4)) == [1, 0, 1]
     assert list(cyclotomic_polynomial(6)) == [1, -1, 1]
     assert list(cyclotomic_polynomial(12)) == [1, 0, -1, 0, 1]
-    for m in range(1, 30):
+    for m in range(1, 31):
+        phi = cyclotomic_polynomial(m)
         totient = sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
-        assert len(cyclotomic_polynomial(m)) - 1 == totient
+        assert len(phi) - 1 == totient
+        assert all(type(c) is int for c in phi)
+        # x^m - 1 is the product of the Phi_d over the divisors d of m
+        product = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                product = _poly_mul(product, list(cyclotomic_polynomial(d)), 0)
+        assert product == [-1] + [0] * (m - 1) + [1]
+
+
+def test_cyclotomic_polynomial_raises_on_inexact_division(monkeypatch):
+    # a wrong factor (x + 1 for Phi_1) leaves a remainder in x^3 - 1
+    real = scalars.cyclotomic_polynomial
+    monkeypatch.setattr(scalars, "cyclotomic_polynomial",
+                        lambda d: (1, 1) if d == 1 else real(d))
+    with pytest.raises(ArithmeticError):
+        real.__wrapped__(3)
 
 
 def test_root_of_unity_orders():
@@ -71,13 +89,6 @@ def test_root_of_unity_orders():
         assert z ** m == F.one
         for k in range(1, m):
             assert z ** k != F.one
-
-
-def test_parse_format_roundtrip():
-    F = CyclotomicField(5)
-    rng = random.Random(3)
-    for x in random_elements(F, rng, 10):
-        assert F.parse_element(F.format_element(x)) == x
 
 
 @pytest.mark.parametrize("x", [
@@ -263,6 +274,25 @@ def reference_inverse(a):
     F = a.field
     g, s = _poly_xgcd(F.modulus, a.coeffs, Fraction(0), Fraction(1))
     return F.element([x / g[0] for x in s])
+
+
+def reference_ff_inverse(a):
+    """The extended Euclid inverse over GF(p) that GF(p^k), k > 1, used
+    before a^(q-2)."""
+    F = a.field
+    gf = FiniteField(F.p, 1)
+    g, s = _poly_xgcd([gf.embed(c) for c in F.modulus],
+                      [gf.embed(c) for c in a.coeffs], gf.zero, gf.one)
+    return F.element([(c / g[0]).coeffs[0] for c in s])
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 5, 7)
+                                 for k in (1, 2, 3)])
+def test_ff_inverse_matches_euclid(p, k):
+    F = FiniteField(p, k)
+    for a in F.elements():
+        if a:
+            assert a.inverse().coeffs == reference_ff_inverse(a).coeffs
 
 
 def make_element(F, kind, coeffs):
