@@ -31,8 +31,7 @@ from dataclasses import dataclass, field as dfield
 from functools import lru_cache
 from math import factorial, prod
 
-from .partitions import admissible_set, multipartitions, partitions, \
-    add_two_boxes_not_same_column
+from .partitions import admissible_set, multipartitions
 
 VARIANTS = ("printed-z", "combinatorial-rho", "gmu")
 
@@ -57,8 +56,7 @@ def z_tilde(m, n, variant="printed"):
 
     printed: {3-n..n-3} u {2k-3 | 3<=k<=n}, plus {2-n, n-2} when m >= 3.
     combinatorial: content sums over admissible two-box extensions of the
-    m-multipartitions of n-2 (for m = 1: two-box distinct-column extensions
-    of partitions of k-2 over all 2 <= k <= n).
+    m-multipartitions of n-2 (for m = 1, of k-2 over all 2 <= k <= n).
     """
     if n < 2:
         raise ValueError("n >= 2 required")
@@ -69,17 +67,8 @@ def z_tilde(m, n, variant="printed"):
         return frozenset(out)
     if variant != "combinatorial":
         raise ValueError("unknown variant %r" % variant)
-    out = set()
-    if m == 1:
-        for k in range(2, n + 1):
-            for mu in partitions(k - 2):
-                for _, c in add_two_boxes_not_same_column(mu):
-                    out.add(c)
-        return frozenset(out)
-    for mu in multipartitions(m, n - 2):
-        for pair in admissible_set(mu, m):
-            out.add(pair.content)
-    return frozenset(out)
+    return frozenset().union(*(_mu_contents(m, k)[1]
+                               for k in (range(2, n + 1) if m == 1 else (n,))))
 
 
 def z_set(m, n, variant="printed"):

@@ -1,8 +1,13 @@
-"""Multivariate polynomials in the loop parameters delta_0..delta_{m-1}.
+"""Sparse linear combinations, and the polynomials in the loop parameters
+delta_0..delta_{m-1} built on them.
 
-Sparse representation: a map from exponent vectors (length-m tuples of
-non-negative ints) to nonzero scalars of a base field.  Used for symbolic
-Gram matrices and symbolic determinants at small sizes.
+LinearCombination is the one sparse type: a map from basis keys to nonzero
+coefficients in a ring, with the ring's sum, negation, equality and powers.
+Two subclasses add their own basis product: DeltaPoly, whose keys are
+exponent vectors (length-m tuples of non-negative ints) over a base field,
+and diagrams.AlgebraElement, whose keys are basis diagrams.  Delta
+polynomials are the coefficients of symbolic Gram matrices and symbolic
+determinants at small sizes.
 """
 
 from __future__ import annotations
@@ -12,6 +17,77 @@ from fractions import Fraction
 from math import prod
 
 from .scalars import CyclotomicField, FieldElement, power
+
+
+class LinearCombination:
+    """Sparse linear combination of basis keys, an element of ``ring``;
+    terms never store zero coefficients.  Operands must share the ring
+    object: one of another ring raises ValueError.  A subclass lists in
+    ``_scalars`` the scalar types its ring embeds (through ``ring.embed``);
+    any other operand gives NotImplemented."""
+
+    __slots__ = ("ring", "terms")
+    _scalars = ()
+
+    def __init__(self, ring, terms):
+        self.ring = ring
+        self.terms = terms
+
+    def _coerce(self, other):
+        if other.__class__ is self.__class__:
+            if other.ring is not self.ring:
+                raise ValueError("mixed rings %r and %r"
+                                 % (self.ring, other.ring))
+            return other
+        if isinstance(other, self._scalars):
+            return self.ring.embed(other)
+        return None
+
+    def _collect(self, items):
+        """The combination sum c * key over (key, c) pairs."""
+        terms = {}
+        for key, c in items:
+            s = terms.get(key)
+            terms[key] = c if s is None else s + c
+        return self.__class__(self.ring, {k: c for k, c in terms.items() if c})
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        terms = dict(self.terms)
+        for key, c in o.terms.items():
+            s = terms.get(key)
+            s = c if s is None else s + c
+            if s:
+                terms[key] = s
+            else:
+                del terms[key]
+        return self.__class__(self.ring, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self.__class__(self.ring,
+                              {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __pow__(self, k):
+        return power(self, k, self.ring.one)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.terms == o.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
 
 class SymbolicParams:
@@ -47,89 +123,22 @@ class SymbolicParams:
         return DeltaPoly(self, {tuple(exp): self.field.one})
 
 
-class DeltaPoly:
-    """Element of the ring of a SymbolicParams.  Terms never store zero
-    coefficients."""
+class DeltaPoly(LinearCombination):
+    """Element of the ring of a SymbolicParams: exponent vectors to field
+    coefficients.  Ints, Fractions and field elements are constants."""
 
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring, terms):
-        self.ring = ring
-        self.terms = terms
-
-    def _coerce(self, other):
-        if isinstance(other, DeltaPoly):
-            if other.ring is not self.ring:
-                raise ValueError("mixed delta rings")
-            return other
-        if isinstance(other, (int, Fraction, FieldElement)):
-            return self.ring.embed(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for e, c in o.terms.items():
-            s = terms.get(e)
-            s = c if s is None else s + c
-            if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
-        return DeltaPoly(self.ring, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DeltaPoly(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+    __slots__ = ()
+    _scalars = (int, Fraction, FieldElement)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(map(operator.add, e1, e2))
-                c = c1 * c2
-                s = terms.get(e)
-                s = c if s is None else s + c
-                if s:
-                    terms[e] = s
-                elif e in terms:
-                    del terms[e]
-        return DeltaPoly(self.ring, terms)
+        return self._collect((tuple(map(operator.add, e1, e2)), c1 * c2)
+                             for e1, c1 in self.terms.items()
+                             for e2, c2 in o.terms.items())
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        return power(self, k, self.ring.one)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def evaluate(self, deltas):
         """Evaluate at a point (sequence of field elements, length m)."""

@@ -35,9 +35,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .deltapoly import SymbolicParams
+from .deltapoly import LinearCombination, SymbolicParams
 from .linalg import gauss_rank
-from .scalars import CyclotomicField, power
+from .scalars import CyclotomicField
 from .wreath import enumerate_group, gen_s, gen_t, identity
 
 
@@ -106,10 +106,12 @@ def basis_size(m, n):
     return m ** n * double_factorial(2 * n - 1)
 
 
-def enumerate_basis(m, n, cap=10 ** 5):
-    """All m^n (2n-1)!! normal-form diagrams, deterministic order."""
-    if basis_size(m, n) > cap:
-        raise ValueError("basis size %d exceeds cap %d" % (basis_size(m, n), cap))
+def enumerate_basis(m, n):
+    """All m^n (2n-1)!! normal-form diagrams, deterministic order; refused
+    above 10^5 of them."""
+    if basis_size(m, n) > 10 ** 5:
+        raise ValueError("basis size %d exceeds cap %d"
+                         % (basis_size(m, n), 10 ** 5))
     out = []
 
     def matchings(points):
@@ -269,101 +271,68 @@ class NumericParams:
         return self.deltas[a % self.m]
 
 
-class AlgebraElement:
-    """Sparse linear combination of basis diagrams with scalar or symbolic
-    coefficients; zero coefficients are never stored."""
+def times_loops(params, c, loops):
+    """c times delta_a for each closed loop of label a."""
+    for a in loops:
+        c = c * params.delta(a)
+    return c
 
-    __slots__ = ("m", "n", "params", "terms")
 
-    def __init__(self, m, n, params, terms):
-        self.m = m
-        self.n = n
-        self.params = params
-        self.terms = {d: c for d, c in terms.items() if c}
+class AlgebraElement(LinearCombination):
+    """Element of a DiagramAlgebra: basis diagrams to coefficients, field
+    elements or delta polynomials as the algebra's params give them."""
 
-    @classmethod
-    def of(cls, params, diagram, coeff=None):
-        c = params.one if coeff is None else coeff
-        return cls(diagram.m, diagram.n, params, {diagram: c})
-
-    def _check(self, other):
-        if (self.m, self.n) != (other.m, other.n) or self.params is not other.params:
-            raise ValueError("mismatched algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for d, c in other.terms.items():
-            s = terms.get(d)
-            terms[d] = c if s is None else s + c
-        return AlgebraElement(self.m, self.n, self.params, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return AlgebraElement(self.m, self.n, self.params,
-                              {d: -c for d, c in self.terms.items()})
+    __slots__ = ()
 
     def scale(self, scalar):
-        return AlgebraElement(self.m, self.n, self.params,
-                              {d: c * scalar for d, c in self.terms.items()})
+        return AlgebraElement(self.ring, {d: c * scalar
+                                          for d, c in self.terms.items()}
+                              if scalar else {})
 
     def __mul__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return self.scale(other)
-        self._check(other)
-        params = self.params
-        terms = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
-                prod, loops = multiply_diagrams(d1, d2)
-                c = c1 * c2
-                for a in loops:
-                    c = c * params.delta(a)
-                if not c:
-                    continue
-                s = terms.get(prod)
-                terms[prod] = c if s is None else s + c
-        return AlgebraElement(self.m, self.n, params, terms)
-
-    def __pow__(self, k):
-        return power(self, k, AlgebraElement.of(
-            self.params, identity_diagram(self.m, self.n)))
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return (self.m, self.n) == (other.m, other.n) and self.terms == other.terms
+        params = self.ring.params
+
+        def products():
+            for d1, c1 in self.terms.items():
+                for d2, c2 in o.terms.items():
+                    d, loops = multiply_diagrams(d1, d2)
+                    yield d, times_loops(params, c1 * c2, loops)
+
+        return self._collect(products())
 
     def star(self):
-        return AlgebraElement(self.m, self.n, self.params,
-                              {star_diagram(d): c for d, c in self.terms.items()})
+        return AlgebraElement(self.ring, {star_diagram(d): c
+                                          for d, c in self.terms.items()})
 
     def iota(self):
-        return AlgebraElement(self.m, self.n, self.params,
-                              {iota_diagram(d): c for d, c in self.terms.items()})
+        return AlgebraElement(self.ring, {iota_diagram(d): c
+                                          for d, c in self.terms.items()})
 
     def coefficient(self, diagram):
-        return self.terms.get(diagram, self.params.zero)
+        return self.terms.get(diagram, self.ring.params.zero)
 
     def __repr__(self):
-        return "AlgebraElement(m=%d, n=%d, %d terms)" % (self.m, self.n, len(self.terms))
+        return "AlgebraElement(m=%d, n=%d, %d terms)" % (
+            self.ring.m, self.ring.n, len(self.terms))
 
 
 class DiagramAlgebra:
-    """Convenience handle bundling (m, n, params)."""
+    """B_{m,n} over the loop parameters ``params``: the ring of its
+    AlgebraElements, with the identity ``one``."""
 
     def __init__(self, m, n, params):
         self.m = m
         self.n = n
         self.params = params
+        self.one = self.element(identity_diagram(m, n))
 
     def element(self, diagram, coeff=None):
-        return AlgebraElement.of(self.params, diagram, coeff)
-
-    def one(self):
-        return self.element(identity_diagram(self.m, self.n))
+        """``coeff`` (default 1) times the basis diagram."""
+        c = self.params.one if coeff is None else coeff
+        return AlgebraElement(self, {diagram: c} if c else {})
 
     def s(self, i):
         return self.element(generator(self.m, self.n, "s", i))
@@ -378,8 +347,8 @@ class DiagramAlgebra:
         return self.element(wreath_to_diagram(w))
 
 
-def symbolic_algebra(m, n, field=None, symmetric=False):
-    return DiagramAlgebra(m, n, SymbolicParams(m, field, symmetric=symmetric))
+def symbolic_algebra(m, n):
+    return DiagramAlgebra(m, n, SymbolicParams(m))
 
 
 def verify_prop_eta(m):
@@ -397,7 +366,7 @@ def verify_prop_eta(m):
     alg = DiagramAlgebra(m, 2, NumericParams(field, [0] * m))
     z = field.zeta
     u = {j: z ** j for j in range(1, m + 1)}
-    one = alg.one()
+    one = alg.one
     t1 = alg.embed_wreath(gen_t(m, 2, 1))
     t2 = alg.embed_wreath(gen_t(m, 2, 2))
     s1 = alg.embed_wreath(gen_s(m, 2, 1))
@@ -450,7 +419,7 @@ def verify_relations(m, n):
     """Evaluate every instance of the 17 defining relations; returns a list
     of {"relation", "indices", "ok"} dicts (failures included, never raised)."""
     alg = symbolic_algebra(m, n)
-    one = alg.one()
+    one = alg.one
     d0 = alg.params.delta(0)
     results = []
 

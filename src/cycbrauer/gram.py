@@ -20,9 +20,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dfield
 
-from .deltapoly import DeltaPoly, SymbolicParams
+from .deltapoly import SymbolicParams
 from .diagrams import (from_awb, generator, iota_diagram, is_admissible,
-                       multiply_diagrams, star_diagram)
+                       multiply_diagrams, star_diagram, times_loops)
 from .linalg import gauss_det, gauss_rank, minor_det
 from .partitions import check_multipartition
 from .scalars import CyclotomicField
@@ -61,13 +61,6 @@ def v_basis(m, n, cap=5000):
             for lab in range(m) for w in group]
 
 
-def _times_loops(params, c, loops):
-    """c times delta_a for each closed loop of label a."""
-    for a in loops:
-        c = c * params.delta(a)
-    return c
-
-
 def gram_big(m, n, params, cap=5000):
     """The f x f iota-form matrix on V: entry (x, y) is the coefficient of
     e_{n-1} in iota(x) * y, one diagram product per entry."""
@@ -76,7 +69,7 @@ def gram_big(m, n, params, cap=5000):
 
     def entry(x_iota, y):
         prod, loops = multiply_diagrams(x_iota, y)
-        return _times_loops(params, params.one, loops) if prod == e \
+        return times_loops(params, params.one, loops) if prod == e \
             else params.zero
 
     entries = [[entry(x, y) for y in basis] for x in map(iota_diagram, basis)]
@@ -204,7 +197,7 @@ def cell_pairing(m, n):
     (r0, loops) when star(v_x) * v_y is the loops' deltas times
     alpha_0 (x) t^r0 (x) alpha_0.  Any other product raises ValueError."""
     if n not in (2, 3):
-        raise ValueError("cells with n - 2 > 1 unsupported")
+        raise ValueError("cell Gram matrices need n = 2 or 3, got n = %d" % n)
     alpha0 = [(n - 1, n, 0)]
     unit = identity(m, n - 2)
     half = [from_awb(m, n, [arc + (k,)], unit, alpha0)
@@ -241,7 +234,7 @@ def cell_form(m, n, mu, params, pairing, compute_det=True):
         weight = [field.embed(m) * xi ** (l * (r - 1) % m) for r in range(m)]
     weight = [params.one * w for w in weight]
     half, pairs = pairing
-    entries = [[_times_loops(params, weight[r0], loops) for r0, loops in row]
+    entries = [[times_loops(params, weight[r0], loops) for r0, loops in row]
                for row in pairs]
     gm = GramMatrix("cellular-form", len(half), entries, half)
     if compute_det:
@@ -288,10 +281,11 @@ def _cell_det(entries, m, params):
     return det
 
 
-def single_box_gram(m, params=None):
+def single_box_gram(m):
     """The 3m x 3m cell Gram matrix at n = 3, mu the box in component 1,
-    compared entrywise with the block form [[0,A,A],[A,0,A],[A,A,0]],
-    A = m * ones, which the evaluation at delta = 0 is expected to match.
+    over Q(zeta_m)[delta], compared entrywise with the block form
+    [[0,A,A],[A,0,A],[A,A,0]], A = m * ones, which the evaluation at
+    delta = 0 is expected to match.
 
     Returns (GramMatrix, report) where the report states whether the block
     form holds identically in delta or only at delta = 0, lists mismatches,
@@ -299,8 +293,7 @@ def single_box_gram(m, params=None):
     """
     if m < 2:
         raise ValueError("m >= 2 required")
-    if params is None:
-        params = SymbolicParams(m, CyclotomicField(m))
+    params = SymbolicParams(m, CyclotomicField(m))
     mu = tuple([(1,)] + [()] * (m - 1))
     gm = cell_gram(m, 3, mu, params, compute_det=False)
     field = params.field
@@ -314,12 +307,9 @@ def single_box_gram(m, params=None):
         for c in range(3 * m):
             want = field.zero if r // m == c // m else a
             x = gm.entries[r][c]
-            if isinstance(x, DeltaPoly):
-                val = x.evaluate(zeros)
-                if x != x.ring.embed(val):
-                    identical = False
-            else:
-                val = x
+            val = x.evaluate(zeros)
+            if x != params.embed(val):
+                identical = False
             row.append(val)
             if val != want:
                 mismatches.append({"row": r, "col": c, "got": str(val),

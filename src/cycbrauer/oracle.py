@@ -329,8 +329,8 @@ def semisimple_verdict(m, n, field, deltas, table=None, cap=500):
 # concordance sweep
 # ---------------------------------------------------------------------------
 
-def _random_rational(rng, den_max=1000):
-    return Fraction(rng.randint(-999, 999), rng.randint(1, den_max))
+def _random_rational(rng):
+    return Fraction(rng.randint(-999, 999), rng.randint(1, 1000))
 
 
 def _hyperplane_point(field, m, i, k, rng):

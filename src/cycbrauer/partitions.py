@@ -176,13 +176,13 @@ def admissible_set(mu, m):
     return out
 
 
-def t_set(a, cap=64):
-    """One-box addition contents over all partitions of size a.
+def t_set(a):
+    """One-box addition contents over all partitions of size a, 0 <= a <= 64.
 
     Returns (brute force set, closed form set, equal flag).  Closed form:
     {0} for a = 0; [-a, a] minus 0 for a in {1, 2}; [-a, a] otherwise.
     """
-    if a < 0 or a > cap:
+    if not 0 <= a <= 64:
         raise ValueError("a out of range")
     brute = set()
     for p in partitions(a):

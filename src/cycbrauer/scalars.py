@@ -10,14 +10,14 @@ The coefficient tower used everywhere else in the package:
 
 Both moduli are monic over Z, so each field builds a fold table once:
 zeta^k for deg <= k <= 2 deg - 2 as integer rows on the power basis
-(``_fold_table``).  A product is a schoolbook convolution and one pass
-through that table (``_fold_mul``), on Fractions for Q(zeta_m) and on
-integers taken mod p for GF(p^k).  In Q(zeta_m) a factor in Q, the bulk
-of the Gram and determinant traffic, just scales the other factor.  The
-``_poly_*`` helpers (coefficients in any field) serve the cyclotomic
-polynomials, inversion in Q(zeta_m), the irreducibility test and the
-reduction of long input.  All arithmetic is exact; there is no floating
-point anywhere in this package.
+(``_fold_table``).  A product is the schoolbook convolution ``_poly_mul``
+and one pass through that table (``_fold_mul``), on Fractions for
+Q(zeta_m) and on integers taken mod p for GF(p^k).  In Q(zeta_m) a factor
+in Q, the bulk of the Gram and determinant traffic, just scales the other
+factor.  The ``_poly_*`` helpers (coefficients in any field) also serve
+the cyclotomic polynomials, inversion in Q(zeta_m), the irreducibility
+test and the reduction of long input.  All arithmetic is exact; there
+is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -139,11 +139,7 @@ def _fold_mul(a, b, fold, zero):
     """Product of two reduced power-basis vectors: the schoolbook
     convolution, then each zeta^k (k >= deg) replaced by its fold row."""
     d = len(a)
-    out = [zero] * (2 * d - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+    out = _poly_mul(a, b, zero)
     for c, row in zip(out[d:], fold):
         if c:
             for j, r in enumerate(row):
@@ -188,7 +184,7 @@ def _poly_divmod(num, den, zero):
 def _poly_mul(a, b, zero):
     out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x != zero:
+        if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
@@ -228,8 +224,12 @@ class _Field:
 
     def coerce(self, x):
         """``x`` in this field: ints and Fractions are embedded, its own
-        elements pass, another field's raise ValueError, others give None."""
-        return self.zero._coerce(x)
+        elements pass, another field's raise ValueError and anything else
+        (a float or a numpy integer, say) raises TypeError."""
+        out = self.zero._coerce(x)
+        if out is None:
+            raise TypeError("%r is not a scalar of %r" % (x, self))
+        return out
 
 
 class FieldElement:

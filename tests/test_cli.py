@@ -203,6 +203,15 @@ PINNED_OUTPUT = [
      "5ae2407d75161036f59c881658f46f559c5891cd4c3d0a4609c047663c44f9f5"),
     (("gram", "--m", "2", "--n", "2", "--char", "5"), 0,
      "09b79302ea152f47a36196da3c4f9fb8f92b18a58a5b0a6438a878cb92123841"),
+    # symbolic above 12 x 12: the entries, and "det": null
+    (("cell-gram", "--m", "5", "--n", "3", "--mu", "[[1],[],[],[],[]]"), 0,
+     "8995cfe994e092de726508dce3719d529c6db00caac7662932d093ab1bb73f85"),
+    (("gmu", "--m", "2", "--n", "4", "--delta", "1,2"), 0,
+     "3cbca911aef29998be0c324300f3315ed8f08df169357c4a9c8fc2fd797b2cc3"),
+    (("admissible", "--m", "2", "--mu", "[[1],[]]"), 0,
+     "7567a87f605a9c52b661316b60e451f171d6dfed6124e50e836be779c79e2fdc"),
+    (("group", "--m", "2", "--n", "2", "--list"), 0,
+     "0b97d07370912997e9d329164a935a73d9bb1094687c622b2d0132f0b35eb76e"),
 ]
 
 
@@ -212,6 +221,52 @@ def test_pinned_output_bytes(capsys, argv, want_code, want_sha):
     code, out = run(capsys, *argv)
     assert code == want_code
     assert hashlib.sha256(out.encode()).hexdigest() == want_sha
+
+
+def test_symbolic_cell_gram_above_12_has_no_det(capsys):
+    code, obj = run_json(capsys, "cell-gram", "--m", "5", "--n", "3",
+                         "--mu", "[[1],[],[],[],[]]")
+    assert code == 0 and obj["size"] == 15 and obj["det"] is None
+
+
+def test_admissible_by_hand(capsys):
+    # mu = ((1), ()) at m = 2: two boxes in component 2 in distinct
+    # columns give (2), content 0 + 1; two in component m/2 = 1 give (3),
+    # content 1 + 2, and (2, 1), content 1 - 1; (1, 1) and (1, 1, 1) stack
+    # two boxes in one column
+    code, obj = run_json(capsys, "admissible", "--m", "2", "--mu", "[[1],[]]")
+    assert code == 0
+    assert obj == [{"lambda": [[1], [2]], "condition": 1, "content": 1},
+                   {"lambda": [[3], []], "condition": 4, "content": 3},
+                   {"lambda": [[2, 1], []], "condition": 4, "content": 0}]
+
+
+def test_gmu_by_hand(capsys):
+    # m = n = 2, delta = (1, 2): bar = (delta_1 + delta_0, -delta_1 + delta_0)
+    # = (3, -1); mu = ((), ()) has two admissible pairs, both of content 1,
+    # each giving (bar_0 - 2 + 2) * (bar_1 + 2) = 3, so g_mu = 9
+    code, obj = run_json(capsys, "gmu", "--m", "2", "--n", "2",
+                         "--delta", "1,2")
+    assert code == 0
+    assert obj == {"m": 2, "n": 2, "values": [{"mu": [[], []], "g_mu": "9"}]}
+
+
+def test_group_list(capsys):
+    code, obj = run_json(capsys, "group", "--m", "2", "--n", "2", "--list")
+    assert code == 0 and obj["order"] == 8
+    assert obj["elements"] == [{"perm": list(p), "colors": list(c)}
+                               for p in ((1, 2), (2, 1))
+                               for c in ((0, 0), (0, 1), (1, 0), (1, 1))]
+
+
+@pytest.mark.parametrize("n,mu", [("0", "[[],[]]"), ("1", "[[],[]]"),
+                                  ("4", "[[1,1],[]]")])
+def test_cell_gram_names_the_supported_n(capsys, n, mu):
+    code = main(["cell-gram", "--m", "2", "--n", n, "--mu", mu])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == ("error: cell Gram matrices need n = 2 or 3, "
+                            "got n = %s\n" % n)
 
 
 def test_oracle_rejects_char_p(capsys):

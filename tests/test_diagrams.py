@@ -1,5 +1,6 @@
 """Diagram basis, multiplication kernel, relations and involutions."""
 
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -189,7 +190,7 @@ def test_star_is_an_anti_involution_property(sample):
     s = x + y.scale(Fraction(-3, 2))  # a sum, not only a basis diagram
     assert (s * z).star() == z.star() * s.star()
     assert s.star().star() == s
-    assert alg.one().star() == alg.one()
+    assert alg.one.star() == alg.one
 
 
 def test_associativity_needs_admissible_parameters():
@@ -198,7 +199,7 @@ def test_associativity_needs_admissible_parameters():
     w = associativity_witness(3)
     assert w is not None
     assert w["left"] != w["right"]
-    params = w["left"].params
+    params = w["left"].ring.params
     e1 = generator(3, 2, "e", 1)
     assert w["left"].coefficient(e1) == params.delta(1)
     assert w["right"].coefficient(e1) == params.delta(2)
@@ -210,7 +211,7 @@ def test_associativity_needs_admissible_parameters():
 
 def test_identity_and_powers():
     alg = symbolic_algebra(3, 3)
-    one = alg.one()
+    one = alg.one
     x = alg.s(1) * alg.t(2) + alg.e(2).scale(alg.params.delta(1))
     assert one * x == x and x * one == x
     assert alg.t(1) ** 3 == one
@@ -305,3 +306,16 @@ def test_is_admissible():
     assert is_admissible(SymbolicParams(3, symmetric=True))
     assert is_admissible(NumericParams(Q, [1, 5, 5]))
     assert not is_admissible(NumericParams(Q, [1, 5, 6]))
+
+
+def test_operands_must_share_the_ring():
+    # one rule for delta polynomials and algebra elements: both operands
+    # belong to the same ring object, else ValueError
+    p, q = SymbolicParams(2), SymbolicParams(2)
+    a, b = DiagramAlgebra(2, 2, p), DiagramAlgebra(2, 2, p)
+    for x, y in [(p.delta(0), q.delta(0)), (a.s(1), b.s(1)),
+                 (a.one, symbolic_algebra(2, 2).one)]:
+        for op in (operator.add, operator.sub, operator.mul, operator.eq):
+            with pytest.raises(ValueError, match="mixed rings"):
+                op(x, y)
+    assert a.s(1) + a.e(1) - a.e(1) == a.s(1) and p.delta(0) - p.delta(0) == 0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycbrauer.diagrams import (AlgebraElement, NumericParams, SymbolicParams,
+from cycbrauer.diagrams import (DiagramAlgebra, NumericParams, SymbolicParams,
                                 from_awb, generator, multiply_diagrams,
                                 wreath_to_diagram)
 from cycbrauer.criterion import bar_deltas
@@ -80,6 +80,16 @@ def test_gram_shape():
         assert shape_check(gm, params) == []
 
 
+def test_shape_check_reports_violations():
+    params = SymbolicParams(2)
+    gm = gram_big(2, 3, params)
+    x = params.delta(0) + params.one
+    gm.entries[0][0] = params.delta(1)
+    gm.entries[0][1] = x
+    assert shape_check(gm, params) == [(0, 0, str(params.delta(1))),
+                                       (0, 1, str(x))]
+
+
 def test_gram_n2_is_anticirculant():
     # at n = 2 the iota-form matrix is delta_{(j-i) mod m}
     m = 3
@@ -146,11 +156,12 @@ def _reference_cell_gram(m, n, mu, params, compute_det=True):
     reference: explicit cell generators as algebra elements, star(x) * y
     expanded in full, then read off.  Returns (entries, det)."""
     field = params.field
+    alg = DiagramAlgebra(m, n, params)
     if n == 2:
         e1 = generator(m, 2, "e", 1)
-        basis = [AlgebraElement.of(params, wreath_to_diagram(
+        basis = [alg.element(wreath_to_diagram(
                      WreathElement(m, 2, (1, 2), (s, 0))))
-                 * AlgebraElement.of(params, e1) for s in range(m)]
+                 * alg.element(e1) for s in range(m)]
         entries = [[(x.star() * y).coefficient(e1) for y in basis]
                    for x in basis]
     else:
@@ -176,7 +187,7 @@ def _reference_cell_gram(m, n, mu, params, compute_det=True):
                     continue
                 w = WreathElement(m, 1, (1,), (s % m,))
                 d = from_awb(m, 3, [arc + (k,)], w, [(2, 3, 0)])
-                el = AlgebraElement.of(params, d, params.one * c)
+                el = alg.element(d, params.one * c)
                 terms = el if terms is None else terms + el
             return terms
 

@@ -283,6 +283,23 @@ def test_rank_deficit_mod_p_alone_is_not_trusted():
         == (2, "modular-full-rank")
 
 
+def test_rank_skips_a_prime_dividing_a_denominator(monkeypatch):
+    # delta = 1/p puts p in the denominators of T at m = 1, n = 2, so the
+    # first prime is skipped and the verdict comes from the second
+    p, q = primes_for_modular(1)[:2]
+    Q = CyclotomicField(1)
+    values, index = trace_matrix(StructureTable(1, 2), Q, [Fraction(1, p)])
+    values = [x.coeffs[0] for x in values]
+    assert any(x.denominator % p == 0 for x in values)
+    used = []
+    rref = cycbrauer.oracle.rref_mod_p
+    monkeypatch.setattr(cycbrauer.oracle, "rref_mod_p",
+                        lambda a, prime: used.append(prime) or rref(a, prime))
+    rank, method = _rank_exact_certified(values, index, [p, q])
+    assert used == [q] and method.startswith("modular")
+    assert rank == gauss_rank(_expand(values, index))
+
+
 def test_rank_falls_back_to_exact_elimination():
     # with no prime to try, a small matrix is ranked by fraction elimination
     values = [Fraction(1, 3), Fraction(2, 3), Fraction(-5, 7)]

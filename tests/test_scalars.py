@@ -5,13 +5,16 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from cycbrauer import scalars
+from cycbrauer.criterion import bar_deltas, decide
 from cycbrauer.deltapoly import SymbolicParams
-from cycbrauer.diagrams import symbolic_algebra
+from cycbrauer.diagrams import NumericParams, symbolic_algebra
+from cycbrauer.oracle import semisimple_verdict
 from cycbrauer.scalars import (CycElt, CyclotomicField, FiniteField,
                                NoRootError, _poly_mul, _poly_xgcd,
                                _smallest_irreducible,
@@ -236,7 +239,7 @@ def test_power_equals_repeated_multiplication():
         (F.element([Fraction(1, 2), -1, 3, Fraction(2, 7)]), F.one),
         (FiniteField(5, 2).element([2, 3]), FiniteField(5, 2).one),
         (ring.delta(0) + ring.embed(F.zeta) * ring.delta(1), ring.one),
-        (algebra.s(1) + algebra.t(1), algebra.one()),
+        (algebra.s(1) + algebra.t(1), algebra.one),
     ]
     for x, one in cases:
         want = one
@@ -250,7 +253,7 @@ def test_power_rejects_negative_exponents():
     ring = SymbolicParams(2, F)
     algebra = symbolic_algebra(2, 2)
     for x, one in [(F.zeta, F.one), (ring.delta(0), ring.one),
-                   (algebra.s(1), algebra.one())]:
+                   (algebra.s(1), algebra.one)]:
         with pytest.raises(ValueError):
             power(x, -2, one)
     with pytest.raises(ValueError):
@@ -260,6 +263,27 @@ def test_power_rejects_negative_exponents():
     # field elements invert first, then take the positive power
     assert F.zeta ** -2 == F.one and CyclotomicField(5).zeta ** -1 == \
         CyclotomicField(5).zeta ** 4
+
+
+@pytest.mark.parametrize("bad", [np.int64(3), 0.5], ids=["int64", "float"])
+def test_foreign_scalars_are_refused(bad):
+    # once read as None and so as zero: decide took (int64 0, int64 3) for
+    # delta = 0, and NumericParams stored [None, None]
+    F = CyclotomicField(2)
+    with pytest.raises(TypeError):
+        F.coerce(bad)
+    for call in (lambda: decide(2, 2, F, [bad, bad]),
+                 lambda: decide(2, 2, F, [0, bad], "gmu"),
+                 lambda: semisimple_verdict(2, 2, F, [bad, bad]),
+                 lambda: bar_deltas(F, [bad, 1]),
+                 lambda: NumericParams(F, [bad, bad]),
+                 lambda: SymbolicParams(2).embed(bad)):
+        with pytest.raises(TypeError):
+            call()
+    # the operator path declines, so Python raises TypeError
+    assert F.one.__add__(bad) is NotImplemented
+    assert SymbolicParams(2).one.__mul__(bad) is NotImplemented
+    assert decide(2, 2, F, [0, 3]).semisimple
 
 
 # the product and inverse the fold-table kernel replaced: a generic
