@@ -13,6 +13,11 @@ of net label a is removed against a factor delta_a.  This pins the rules
 so that e_i t_i^a e_i = delta_a e_i and e_i t_i t_{i+1} = e_i hold, which
 the relation suite verifies exhaustively.
 
+All-pairs products.  multiply_all traces each pair of skeletons (unlabelled
+arcs) once, by compose_strands on unit-vector labels, which gives every
+output arc and loop label as a signed linear form in the 2n input labels;
+one integer product mod m per skeleton of the left list labels all pairs.
+
 Involutions.  star flips a diagram top to bottom and keeps every label;
 iota = star o (negate every label), see iota_diagram.  The Gram forms in
 gram pair half diagrams through these two maps.
@@ -32,8 +37,11 @@ associativity_check and associativity_witness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .deltapoly import LinearCombination, SymbolicParams
 from .linalg import gauss_rank
@@ -207,6 +215,67 @@ def compose_strands(n, x_items, y_items):
     loops = [walk(start, y, x)[1] for start in range(n + 1, last + 1)
              if start not in seen]
     return arcs, loops
+
+
+def basis_index(d):
+    """Position of d in enumerate_basis(d.m, d.n): skeletons (unlabelled
+    arcs) in lexicographic order of their sorted arcs, then labellings as
+    base-m numbers, first arc most significant."""
+    points, k = list(range(1, 2 * d.n + 1)), 0
+    for p, q in d.arcs:  # p is the smallest point left
+        points.remove(p)
+        k = k * len(points) + points.index(q)
+        points.remove(q)
+    return functools.reduce(lambda k, lab: k * d.m + lab, d.labels, k)
+
+
+def multiply_all(xs, ys):
+    """Every product x * y of two non-empty lists of basis diagrams of one
+    (m, n), as (out, loops): out, int32 of shape (len(xs), len(ys), 2),
+    holds at (i, j) the basis_index of the product diagram of xs[i] * ys[j]
+    and the index in loops of the tuple of its sorted loop labels."""
+    (m, n), = {(d.m, d.n) for d in itertools.chain(xs, ys)}  # else ValueError
+    if basis_size(m, n) >= 2 ** 31:
+        raise ValueError("basis indices exceed int32")
+    x_arcs, y_arcs = {}, {}  # distinct skeletons, numbered
+    x_of, y_of = (np.array([arcs.setdefault(d.arcs, len(arcs)) for d in ds])
+                  for arcs, ds in ((x_arcs, xs), (y_arcs, ys)))
+    x_labels, y_labels = (np.array([d.labels for d in ds], dtype=float)
+                          .reshape(len(ds), n) for ds in (xs, ys))
+    unit = np.eye(2 * n)  # float64, so that the label products run in BLAS
+    slots = n // 2  # a loop uses at least two middle points
+    place, code_of = m ** np.arange(n - 1, -1, -1), (m + 1) ** np.arange(slots)
+    residue = np.arange(-2 * n * m, 2 * n * m) % m
+    out = np.empty((len(xs), len(ys), 2), dtype=np.int32)
+
+    @functools.cache
+    def first(skeleton):  # basis_index of its zero labelling
+        return basis_index(Diagram(m, n, skeleton, (0,) * n))
+
+    for sx, ax in enumerate(x_arcs):
+        # per skeleton of ys: n output-arc forms, then the loop forms (never
+        # zero: a loop runs through an arc at most once) padded with zeros
+        forms = np.zeros((len(y_arcs), n + slots, 2 * n))
+        base = np.empty(len(y_arcs), dtype=np.int64)
+        for sy, ay in enumerate(y_arcs):
+            arcs, closed = compose_strands(n, zip(ax, unit[:n]),
+                                           zip(ay, unit[n:]))
+            base[sy] = first(tuple(pq for pq, _ in arcs))
+            forms[sy, :n + len(closed)] = [form for _, form in arcs] + closed
+        rows = np.flatnonzero(x_of == sx)
+        f = forms[y_of]  # (len(ys), n + slots, 2n)
+        values = residue[2 * n * m + (  # v mod m, |v| < 2nm
+            np.tensordot(x_labels[rows], f[:, :, :n], axes=(1, 2))
+            + np.einsum("jkc,jc->jk", f[:, :, n:], y_labels)).astype(np.int64)]
+        shifted = np.where(f[:, n:].any(axis=2), values[:, :, n:] + 1, 0)
+        out[rows, :, 0] = base[y_of] + values[:, :, :n] @ place
+        out[rows, :, 1] = np.sort(shifted, axis=2) @ code_of
+    # number the loop codes that occur, in increasing order
+    seen = np.zeros((m + 1) ** slots, dtype=bool)
+    seen[out[..., 1]] = True
+    out[..., 1] = (np.cumsum(seen, dtype=np.int32) - 1)[out[..., 1]]
+    digits = np.flatnonzero(seen)[:, None] // code_of % (m + 1)
+    return out, [tuple(d - 1 for d in row if d) for row in digits.tolist()]
 
 
 def star_diagram(d):

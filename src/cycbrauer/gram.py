@@ -2,8 +2,9 @@
 
 Both forms pair half diagrams alpha (x) w (x) alpha_0 (alpha one labelled
 top arc, w a wreath element on the free points, alpha_0 the arc {n-1, n}
-with label 0) through one diagram product each, and read the entry off that
-product and its closed loops.  They are kept clearly apart:
+with label 0) through diagrams.multiply_all, all pairs at once (the group
+actions on V too), and read each entry off its product and closed loops.
+They are kept clearly apart:
 
 * the iota-form on V, spanned by all these half diagrams: the pairing of
   x and y is the coefficient of e_{n-1} in iota(x) * y.  Generally not
@@ -20,9 +21,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dfield
 
+import numpy as np
+
 from .deltapoly import SymbolicParams
-from .diagrams import (from_awb, generator, iota_diagram, is_admissible,
-                       multiply_diagrams, star_diagram, times_loops)
+from .diagrams import (basis_index, from_awb, generator, iota_diagram,
+                       is_admissible, multiply_all, star_diagram, times_loops)
 from .linalg import gauss_det, gauss_rank, minor_det
 from .partitions import check_multipartition
 from .scalars import CyclotomicField
@@ -63,35 +66,43 @@ def v_basis(m, n, cap=5000):
 
 def gram_big(m, n, params, cap=5000):
     """The f x f iota-form matrix on V: entry (x, y) is the coefficient of
-    e_{n-1} in iota(x) * y, one diagram product per entry."""
+    e_{n-1} in iota(x) * y.  As for the trace form, the entries index a
+    short list of values: one per loop multiset of a product e_{n-1}, and 0."""
     basis = v_basis(m, n, cap)
-    e = generator(m, n, "e", n - 1)
-
-    def entry(x_iota, y):
-        prod, loops = multiply_diagrams(x_iota, y)
-        return times_loops(params, params.one, loops) if prod == e \
-            else params.zero
-
-    entries = [[entry(x, y) for y in basis] for x in map(iota_diagram, basis)]
+    out, loops = multiply_all([iota_diagram(x) for x in basis], basis)
+    e = basis_index(generator(m, n, "e", n - 1))
+    codes, index = np.unique(np.where(out[..., 0] == e, out[..., 1], -1),
+                             return_inverse=True)
+    values = [times_loops(params, params.one, loops[u]) if u >= 0
+              else params.zero for u in codes.tolist()]
+    entries = [[values[v] for v in row]
+               for row in index.reshape(len(basis), -1).tolist()]
     return GramMatrix("iota-form", len(basis), entries, basis)
+
+
+def _entry_codes(entries):
+    """(distinct, codes): the distinct entries, and each entry's index among
+    them; equal entries (delta_a, delta_{m-a} if symmetric) share a code."""
+    objects = {id(x): x for row in entries for x in row}
+    distinct = []
+    for x in objects.values():
+        if x not in distinct:
+            distinct.append(x)
+    code = {key: distinct.index(x) for key, x in objects.items()}
+    return distinct, np.array([[code[id(x)] for x in row] for row in entries])
 
 
 def shape_check(gram, params):
     """Entry shape of the iota-form: diagonal delta_0, off-diagonal in
     {0, 1, delta_1, ..., delta_{m-1}}.  Returns list of violations."""
-    d0 = params.delta(0)
     offs = [params.zero, params.one]
     offs += [params.delta(a) for a in range(1, params.m)]
-    bad = []
-    for i in range(gram.size):
-        for j in range(gram.size):
-            x = gram.entries[i][j]
-            if i == j:
-                if x != d0:
-                    bad.append((i, j, str(x)))
-            elif all(x != o for o in offs):
-                bad.append((i, j, str(x)))
-    return bad
+    distinct, codes = _entry_codes(gram.entries)
+    # per distinct entry: bad off the diagonal, bad on it
+    bad = np.array([[all(x != o for o in offs), x != params.delta(0)]
+                    for x in distinct])[codes, np.eye(gram.size, dtype=int)]
+    return [(i, j, str(distinct[codes[i, j]]))
+            for i, j in np.argwhere(bad).tolist()]
 
 
 def equivariance_check(m, n, params, cap=5000, gram=None):
@@ -109,40 +120,33 @@ def equivariance_check(m, n, params, cap=5000, gram=None):
     are interpretable.  ``gram`` is gram_big(m, n, params, cap) when the
     caller has built it already."""
     gm = gram_big(m, n, params, cap) if gram is None else gram
-    basis, G = gm.basis, gm.entries
-    index = {b: k for k, b in enumerate(basis)}
-    f = gm.size
-    failures = []
-    checked = []
+    basis, f = gm.basis, gm.size
+    position = {basis_index(b): k for k, b in enumerate(basis)}
+    G = _entry_codes(gm.entries)[1]
+    failures, checked = [], []
 
-    def commutes(perm_cols, tag):
-        # P*G == G*P with P the permutation matrix P[perm_cols[j], j] = 1:
-        # (P G)[i][j] = G[p^{-1}(i)][j] and (G P)[i][j] = G[i][perm_cols[j]]
-        inv = [0] * f
-        for j, i in enumerate(perm_cols):
-            inv[i] = j
-        for i in range(f):
-            for j in range(f):
-                if G[inv[i]][j] != G[i][perm_cols[j]]:
-                    failures.append({"generator": tag, "i": i, "j": j})
-                    return
-        checked.append(tag)
-
-    def left(name, i):
-        g = generator(m, n, name, i)
-        return [index[multiply_diagrams(g, b)[0]] for b in basis]
-
-    def right(name, i):
-        y = generator(m, n, name, i)
-        return [index[multiply_diagrams(b, y)[0]] for b in basis]
+    def commutes(side, name, i):
+        # P*G == G*P with P[perm[j], j] = 1, perm the basis permutation by
+        # the generator g on this side: (P G)[i][j] = G[perm^{-1}(i)][j]
+        # and (G P)[i][j] = G[i][perm[j]]
+        g = [generator(m, n, name, i)]
+        out = multiply_all(*([g, basis] if side == "left" else [basis, g]))[0]
+        perm = [position[k] for k in out[..., 0].ravel().tolist()]
+        bad = np.flatnonzero(G[np.argsort(perm)] != G[:, perm])
+        tag = "%s-%s%d" % (side, name, i)
+        if len(bad):
+            row, col = divmod(int(bad[0]), f)
+            failures.append({"generator": tag, "i": row, "j": col})
+        else:
+            checked.append(tag)
 
     for i in range(1, n):
-        commutes(left("s", i), "left-s%d" % i)
-    commutes(left("t", 1), "left-t1")
+        commutes("left", "s", i)
+    commutes("left", "t", 1)
     if n - 2 >= 1:
-        commutes(right("t", 1), "right-t1")
+        commutes("right", "t", 1)
     for i in range(1, n - 2):
-        commutes(right("s", i), "right-s%d" % i)
+        commutes("right", "s", i)
     return {"m": m, "n": n, "ok": not failures, "checked": checked,
             "failures": failures, "admissible": is_admissible(params)}
 
@@ -204,17 +208,13 @@ def cell_pairing(m, n):
             for arc in itertools.combinations(range(1, n + 1), 2)
             for k in range(m)]
     # the m targets alpha_0 (x) t^r (x) alpha_0 (one at n = 2), by r
-    targets = {from_awb(m, n, alpha0, w, alpha0): sum(w.colors)
+    targets = {basis_index(from_awb(m, n, alpha0, w, alpha0)): sum(w.colors)
                for w in enumerate_group(m, n - 2)}
-
-    def pair(x_star, y):
-        prod, loops = multiply_diagrams(x_star, y)
-        r0 = targets.get(prod)
-        if r0 is None:
-            raise ValueError("product left the span of alpha_0 (x) t^s (x) alpha_0")
-        return r0, loops
-
-    return half, [[pair(x, y) for y in half] for x in map(star_diagram, half)]
+    out, loops = multiply_all([star_diagram(x) for x in half], half)
+    if not np.isin(out[..., 0], list(targets)).all():
+        raise ValueError("product left the span of alpha_0 (x) t^s (x) alpha_0")
+    return half, [[(targets[k], loops[u]) for k, u in row]
+                  for row in out.tolist()]
 
 
 def cell_form(m, n, mu, params, pairing, compute_det=True):

@@ -5,10 +5,9 @@ form of the left regular representation on the full diagram basis and
 measures its radical, which in characteristic 0 equals the Jacobson radical
 of the algebra.  Characteristic p is refused rather than risked.
 
-Structure table: each pair of unlabelled skeletons is traced once with
-every label carried as a signed linear form in the 2n input labels; all
-labellings then follow from one integer matrix product mod m, stored as an
-int32 array of (product index, loop monomial index) rows.
+Structure table: diagrams.multiply_all of the basis with itself, which
+traces each pair of skeletons once, stored as an int32 array of (product
+index, loop monomial index) rows.
 
 Trace form: T travels from the table to the certificate as one pair
 (values, index).  values lists the distinct entries, each computed once in
@@ -42,7 +41,6 @@ fallback for small sizes and the point is reported unresolved otherwise.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 from functools import cached_property
@@ -53,7 +51,7 @@ import numpy as np
 from . import __version__
 from .criterion import VARIANTS, bar_deltas, decide, g_mu_values, z_set
 from .diagrams import (OFF_LOCUS_NOTE, NumericParams, basis_size,
-                       compose_strands, deltas_admissible, enumerate_basis)
+                       deltas_admissible, enumerate_basis, multiply_all)
 from .gram import cell_form, cell_pairing
 from .linalg import gauss_rank, primes_for_modular, rational_reconstruct, rref_mod_p
 from .scalars import CyclotomicField, power
@@ -66,17 +64,11 @@ class StructureTable:
     """All N^2 products of basis diagrams, each a single basis diagram times
     a monomial in delta_0..delta_{m-1}.
 
-    ``products`` is an int32 array with N^2 rows: row i*N + j holds the
-    index k of the product diagram of b_i * b_j and the index u of its loop
-    monomial; ``monomials[u]`` holds the exponents of delta_0..delta_{m-1}
-    (the loop counts per label).
-
-    The basis lists each unlabelled skeleton with its m^n labellings in
-    lexicographic order.  For a fixed pair of skeletons the product skeleton
-    is fixed, and every output arc and loop label is a signed linear form
-    in the 2n input labels, so each skeleton pair is traced once (by
-    ``compose_strands``, on unit-vector labels) and all m^{2n} labellings
-    follow from one integer matrix product mod m.
+    ``products`` is diagrams.multiply_all of the basis with itself, an int32
+    array with N^2 rows: row i*N + j holds the index k of the product
+    diagram of b_i * b_j and the index u of its loop monomial;
+    ``monomials[u]`` holds the exponents of delta_0..delta_{m-1} (the loop
+    counts of the u-th loop multiset).
 
     The trace plan, what trace_matrix needs that no delta changes:
     ``trace_rows[t]`` lists the (monomial, count) pairs whose sum is the
@@ -93,54 +85,10 @@ class StructureTable:
         self.n = n
         self.basis = enumerate_basis(m, n)
         self.size = N
-        M = m ** n  # labellings per skeleton
-        S = N // M
-        skeletons = [self.basis[s * M].arcs for s in range(S)]
-        skeleton_index = {arcs: s for s, arcs in enumerate(skeletons)}
-        unit = np.eye(2 * n, dtype=np.int64)
-        digits = np.array(list(itertools.product(range(m), repeat=n)),
-                          dtype=np.int64).reshape(M, n)
-        # row xi * M + yj: the labels of b_{s1, xi} followed by b_{s2, yj}
-        labels = np.hstack([np.repeat(digits, M, axis=0),
-                            np.tile(digits, (M, 1))])
-        place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        max_loops = n // 2  # a loop uses at least two middle points
-        # a loop monomial is coded by its sorted loop labels, each shifted
-        # by one so that 0 marks a padding slot
-        code_of = (m + 1) ** np.arange(max_loops, dtype=np.int64)
-        products = np.empty((S, M, S, M, 2), dtype=np.int32)
-        for s1, xs in enumerate(skeletons):
-            # per right factor: n output-arc forms, then the loop forms
-            # padded with zero forms
-            forms = np.zeros((S, n + max_loops, 2 * n), dtype=np.int64)
-            loop_count = np.empty(S, dtype=np.int64)
-            out_skeleton = np.empty(S, dtype=np.int64)
-            for s2, ys in enumerate(skeletons):
-                arcs, loops = compose_strands(n, zip(xs, unit[:n]),
-                                              zip(ys, unit[n:]))
-                arcs.sort(key=lambda arc: arc[0])
-                out_skeleton[s2] = skeleton_index[tuple(pq for pq, _ in arcs)]
-                for r, (_, form) in enumerate(arcs):
-                    forms[s2, r] = form
-                for r, form in enumerate(loops):
-                    forms[s2, n + r] = form
-                loop_count[s2] = len(loops)
-            values = labels @ forms.transpose(0, 2, 1) % m  # (S, M*M, .)
-            k = out_skeleton[:, None] * M + values[:, :, :n] @ place
-            real = np.arange(max_loops) < loop_count[:, None]
-            loop_labels = np.where(real[:, None, :], values[:, :, n:] + 1, 0)
-            code = np.sort(loop_labels, axis=2) @ code_of
-            block = products[s1]  # (xi, s2, yj, column)
-            block[..., 0] = k.reshape(S, M, M).transpose(1, 0, 2)
-            block[..., 1] = code.reshape(S, M, M).transpose(1, 0, 2)
-        products = products.reshape(N * N, 2)
-        # number the codes that occur through a lookup on the dense code
-        seen = np.zeros((m + 1) ** max_loops, dtype=bool)
-        seen[products[:, 1]] = True
-        products[:, 1] = (np.cumsum(seen, dtype=np.int32) - 1)[products[:, 1]]
-        slots = np.flatnonzero(seen)[:, None] // code_of % (m + 1)
-        self.monomials = (slots[:, :, None] == np.arange(1, m + 1)).sum(axis=1)
-        self.products = products
+        out, loops = multiply_all(self.basis, self.basis)
+        self.products = products = out.reshape(N * N, 2)
+        self.monomials = np.array([[labels.count(a) for a in range(m)]
+                                   for labels in loops])
         # the trace plan (see trace_matrix): trace(L_{b_k}) sums the
         # monomials on the diagonal of L_{b_k}, so its class is the row of
         # their counts, and T_ij is numbered by its (monomial, class) pair
@@ -309,9 +257,9 @@ def semisimple_verdict(m, n, field, deltas, table=None, cap=500):
         return {"verdict": "unsupported", "reason": "characteristic p"}
     if basis_size(m, n) > cap:
         return {"verdict": "unsupported", "reason": "cap exceeded"}
+    deltas = [field.coerce(d) for d in deltas]
     if table is None:
         table = StructureTable(m, n, cap)
-    deltas = [field.coerce(d) for d in deltas]
     rad = radical_dimension(table, field, deltas)
     out = {"verdict": "semisimple" if rad == 0 else "not-semisimple",
            "radical": rad, "admissible": deltas_admissible(deltas)}

@@ -347,11 +347,13 @@ class CyclotomicField(_Field):
         return self.element([Fraction(0), Fraction(1)])
 
     def root_of_unity(self, k):
-        if k == 1:
-            return self.one
-        if self.m % k != 0:
-            raise NoRootError("Q(zeta_%d) has no order-%d root" % (self.m, k))
-        return self.zeta ** (self.m // k)
+        """An element of order k: zeta^(m/k) for k | m and, for odd m
+        (where Q(zeta_m) = Q(zeta_2m)), -zeta^(2m/k) for k | 2m."""
+        if self.m % k == 0:
+            return self.zeta ** (self.m // k)
+        if self.m % 2 and 2 * self.m % k == 0:
+            return -self.zeta ** (2 * self.m // k)
+        raise NoRootError("Q(zeta_%d) has no order-%d root" % (self.m, k))
 
     def format_element(self, x):
         return ",".join(str(c) for c in x.coeffs)

@@ -5,16 +5,18 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycbrauer.diagrams import (DiagramAlgebra, NumericParams,
                                 SymbolicParams, associativity_check,
-                                associativity_witness, basis_size,
-                                compose_strands, enumerate_basis, from_awb,
-                                generator, identity_diagram, iota_diagram,
-                                is_admissible, make_diagram,
+                                associativity_witness, basis_index,
+                                basis_size, compose_strands, enumerate_basis,
+                                from_awb, generator, identity_diagram,
+                                iota_diagram, is_admissible,
+                                make_diagram, multiply_all,
                                 multiply_diagrams, star_diagram,
                                 symbolic_algebra, verify_relations,
                                 wreath_to_diagram)
@@ -141,6 +143,59 @@ def test_multiply_builds_the_normal_form_directly():
         for n in range(4, 7):
             for _ in range(300):
                 check(random_diagram(rng, m, n), random_diagram(rng, m, n))
+
+
+def test_basis_index_is_the_enumeration_position():
+    for m in range(1, 5):
+        for n in range(5):
+            if basis_size(m, n) <= 1680:
+                basis = enumerate_basis(m, n)
+                assert [basis_index(d) for d in basis] == \
+                    list(range(len(basis))), (m, n)
+
+
+@st.composite
+def diagram_lists(draw):
+    """Two non-empty lists of basis diagrams of one (m, n), m, n in 1..4:
+    a few skeletons and their flips (a flip times its skeleton closes a
+    loop per top arc), some of their labellings, repeats."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    skeletons = draw(st.lists(st.permutations(range(1, 2 * n + 1)),
+                              min_size=1, max_size=3))
+    skeletons += [[p + n if p <= n else p - n for p in s] for s in skeletons]
+    labelled = st.tuples(st.sampled_from(skeletons),
+                         st.lists(st.integers(0, m - 1), min_size=n,
+                                  max_size=n))
+
+    def diagrams():
+        pool = [make_diagram(m, n, [((p[2 * k], p[2 * k + 1]), lab)
+                                    for k, lab in enumerate(labels)])
+                for p, labels in draw(st.lists(labelled, min_size=1,
+                                               max_size=5))]
+        return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+
+    return diagrams(), diagrams()
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagram_lists())
+def test_multiply_all_matches_multiply_diagrams(lists):
+    xs, ys = lists
+    out, loops = multiply_all(xs, ys)
+    assert out.dtype == np.int32 and out.shape == (len(xs), len(ys), 2)
+    # each loop multiset listed once, in increasing order of its code
+    assert len(set(loops)) == len(loops)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            prod, labels = multiply_diagrams(x, y)
+            assert out[i, j, 0] == basis_index(prod), (i, j)
+            assert loops[out[i, j, 1]] == labels, (i, j)
+
+
+def test_multiply_all_refuses_mixed_sizes():
+    for ys in ([identity_diagram(2, 3)], [identity_diagram(3, 2)]):
+        with pytest.raises(ValueError):
+            multiply_all([identity_diagram(2, 2)], ys)
 
 
 def test_associativity_sampling():

@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycbrauer.diagrams import (DiagramAlgebra, NumericParams, SymbolicParams,
-                                from_awb, generator, multiply_diagrams,
+                                from_awb, generator, iota_diagram,
+                                is_admissible, multiply_diagrams, times_loops,
                                 wreath_to_diagram)
 from cycbrauer.criterion import bar_deltas
-from cycbrauer.gram import (_cell_det, cell_gram, equivariance_check,
-                            gram_big, shape_check, single_box_gram, v_basis)
+from cycbrauer.gram import (GramMatrix, _cell_det, cell_gram,
+                            equivariance_check, gram_big, shape_check,
+                            single_box_gram, v_basis)
 from cycbrauer.linalg import gauss_det, minor_det
 from cycbrauer.oracle import _hyperplane_point
 from cycbrauer.scalars import CyclotomicField, field_with_root
@@ -119,6 +121,107 @@ def test_equivariance_fails_off_locus():
     rep = equivariance_check(3, 2, SymbolicParams(3))
     assert not rep["admissible"]
     assert not rep["ok"]
+
+
+def _reference_gram_big(m, n, params):
+    """gram_big's entries by one multiply_diagrams call per entry, as
+    gram_big computed them before multiply_all."""
+    basis = v_basis(m, n)
+    e = generator(m, n, "e", n - 1)
+
+    def entry(x, y):
+        prod, loops = multiply_diagrams(iota_diagram(x), y)
+        return times_loops(params, params.one, loops) if prod == e \
+            else params.zero
+
+    return [[entry(x, y) for y in basis] for x in basis]
+
+
+def _reference_equivariance(m, n, params, gm):
+    """equivariance_check's report by the double loop it used before, with
+    the basis permutations from multiply_diagrams."""
+    basis, G, f = gm.basis, gm.entries, gm.size
+    index = {b: k for k, b in enumerate(basis)}
+    failures, checked = [], []
+
+    def commutes(perm_cols, tag):
+        inv = [0] * f
+        for j, i in enumerate(perm_cols):
+            inv[i] = j
+        for i in range(f):
+            for j in range(f):
+                if G[inv[i]][j] != G[i][perm_cols[j]]:
+                    failures.append({"generator": tag, "i": i, "j": j})
+                    return
+        checked.append(tag)
+
+    def left(name, i):
+        g = generator(m, n, name, i)
+        return [index[multiply_diagrams(g, b)[0]] for b in basis]
+
+    def right(name, i):
+        y = generator(m, n, name, i)
+        return [index[multiply_diagrams(b, y)[0]] for b in basis]
+
+    for i in range(1, n):
+        commutes(left("s", i), "left-s%d" % i)
+    commutes(left("t", 1), "left-t1")
+    if n - 2 >= 1:
+        commutes(right("t", 1), "right-t1")
+    for i in range(1, n - 2):
+        commutes(right("s", i), "right-s%d" % i)
+    return {"m": m, "n": n, "ok": not failures, "checked": checked,
+            "failures": failures, "admissible": is_admissible(params)}
+
+
+PARAMS = {"symbolic": SymbolicParams,
+          "symmetric": lambda m: SymbolicParams(m, symmetric=True),
+          "numeric": admissible_numeric}
+GRAM_SIZES = [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("kind", PARAMS)
+@pytest.mark.parametrize("m,n", GRAM_SIZES)
+def test_gram_big_equals_the_reference(m, n, kind):
+    params = PARAMS[kind](m)
+    assert gram_big(m, n, params).entries == \
+        _reference_gram_big(m, n, params)
+
+
+@pytest.mark.parametrize("kind", PARAMS)
+@pytest.mark.parametrize("m,n", GRAM_SIZES[:5])
+def test_equivariance_reports_the_reference_first_failure(m, n, kind):
+    params = PARAMS[kind](m)
+    gm = gram_big(m, n, params)
+    assert equivariance_check(m, n, params, gram=gm) == \
+        _reference_equivariance(m, n, params, gm)
+    rng = random.Random(100 * m + n)
+    for _ in range(4):
+        i, j = rng.randrange(gm.size), rng.randrange(gm.size)
+        entries = [row[:] for row in gm.entries]
+        entries[i][j] = entries[i][j] + params.one
+        bad = GramMatrix(gm.kind, gm.size, entries, gm.basis)
+        got = equivariance_check(m, n, params, gram=bad)
+        assert got == _reference_equivariance(m, n, params, bad), (i, j)
+        assert not got["ok"]
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_equivariance_merges_equal_entries(m):
+    # under symmetric parameters delta_a and delta_{m-a} are equal, so
+    # swapping one for the other (a new object) breaks nothing
+    params = SymbolicParams(m, symmetric=True)
+    gm = gram_big(m, 3, params)
+    cells = [(i, j) for i, row in enumerate(gm.entries)
+             for j, x in enumerate(row) if x == params.delta(1)]
+    assert cells
+    for i, j in cells[:3]:
+        entries = [row[:] for row in gm.entries]
+        entries[i][j] = params.delta(m - 1)
+        swapped = GramMatrix(gm.kind, gm.size, entries, gm.basis)
+        rep = equivariance_check(m, 3, params, gram=swapped)
+        assert rep["ok"] and rep == \
+            _reference_equivariance(m, 3, params, swapped)
 
 
 def test_cell_gram_n2_det_identity():

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import cycbrauer
 from cycbrauer import diagrams
 from cycbrauer.criterion import z_set
-from cycbrauer.diagrams import NumericParams, basis_size, multiply_diagrams
+from cycbrauer.diagrams import (NumericParams, basis_size, enumerate_basis,
+                                multiply_diagrams)
 from cycbrauer.gram import cell_gram
 from cycbrauer.oracle import (StructureTable, _cell_det_values,
                               _hyperplane_point,
@@ -107,6 +108,55 @@ def test_structure_table_sampled_at_reach_points(m, n):
         i, j = rng.randrange(t.size), rng.randrange(t.size)
         assert rows[i * t.size + j].tolist() == \
             _product_row(t, index, i, j), (i, j)
+
+
+def _reference_table(m, n):
+    """StructureTable(m, n)'s products, monomials and trace plan, from
+    multiply_diagrams and plain Python.  Loop monomials are numbered in
+    increasing order of their code, n // 2 base-(m + 1) digits: zeros, then
+    the sorted loop labels plus one; trace classes and entries of T in
+    sorted order."""
+    basis = enumerate_basis(m, n)
+    N = len(basis)
+    position = {d: k for k, d in enumerate(basis)}
+    rows = []
+    for x in basis:
+        for y in basis:
+            prod, loops = multiply_diagrams(x, y)
+            digits = [0] * (n // 2 - len(loops)) + [a + 1 for a in loops]
+            code = sum(d * (m + 1) ** s for s, d in enumerate(digits))
+            rows.append((position[prod], code, loops))
+    number = {c: u for u, c in enumerate(sorted({c for _, c, _ in rows}))}
+    products = [(k, number[c]) for k, c, _ in rows]
+    monomials = {number[c]: [loops.count(a) for a in range(m)]
+                 for _, c, loops in rows}
+    # trace(L_{b_k}) sums mono over the r with b_k b_r = mono b_r
+    counts = [[0] * len(number) for _ in range(N)]
+    for i, (k, u) in enumerate(products):
+        if k == i % N:
+            counts[i // N][u] += 1
+    classes = sorted(set(map(tuple, counts)))
+    trace_class = [classes.index(tuple(row)) for row in counts]
+    value_pairs = sorted({(u, trace_class[k]) for k, u in products})
+    entry = {pair: v for v, pair in enumerate(value_pairs)}
+    index = [entry[u, trace_class[k]] for k, u in products]
+    return {"products": products,
+            "monomials": [monomials[u] for u in range(len(number))],
+            "trace_rows": [[(u, c) for u, c in enumerate(row) if c]
+                           for row in classes],
+            "value_pairs": value_pairs,
+            "index": [index[i * N:(i + 1) * N] for i in range(N)]}
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3)])
+def test_structure_table_equals_the_reference(m, n):
+    t = StructureTable(m, n)
+    want = _reference_table(m, n)
+    assert t.products.tolist() == [list(row) for row in want["products"]]
+    assert t.monomials.tolist() == want["monomials"]
+    assert t.trace_rows == want["trace_rows"]
+    assert [tuple(pair) for pair in t.value_pairs] == want["value_pairs"]
+    assert t.index.tolist() == want["index"]
 
 
 def _monomial_value(field, deltas, exps):
@@ -548,16 +598,29 @@ def strand_calls(monkeypatch):
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3)])
 def test_sweep_item_pairs_the_half_diagrams_once(strand_calls, m, n):
-    # one table and one cell pairing per item, (b m)^2 products with b = 1
-    # arc at n = 2 and 3 at n = 3, however many points the item has
+    # one table and one cell pairing per item, however many points the
+    # item has: the pairing traces b^2 skeleton pairs, b = 1 arc at n = 2
+    # and 3 at n = 3, and no product goes through multiply_diagrams
     StructureTable(m, n)
-    table = strand_calls["multiply_diagrams"]
+    table = strand_calls["compose_strands"]
+    assert table == (basis_size(m, n) // m ** n) ** 2
     (item,) = sweep_points([(m, n)], seed=3, generic_points=3)
     for k in (1, len(item[2])):
         strand_calls.clear()
         sweep_item((m, n, item[2][:k]))
-        assert strand_calls["multiply_diagrams"] == \
-            table + ((1 if n == 2 else 3) * m) ** 2, k
+        assert strand_calls == {"compose_strands":
+                                table + (1 if n == 2 else 3) ** 2}, k
+
+
+def test_refused_delta_builds_no_table(monkeypatch):
+    # the deltas are coerced before any structure table is built
+    def no_table(*args, **kwargs):
+        raise AssertionError("structure table built")
+    monkeypatch.setattr(cycbrauer.oracle, "StructureTable", no_table)
+    F = CyclotomicField(2)
+    for bad in (np.int64(0), 0.5):
+        with pytest.raises(TypeError):
+            semisimple_verdict(2, 2, F, [bad, 1])
 
 
 def test_fresh_verdicts_share_no_structure(strand_calls):
@@ -570,4 +633,5 @@ def test_fresh_verdicts_share_no_structure(strand_calls):
         semisimple_verdict(2, 3, F, [F.one, F.embed(3)])
         counts.append(dict(strand_calls))
     assert counts == [counts[0]] * 10
-    assert counts[0]["multiply_diagrams"] == 36
+    # 15 skeletons in the table, 3 in the cell pairing
+    assert counts[0] == {"compose_strands": 15 ** 2 + 3 ** 2}

@@ -11,7 +11,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from cycbrauer import scalars
-from cycbrauer.criterion import bar_deltas, decide
+from cycbrauer.criterion import VARIANTS, bar_deltas, decide
 from cycbrauer.deltapoly import SymbolicParams
 from cycbrauer.diagrams import NumericParams, symbolic_algebra
 from cycbrauer.oracle import semisimple_verdict
@@ -120,6 +120,29 @@ def test_field_with_root():
     assert K2.root_of_unity(3) ** 3 == K2.one
     with pytest.raises(NoRootError):
         CyclotomicField(4).root_of_unity(3)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_odd_m_holds_the_roots_of_order_dividing_2m(m):
+    # Q(zeta_m) = Q(zeta_2m) for odd m: -zeta^(2m/k) has order k
+    F = CyclotomicField(m)
+    for k in (k for k in range(1, 2 * m + 1) if 2 * m % k == 0):
+        z = F.root_of_unity(k)
+        assert z ** k == F.one
+        assert all(z ** d != F.one for d in range(1, k)), k
+    with pytest.raises(NoRootError):
+        F.root_of_unity(4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("deltas", [[0, 3], [1, 1], [Fraction(1, 2), -2],
+                                    [2, 0], [0, 0]])
+def test_decide_over_q_as_q_zeta_1_and_q_zeta_2(n, deltas):
+    # CyclotomicField(1) and CyclotomicField(2) are both Q
+    for variant in VARIANTS:
+        one, two = (decide(2, n, CyclotomicField(k), deltas, variant)
+                    for k in (1, 2))
+        assert one.to_json() == two.to_json(), variant
 
 
 def test_reduction_hom():
