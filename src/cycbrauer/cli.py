@@ -170,7 +170,6 @@ def main(argv=None):
     p = add("gram", "iota-form Gram matrix on the one-arc module V",
             delta="optional")
     p.add_argument("--cap", type=POSITIVE_ARG, default=5000)
-    p.add_argument("--skip-equivariance", action="store_true")
     p = add("cell-gram", "cellular Gram matrix of the cell (1, mu')",
             delta="optional")
     p.add_argument("--mu", type=str, required=True)
@@ -279,18 +278,17 @@ def _dispatch(args):
         bad = shape_check(gm, params)
         obj = gm.to_json()
         obj["shape_violations"] = bad
-        if not args.skip_equivariance:
-            eq_params = params
-            if args.delta is None and args.m >= 3:
-                # generic symbolic parameters are off the admissible locus
-                # for m >= 3, where the commutation identities cannot hold;
-                # check at a generic admissible point instead
-                eq_params = _params(args, symmetric=True)
-            rep = equivariance_check(args.m, args.n, eq_params, args.cap,
-                                     gm if eq_params is params else None)
-            obj["equivariance"] = rep
-            if not rep["ok"]:
-                bad = bad or rep["failures"]
+        eq_params = params
+        if args.delta is None and args.m >= 3:
+            # generic symbolic parameters are off the admissible locus for
+            # m >= 3, where the commutation identities cannot hold; check
+            # at a generic admissible point instead
+            eq_params = _params(args, symmetric=True)
+        rep = equivariance_check(args.m, args.n, eq_params, args.cap,
+                                 gm if eq_params is params else None)
+        obj["equivariance"] = rep
+        if not rep["ok"]:
+            bad = bad or rep["failures"]
         _emit(obj, args.out)
         return VERIFY_FAILED if bad else 0
 

@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 from math import prod
 
-from .scalars import CyclotomicField, FieldElement, power
+from .scalars import CyclotomicField, FieldElement, _Field, power
 
 
 class LinearCombination:
@@ -90,23 +90,28 @@ class LinearCombination:
         return bool(self.terms)
 
 
-class SymbolicParams:
+class SymbolicParams(_Field):
     """Loop parameters as polynomial generators: the ring
-    field[delta_0, ..., delta_{m-1}] of DeltaPoly.
+    field[delta_0, ..., delta_{m-1}] of DeltaPoly, one shared instance per
+    (m, field, symmetric), so that equal rings mix.
 
     With symmetric=True the generators for delta_a and delta_{m-a} are
     identified, i.e. the parameters are generic on the admissible locus
     (the largest locus where the diagram product is associative)."""
 
-    def __init__(self, m, field=None, symmetric=False):
-        self.field = field or CyclotomicField(1)
-        self.m = m
-        self.symmetric = symmetric
+    def __new__(cls, m, field=None, symmetric=False):
+        return super().__new__(cls, m, field or CyclotomicField(1),
+                               bool(symmetric))
+
+    def _init(self, m, field, symmetric):
+        self.m, self.field, self.symmetric = m, field, symmetric
         self.zero = DeltaPoly(self, {})
         self.one = self.embed(self.field.one)
 
     def __repr__(self):
-        return "%r[delta_0..delta_%d]" % (self.field, self.m - 1)
+        return "%r[delta_0..delta_%d]%s" % (
+            self.field, self.m - 1,
+            "/(delta_a - delta_{m-a})" if self.symmetric else "")
 
     def embed(self, scalar):
         scalar = self.field.coerce(scalar)

@@ -13,20 +13,23 @@ They are kept clearly apart:
   spanned by the half diagrams with w = 1, read off star(x) * y: each
   entry is one character value times one loop parameter (identity and
   proof in cell_gram).  Symmetric; its determinants are the ones that
-  govern semisimplicity.
+  govern semisimplicity.  One entry pattern (cell_pairing) serves all its
+  evaluations: the distinct products, and the block guard run there once.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
 from .deltapoly import SymbolicParams
-from .diagrams import (basis_index, from_awb, generator, iota_diagram,
-                       is_admissible, multiply_all, star_diagram, times_loops)
-from .linalg import gauss_det, gauss_rank, minor_det
+from .diagrams import (NumericParams, basis_index, from_awb, generator,
+                       iota_diagram, is_admissible, multiply_all,
+                       star_diagram, times_loops)
+from .linalg import gauss_rank, minor_det
 from .partitions import check_multipartition
 from .scalars import CyclotomicField
 from .wreath import enumerate_group, identity
@@ -58,6 +61,10 @@ def v_basis(m, n, cap=5000):
     f = m * (n * (n - 1) // 2) * len(group)
     if f > cap:
         raise ValueError("dim V = %d exceeds cap %d" % (f, cap))
+    return _half_diagrams(m, n, group)
+
+
+def _half_diagrams(m, n, group):  # in v_basis order, w in group
     alpha0 = [(n - 1, n, 0)]
     return [from_awb(m, n, [(i, j, lab)], w, alpha0)
             for i, j in itertools.combinations(range(1, n + 1), 2)
@@ -180,8 +187,10 @@ def cell_gram(m, n, mu, params, compute_det=True):
     of v_y and carries the labels' signed sum: it is the loop or the through
     strand.  So each block is anticirculant, A(k_x + k_y), or circulant,
     C(k_y - k_x), as the two arcs are run through in the same sense or not
-    (the blocks pairing {1,2} with {2,3} are the circulant ones); _cell_det
-    checks this and raises otherwise.  With F = (xi^{lk})_{l,k} and
+    (the blocks pairing {1,2} with {2,3} are the circulant ones).  An
+    entry is a function of its pair (r0, loops), so cell_pairing checks
+    this once, on the pairs' integer codes, and raises otherwise.  With
+    F = (xi^{lk})_{l,k} and
     hat X(l) = sum_s X(s) xi^{ls}, F A F^T is m diag(hat A(l)) and F C F^T
     has m hat C(-l) at (l, -l) and zeros elsewhere, so (1_b (x) F) G
     (1_b (x) F)^T is block diagonal over the orbits {l, -l}, with blocks of
@@ -195,30 +204,51 @@ def cell_gram(m, n, mu, params, compute_det=True):
     return cell_form(m, n, mu, params, cell_pairing(m, n), compute_det)
 
 
+CellPairing = namedtuple("CellPairing", "half pairs index circulant")
+
+
 def cell_pairing(m, n):
-    """The pairing behind cell_gram, which depends on neither mu nor the
-    parameters: (half, pairs), half the half diagrams v and pairs[x][y] =
-    (r0, loops) when star(v_x) * v_y is the loops' deltas times
-    alpha_0 (x) t^r0 (x) alpha_0.  Any other product raises ValueError."""
+    """The entry pattern behind cell_gram, which depends on neither mu nor
+    the parameters: the half diagrams v_x (w = 1 in v_basis), and
+    star(v_x) * v_y is the loops' deltas times alpha_0 (x) t^r0 (x) alpha_0
+    for (r0, loops) = pairs[index[x, y]], the distinct pairs; any other
+    product raises ValueError.  circulant[a, c] is the kind of arc block
+    (a, c), which _block_kinds reads off the codes once, here."""
     if n not in (2, 3):
         raise ValueError("cell Gram matrices need n = 2 or 3, got n = %d" % n)
+    half = _half_diagrams(m, n, [identity(m, n - 2)])
     alpha0 = [(n - 1, n, 0)]
-    unit = identity(m, n - 2)
-    half = [from_awb(m, n, [arc + (k,)], unit, alpha0)
-            for arc in itertools.combinations(range(1, n + 1), 2)
-            for k in range(m)]
     # the m targets alpha_0 (x) t^r (x) alpha_0 (one at n = 2), by r
     targets = {basis_index(from_awb(m, n, alpha0, w, alpha0)): sum(w.colors)
                for w in enumerate_group(m, n - 2)}
     out, loops = multiply_all([star_diagram(x) for x in half], half)
     if not np.isin(out[..., 0], list(targets)).all():
         raise ValueError("product left the span of alpha_0 (x) t^s (x) alpha_0")
-    return half, [[(targets[k], loops[u]) for k, u in row]
-                  for row in out.tolist()]
+    codes, index = np.unique(out.reshape(-1, 2), axis=0, return_inverse=True)
+    index = index.reshape(len(half), len(half))
+    pairs = [(targets[k], loops[u]) for k, u in codes.tolist()]
+    return CellPairing(half, pairs, index, _block_kinds(index, m))
+
+
+def _block_kinds(index, m):
+    """Per m x m arc block of an entry index: circulant (entry (k, t) is
+    top[t - k], top its first row), else anticirculant (top[t + k]).
+    Raises ValueError on a block that is neither."""
+    b = len(index) // m
+    blocks = index.reshape(b, m, b, m).swapaxes(1, 2)
+    k, t = np.ogrid[:m, :m]
+    anti, circ = ((blocks == blocks[:, :, 0, (t + s * k) % m]).all((2, 3))
+                  for s in (1, -1))
+    bad = np.argwhere(~anti & ~circ)
+    if len(bad):
+        raise ValueError("cell Gram block (%d, %d) is neither anticirculant "
+                         "nor circulant" % tuple(bad[0]))
+    return ~anti
 
 
 def cell_form(m, n, mu, params, pairing, compute_det=True):
-    """cell_gram evaluated on a pairing = cell_pairing(m, n)."""
+    """cell_gram evaluated on a pattern = cell_pairing(m, n): one value per
+    distinct pair, read into the entries through the index."""
     mu = check_multipartition(mu, m)
     field = params.field
     sizes = [sum(p) for p in mu]
@@ -232,51 +262,36 @@ def cell_form(m, n, mu, params, pairing, compute_det=True):
         l = -sizes.index(1) % m  # (1 - j) mod m, j the box's component
         xi = field.root_of_unity(m)
         weight = [field.embed(m) * xi ** (l * (r - 1) % m) for r in range(m)]
-    weight = [params.one * w for w in weight]
-    half, pairs = pairing
-    entries = [[times_loops(params, weight[r0], loops) for r0, loops in row]
-               for row in pairs]
-    gm = GramMatrix("cellular-form", len(half), entries, half)
+    values = [times_loops(params, params.one * weight[r0], loops)
+              for r0, loops in pairing.pairs]
+    entries = [[values[v] for v in row] for row in pairing.index.tolist()]
+    gm = GramMatrix("cellular-form", len(entries), entries, pairing.half)
     if compute_det:
-        gm.det = _cell_det(entries, m, params)
+        gm.det = _cell_det(pairing, values, m, params)
     return gm
 
 
-def _cell_det(entries, m, params):
-    """det G of a cell Gram matrix, one label-Fourier block per orbit
-    {l, -l}, by minor expansion (identity in cell_gram); the field must
-    hold a primitive m-th root of unity.  Raises ValueError on a block
-    that is neither anticirculant nor circulant."""
-    if isinstance(params, SymbolicParams) and len(entries) > 12:
+def _cell_det(pairing, values, m, params):
+    """det G of the cell Gram matrix values[pairing.index], one
+    label-Fourier block per orbit {l, -l}, by minor expansion (identity in
+    cell_gram); the field must hold a primitive m-th root of unity."""
+    codes = pairing.index.tolist()
+    if isinstance(params, SymbolicParams) and len(codes) > 12:
         return None  # symbolic determinant kept to small sizes
-    b = len(entries) // m
+    b = len(codes) // m
     xi = params.field.root_of_unity(m)
     powers = [xi ** e for e in range(m)]
-    hats = {}  # (arc, arc') -> (circulant?, [hat(l) for l in range(m)])
-    for a in range(b):
-        for c in range(b):
-            rows = [row[c * m:(c + 1) * m] for row in entries[a * m:(a + 1) * m]]
-            top = rows[0]
-            for circulant in (False, True):
-                sign = -1 if circulant else 1
-                if all(x == top[(t + sign * k) % m]
-                       for k, row in enumerate(rows) for t, x in enumerate(row)):
-                    break
-            else:
-                raise ValueError("cell Gram block (%d, %d) is neither "
-                                 "anticirculant nor circulant" % (a, c))
-            hats[a, c] = circulant, [
-                sum((x * powers[l * s % m] for s, x in enumerate(top) if x),
-                    params.zero) for l in range(m)]
-
-    def entry(t, a, u, c):  # of the transformed matrix, rows (t, a), cols (u, c)
-        circulant, hat = hats[a, c]
-        return hat[u] if u == (-t % m if circulant else t) else params.zero
-
+    hats = [[[sum((values[v] * powers[l * s % m]
+                   for s, v in enumerate(codes[a * m][c * m:(c + 1) * m])
+                   if values[v]), params.zero) for l in range(m)]
+             for c in range(b)] for a in range(b)]
+    circulant = pairing.circulant.tolist()
     det = -params.one if b * ((m - 1) // 2) % 2 else params.one
     for l in range(m // 2 + 1):
         index = [(t, a) for t in sorted({l, -l % m}) for a in range(b)]
-        block = [[entry(t, a, u, c) for u, c in index] for t, a in index]
+        # the transformed matrix at rows (t, a), columns (u, c)
+        block = [[hats[a][c][u] if u == (-t % m if circulant[a][c] else t)
+                  else params.zero for u, c in index] for t, a in index]
         det = det * minor_det(block, params.zero, params.one)
     return det
 
@@ -285,7 +300,7 @@ def single_box_gram(m):
     """The 3m x 3m cell Gram matrix at n = 3, mu the box in component 1,
     over Q(zeta_m)[delta], compared entrywise with the block form
     [[0,A,A],[A,0,A],[A,A,0]], A = m * ones, which the evaluation at
-    delta = 0 is expected to match.
+    delta = 0 (the same pattern, numeric) is expected to match.
 
     Returns (GramMatrix, report) where the report states whether the block
     form holds identically in delta or only at delta = 0, lists mismatches,
@@ -293,33 +308,24 @@ def single_box_gram(m):
     """
     if m < 2:
         raise ValueError("m >= 2 required")
-    params = SymbolicParams(m, CyclotomicField(m))
+    field = CyclotomicField(m)
+    params = SymbolicParams(m, field)
     mu = tuple([(1,)] + [()] * (m - 1))
-    gm = cell_gram(m, 3, mu, params, compute_det=False)
-    field = params.field
+    pairing = cell_pairing(m, 3)
+    gm = cell_form(m, 3, mu, params, pairing, compute_det=False)
+    zero = cell_form(m, 3, mu, NumericParams(field, [field.zero] * m), pairing)
     a = field.embed(m)
-    mismatches = []
-    identical = True
-    zeros = [field.zero] * m
-    at_zero_rows = []
-    for r in range(3 * m):
-        row = []
-        for c in range(3 * m):
-            want = field.zero if r // m == c // m else a
-            x = gm.entries[r][c]
-            val = x.evaluate(zeros)
-            if x != params.embed(val):
-                identical = False
-            row.append(val)
-            if val != want:
-                mismatches.append({"row": r, "col": c, "got": str(val),
-                                   "want": str(want)})
-        at_zero_rows.append(row)
-    det0 = gauss_det(at_zero_rows, field.one)
-    rank0 = gauss_rank(at_zero_rows)
-    gm.det = det0
+    mismatches = [{"row": r, "col": c, "got": str(x), "want": str(y)}
+                  for r, row in enumerate(zero.entries)
+                  for c, x in enumerate(row)
+                  for y in [a if r // m != c // m else field.zero] if x != y]
+    # identical in delta: no entry has a term with a nonzero exponent
+    identical = not any(any(e) for row in gm.entries for x in row
+                        for e in x.terms)
+    gm.det = zero.det
     report = {"m": m, "matches_printed_at_zero": not mismatches,
               "identical_in_delta": identical and not mismatches,
               "mismatches": mismatches,
-              "det_at_zero": str(det0), "rank_at_zero": rank0}
+              "det_at_zero": str(zero.det),
+              "rank_at_zero": gauss_rank(zero.entries)}
     return gm, report

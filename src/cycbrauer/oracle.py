@@ -111,7 +111,8 @@ class StructureTable:
 
     @cached_property
     def cell_pairing(self):
-        """gram.cell_pairing(m, n), built on first use (n in {2, 3})."""
+        """The cell forms' entry pattern gram.cell_pairing(m, n), built and
+        its block kinds checked once, on first use (n in {2, 3})."""
         return cell_pairing(self.m, self.n)
 
 

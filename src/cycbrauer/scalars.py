@@ -22,7 +22,6 @@ is no floating point anywhere in this package.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -204,7 +203,8 @@ def _poly_sub(a, b, zero):
 # ---------------------------------------------------------------------------
 
 class _Field:
-    """One shared instance per field (per class and parameters)."""
+    """One shared instance per ring (per class and parameters): the fields
+    here and the loop-parameter rings of deltapoly."""
 
     _instances = {}
 
@@ -363,7 +363,7 @@ class CyclotomicField(_Field):
         Requires p = 1 (mod m) and p prime."""
         if self.m > 1 and (p - 1) % self.m != 0:
             raise NoRootError("p must be 1 mod m")
-        r = _order_m_residue(p, self.m)
+        r = FiniteField(p, 1).root_of_unity(self.m).coeffs[0]
 
         def hom(x):
             acc = 0
@@ -377,18 +377,6 @@ class CyclotomicField(_Field):
             return acc
 
         return hom
-
-
-@lru_cache(maxsize=None)
-def _order_m_residue(p, m):
-    if m == 1:
-        return 1
-    e = (p - 1) // m
-    for g in range(2, p):
-        r = pow(g, e, p)
-        if r != 1 and all(pow(r, m // q, p) != 1 for q in _prime_factors(m)):
-            return r
-    raise NoRootError("no order-%d residue mod %d" % (m, p))
 
 
 class CycElt(FieldElement):
@@ -485,22 +473,22 @@ class FiniteField(_Field):
             return self.element([a.numerator * pow(den, -1, self.p)])
         return self.element([a])
 
-    def elements(self):
-        for tup in itertools.product(range(self.p), repeat=self.k):
-            yield FFElt(self, tup)
-
     def root_of_unity(self, m):
-        if m == 1:
-            return self.one
-        if (self.order - 1) % m != 0:
+        """The first g^((q - 1)/m) of order m, i.e. g no r-th power for any
+        prime r | m, g != 0 in base-p order, constant term leading.  The
+        first p are 0 and c x^(k-1): if r | (q - 1)/(p - 1), each c in GF(p)
+        is an r-th power, so if x^(k-1) is one too, all p are skipped."""
+        p, k, q = self.p, self.k, self.order
+        if (q - 1) % m != 0:
             raise NoRootError("%r has no order-%d root" % (self, m))
-        e = (self.order - 1) // m
-        qs = _prime_factors(m)
-        for g in self.elements():
-            if not g:
-                continue
-            z = g ** e
-            if z != self.one and all(z ** (m // q) != self.one for q in qs):
+        rs = _prime_factors(m)
+        lead = self.element([0] * (k - 1) + [1])
+        skip = any((q - 1) // (p - 1) % r == 0 and
+                   lead ** ((q - 1) // r) == self.one for r in rs)
+        for code in range(p if skip else 1, q):
+            z = FFElt(self, tuple(code // p ** (k - 1 - i) % p
+                                  for i in range(k))) ** ((q - 1) // m)
+            if all(z ** (m // r) != self.one for r in rs):
                 return z
         raise NoRootError("no order-%d root found" % m)
 

@@ -101,6 +101,16 @@ def test_single_box(capsys):
     assert code == 0 and obj["report"]["matches_printed_at_zero"]
 
 
+@pytest.mark.parametrize("char", ["1000000009", "1000000007"])
+def test_decide_at_a_large_characteristic(capsys, char):
+    # the root of unity is searched for lazily: GF(p) at p = 1000000009,
+    # GF(p^2) at p = 1000000007 = 2 (mod 3), where the first p candidates
+    # are all cubes and are skipped
+    code, obj = run_json(capsys, "decide", "--m", "3", "--n", "3",
+                         "--char", char, "--delta", "1,2,2")
+    assert code == 0 and obj["decision"] == "semisimple"
+
+
 def test_oracle(capsys):
     code, obj = run_json(capsys, "oracle", "--m", "2", "--n", "2",
                          "--delta", "0,0")
@@ -399,8 +409,8 @@ def test_malformed_mu_rejected(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("gram", "--m", "3", "--n", "2", "--skip-equivariance"),
-    ("gram", "--m", "2", "--n", "2", "--char", "5", "--skip-equivariance"),
+    ("gram", "--m", "3", "--n", "2"),
+    ("gram", "--m", "2", "--n", "2", "--char", "5"),
     ("cell-gram", "--m", "2", "--n", "3", "--mu", "[[1],[]]"),
     ("cell-gram", "--m", "3", "--n", "2", "--mu", "[[],[],[]]"),
     ("single-box", "--m", "3"),

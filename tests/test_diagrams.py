@@ -365,8 +365,10 @@ def test_is_admissible():
 
 def test_operands_must_share_the_ring():
     # one rule for delta polynomials and algebra elements: both operands
-    # belong to the same ring object, else ValueError
-    p, q = SymbolicParams(2), SymbolicParams(2)
+    # belong to the same ring object, else ValueError.  Parameter rings are
+    # shared per (m, field, symmetric), so a free and a symmetric ring stand
+    # for two different rings
+    p, q = SymbolicParams(2), SymbolicParams(2, symmetric=True)
     a, b = DiagramAlgebra(2, 2, p), DiagramAlgebra(2, 2, p)
     for x, y in [(p.delta(0), q.delta(0)), (a.s(1), b.s(1)),
                  (a.one, symbolic_algebra(2, 2).one)]:

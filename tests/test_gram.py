@@ -2,7 +2,9 @@
 one-box matrix at n = 3."""
 
 import itertools
+import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,9 +16,9 @@ from cycbrauer.diagrams import (DiagramAlgebra, NumericParams, SymbolicParams,
                                 is_admissible, multiply_diagrams, times_loops,
                                 wreath_to_diagram)
 from cycbrauer.criterion import bar_deltas
-from cycbrauer.gram import (GramMatrix, _cell_det, cell_gram,
-                            equivariance_check, gram_big, shape_check,
-                            single_box_gram, v_basis)
+from cycbrauer.gram import (GramMatrix, _block_kinds, cell_gram,
+                            cell_pairing, equivariance_check, gram_big,
+                            shape_check, single_box_gram, v_basis)
 from cycbrauer.linalg import gauss_det, minor_det
 from cycbrauer.oracle import _hyperplane_point
 from cycbrauer.scalars import CyclotomicField, field_with_root
@@ -440,18 +442,38 @@ def test_cell_det_on_hyperplanes():
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_cell_det_guard_rejects_a_perturbed_entry(m):
-    # one changed entry leaves a block neither anticirculant nor circulant
+    # the block guard reads the pattern's integer codes: the blocks pairing
+    # {1,2} with {2,3} are circulant (at m = 2 both kinds coincide and
+    # anticirculant is read first), and one changed code leaves a block
+    # neither anticirculant nor circulant
     rng = random.Random(m)
-    F = CyclotomicField(m)
-    for params in (SymbolicParams(m, F),
-                   NumericParams(F, [Fraction(3 * a - 4, a + 2) for a in range(m)])):
-        for mu in _one_box_mus(m):
-            g = cell_gram(m, 3, mu, params, compute_det=False)
-            entries = [list(row) for row in g.entries]
-            r, c = rng.randrange(3 * m), rng.randrange(3 * m)
-            entries[r][c] = entries[r][c] + params.one
-            with pytest.raises(ValueError, match="neither anticirculant"):
-                _cell_det(entries, m, params)
+    pairing = cell_pairing(m, 3)
+    circulant = m > 2
+    assert pairing.circulant.tolist() == [[False, False, circulant],
+                                          [False, False, False],
+                                          [circulant, False, False]]
+    for _ in range(5):
+        index = pairing.index.copy()
+        r, c = rng.randrange(3 * m), rng.randrange(3 * m)
+        index[r, c] = len(pairing.pairs)
+        with pytest.raises(ValueError, match="neither anticirculant nor "
+                                             "circulant"):
+            _block_kinds(index, m)
+
+
+def test_equal_parameter_rings_mix():
+    # one SymbolicParams per (m, field, symmetric): the iota-form built on
+    # one SymbolicParams(2) checks against another, while a free and a
+    # symmetric ring refuse to mix and print apart
+    assert SymbolicParams(2) is SymbolicParams(2, Q, symmetric=False)
+    assert shape_check(gram_big(2, 3, SymbolicParams(2)),
+                       SymbolicParams(2)) == []
+    free, sym = SymbolicParams(3), SymbolicParams(3, symmetric=True)
+    assert repr(free) != repr(sym)
+    with pytest.raises(ValueError, match=re.escape(
+            "mixed rings %r and %r" % (free, sym))):
+        free.delta(1) + sym.delta(1)
+    assert pickle.loads(pickle.dumps(sym.delta(1))) == sym.delta(2)
 
 
 def test_single_box_gram():

@@ -155,6 +155,9 @@ NO_SRC_CALLER = {
     # test run; the CLI composes the same two steps to spread one of them
     # over workers
     "concordance_sweep",
+    # the dense Gaussian determinant: the benchmark traces it and the
+    # determinant tests compare the label-Fourier blocks against it
+    "gauss_det",
 }
 
 

@@ -1,5 +1,6 @@
 """Field tower tests: cyclotomic fields, prime fields and extensions."""
 
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -120,6 +121,33 @@ def test_field_with_root():
     assert K2.root_of_unity(3) ** 3 == K2.one
     with pytest.raises(NoRootError):
         CyclotomicField(4).root_of_unity(3)
+
+
+def _enumerated_root(F, m):
+    """The search that root_of_unity replaced, kept as the reference: the
+    first nonzero g, in itertools.product order, with g^((q-1)/m) of
+    order m.  The product lists range(p) before its first tuple."""
+    e = (F.order - 1) // m
+    for coeffs in itertools.product(range(F.p), repeat=F.k):
+        z = F.element(list(coeffs)) ** e
+        if any(coeffs) and all(z ** d != F.one for d in range(1, m)):
+            return z
+
+
+def test_root_of_unity_matches_the_enumeration():
+    # every prime p < 200, k <= 3 and m <= 12 dividing p^k - 1, 217 of
+    # them with the first p candidates skipped; reduction_hom sends zeta
+    # to the root of GF(p)
+    for p in filter(is_prime, range(200)):
+        for k in (1, 2, 3):
+            F = FiniteField(p, k)
+            for m in range(1, 13):
+                if (F.order - 1) % m == 0:
+                    z = _enumerated_root(F, m)
+                    assert F.root_of_unity(m) == z, (p, k, m)
+                    if k == 1 and m > 1:
+                        hom = CyclotomicField(m).reduction_hom(p)
+                        assert hom(CyclotomicField(m).zeta) == z.coeffs[0]
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])
@@ -337,7 +365,8 @@ def reference_ff_inverse(a):
                                  for k in (1, 2, 3)])
 def test_ff_inverse_matches_euclid(p, k):
     F = FiniteField(p, k)
-    for a in F.elements():
+    for coeffs in itertools.product(range(p), repeat=k):
+        a = F.element(list(coeffs))
         if a:
             assert a.inverse().coeffs == reference_ff_inverse(a).coeffs
 
