@@ -37,17 +37,28 @@ from .wreath import enumerate_group, identity
 
 @dataclass
 class GramMatrix:
+    """G[i, j] = values[index[i, j]]: the distinct entries, each computed
+    once, and the integer index its builder found them by."""
     kind: str  # "iota-form" or "cellular-form"
-    size: int
-    entries: list
+    values: list
+    index: np.ndarray
     basis: list = dfield(default_factory=list)
     det: object = None
 
+    @property
+    def size(self):
+        return len(self.index)
+
+    @property
+    def entries(self):
+        return [[self.values[v] for v in row] for row in self.index.tolist()]
+
     def to_json(self):
+        text = [str(x) for x in self.values]
         return {
             "kind": self.kind,
             "size": self.size,
-            "entries": [[str(x) for x in row] for row in self.entries],
+            "entries": [[text[v] for v in row] for row in self.index.tolist()],
             "det": None if self.det is None else str(self.det),
         }
 
@@ -82,21 +93,8 @@ def gram_big(m, n, params, cap=5000):
                              return_inverse=True)
     values = [times_loops(params, params.one, loops[u]) if u >= 0
               else params.zero for u in codes.tolist()]
-    entries = [[values[v] for v in row]
-               for row in index.reshape(len(basis), -1).tolist()]
-    return GramMatrix("iota-form", len(basis), entries, basis)
-
-
-def _entry_codes(entries):
-    """(distinct, codes): the distinct entries, and each entry's index among
-    them; equal entries (delta_a, delta_{m-a} if symmetric) share a code."""
-    objects = {id(x): x for row in entries for x in row}
-    distinct = []
-    for x in objects.values():
-        if x not in distinct:
-            distinct.append(x)
-    code = {key: distinct.index(x) for key, x in objects.items()}
-    return distinct, np.array([[code[id(x)] for x in row] for row in entries])
+    return GramMatrix("iota-form", values,
+                      index.reshape(len(basis), len(basis)), basis)
 
 
 def shape_check(gram, params):
@@ -104,11 +102,11 @@ def shape_check(gram, params):
     {0, 1, delta_1, ..., delta_{m-1}}.  Returns list of violations."""
     offs = [params.zero, params.one]
     offs += [params.delta(a) for a in range(1, params.m)]
-    distinct, codes = _entry_codes(gram.entries)
-    # per distinct entry: bad off the diagonal, bad on it
+    # per distinct value: bad off the diagonal, bad on it
     bad = np.array([[all(x != o for o in offs), x != params.delta(0)]
-                    for x in distinct])[codes, np.eye(gram.size, dtype=int)]
-    return [(i, j, str(distinct[codes[i, j]]))
+                    for x in gram.values])[gram.index,
+                                           np.eye(gram.size, dtype=int)]
+    return [(i, j, str(gram.values[gram.index[i, j]]))
             for i, j in np.argwhere(bad).tolist()]
 
 
@@ -129,7 +127,8 @@ def equivariance_check(m, n, params, cap=5000, gram=None):
     gm = gram_big(m, n, params, cap) if gram is None else gram
     basis, f = gm.basis, gm.size
     position = {basis_index(b): k for k, b in enumerate(basis)}
-    G = _entry_codes(gm.entries)[1]
+    # equal values (delta_a, delta_{m-a} if symmetric) share a code
+    G = np.array([gm.values.index(x) for x in gm.values])[gm.index]
     failures, checked = [], []
 
     def commutes(side, name, i):
@@ -162,7 +161,7 @@ def equivariance_check(m, n, params, cap=5000, gram=None):
 # cellular forms for cells (1, mu') with |mu| = n - 2 <= 1
 # ---------------------------------------------------------------------------
 
-def cell_gram(m, n, mu, params, compute_det=True):
+def cell_gram(m, n, mu, params):
     """Symmetric Gram matrix of the cell (1, mu') for n in {2, 3}.
 
     One pairing of the half diagrams v = alpha (x) 1 (x) alpha_0 (alpha one
@@ -201,7 +200,7 @@ def cell_gram(m, n, mu, params, compute_det=True):
     the single block is anticirculant in delta_{k_x + k_y} and det G is
     (-1)^{floor((m-1)/2)} prod_l bar_delta_l.
     """
-    return cell_form(m, n, mu, params, cell_pairing(m, n), compute_det)
+    return cell_form(m, n, mu, params, cell_pairing(m, n))
 
 
 CellPairing = namedtuple("CellPairing", "half pairs index circulant")
@@ -226,6 +225,7 @@ def cell_pairing(m, n):
         raise ValueError("product left the span of alpha_0 (x) t^s (x) alpha_0")
     codes, index = np.unique(out.reshape(-1, 2), axis=0, return_inverse=True)
     index = index.reshape(len(half), len(half))
+    index.flags.writeable = False  # shared by every form on this pattern
     pairs = [(targets[k], loops[u]) for k, u in codes.tolist()]
     return CellPairing(half, pairs, index, _block_kinds(index, m))
 
@@ -248,7 +248,7 @@ def _block_kinds(index, m):
 
 def cell_form(m, n, mu, params, pairing, compute_det=True):
     """cell_gram evaluated on a pattern = cell_pairing(m, n): one value per
-    distinct pair, read into the entries through the index."""
+    distinct pair, indexed by the pattern's own (read-only) index."""
     mu = check_multipartition(mu, m)
     field = params.field
     sizes = [sum(p) for p in mu]
@@ -264,11 +264,9 @@ def cell_form(m, n, mu, params, pairing, compute_det=True):
         weight = [field.embed(m) * xi ** (l * (r - 1) % m) for r in range(m)]
     values = [times_loops(params, params.one * weight[r0], loops)
               for r0, loops in pairing.pairs]
-    entries = [[values[v] for v in row] for row in pairing.index.tolist()]
-    gm = GramMatrix("cellular-form", len(entries), entries, pairing.half)
-    if compute_det:
-        gm.det = _cell_det(pairing, values, m, params)
-    return gm
+    return GramMatrix("cellular-form", values, pairing.index, pairing.half,
+                      _cell_det(pairing, values, m, params) if compute_det
+                      else None)
 
 
 def _cell_det(pairing, values, m, params):
@@ -320,8 +318,7 @@ def single_box_gram(m):
                   for c, x in enumerate(row)
                   for y in [a if r // m != c // m else field.zero] if x != y]
     # identical in delta: no entry has a term with a nonzero exponent
-    identical = not any(any(e) for row in gm.entries for x in row
-                        for e in x.terms)
+    identical = not any(any(e) for x in gm.values for e in x.terms)
     gm.det = zero.det
     report = {"m": m, "matches_printed_at_zero": not mismatches,
               "identical_in_delta": identical and not mismatches,

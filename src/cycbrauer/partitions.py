@@ -61,34 +61,6 @@ def check_multipartition(mu, m):
     return out
 
 
-def contains(lam, mu):
-    """Componentwise containment of multipartitions (same m)."""
-    for lp, mp in zip(lam, mu):
-        if len(mp) > len(lp):
-            return False
-        if any(mp[i] > lp[i] for i in range(len(mp))):
-            return False
-    return True
-
-
-def skew_boxes(lam, mu):
-    """Boxes of lam/mu as (component, row, col), 1-based rows and columns."""
-    if not contains(lam, mu):
-        raise ValueError("mu not contained in lambda")
-    boxes = []
-    for comp, (lp, mp) in enumerate(zip(lam, mu)):
-        for i, row_len in enumerate(lp):
-            start = mp[i] if i < len(mp) else 0
-            for j in range(start, row_len):
-                boxes.append((comp + 1, i + 1, j + 1))
-    return boxes
-
-
-def content_sum(lam, mu):
-    """Sum of contents c = col - row over the boxes of lam/mu."""
-    return sum(j - i for _, i, j in skew_boxes(lam, mu))
-
-
 def add_one_box(p):
     """All partitions obtained from p by adding one box, with the content of
     the added box: yields (partition, content)."""
@@ -113,16 +85,16 @@ def add_two_boxes_not_same_column(p):
     seen = set()
     for q1, c1 in add_one_box(p):
         for q2, c2 in add_one_box(q1):
-            if q2 in seen:
-                continue
-            # same column iff the two added boxes sit in rows i, i+1 with
-            # equal column index, i.e. the skew shape is a vertical domino
-            boxes = skew_boxes((q2,), (p,))
-            (_, r1, col1), (_, r2, col2) = boxes
-            if col1 == col2:
-                continue
-            seen.add(q2)
-            yield q2, c1 + c2
+            # same column iff c2 == c1 - 1.  The addable cells of q1 have
+            # distinct contents (if the lower of two cells on one diagonal
+            # is addable, the cell above it lies in q1, so the upper one
+            # does too).  On the diagonal c1 - 1, the cells up-left of the
+            # one below the first box lie in q1, and a cell down-right of
+            # it is not addable: the cell above it would put a cell of p
+            # down-right of the first box, which p lacked
+            if c2 != c1 - 1 and q2 not in seen:
+                seen.add(q2)
+                yield q2, c1 + c2
 
 
 @dataclass(frozen=True)
@@ -130,7 +102,6 @@ class AdmissiblePair:
     """A two-box extension lam of mu together with the matching condition tag
     (1..4) and the total content of the added boxes."""
 
-    mu: tuple
     lam: tuple
     condition: int
     content: int
@@ -145,34 +116,25 @@ def admissible_set(mu, m):
     one column.
     """
     mu = tuple(tuple(p) for p in mu)
-    out = []
-    seen = set()
-
-    def emit(lam, tag):
-        if lam not in seen:
-            seen.add(lam)
-            out.append(AdmissiblePair(mu, lam, tag, content_sum(lam, mu)))
-
+    out = []  # each condition changes its own components: no repeats
     # (1): component m
-    for q, _ in add_two_boxes_not_same_column(mu[m - 1]):
-        lam = mu[:m - 1] + (q,)
-        emit(lam, 1)
+    for q, c in add_two_boxes_not_same_column(mu[m - 1]):
+        out.append(AdmissiblePair(mu[:m - 1] + (q,), 1, c))
     # (2)/(3): one box each in components i and m-i
     lo = (m + 1) // 2 if m % 2 else m // 2 + 1
     tag = 2 if m % 2 else 3
     for i in range(lo, m):
-        for qi, _ in add_one_box(mu[i - 1]):
-            for qj, _ in add_one_box(mu[m - i - 1]):
+        for qi, ci in add_one_box(mu[i - 1]):
+            for qj, cj in add_one_box(mu[m - i - 1]):
                 lam = list(mu)
                 lam[i - 1] = qi
                 lam[m - i - 1] = qj
-                emit(tuple(lam), tag)
+                out.append(AdmissiblePair(tuple(lam), tag, ci + cj))
     # (4): component m/2
     if m % 2 == 0:
         h = m // 2
-        for q, _ in add_two_boxes_not_same_column(mu[h - 1]):
-            lam = mu[:h - 1] + (q,) + mu[h:]
-            emit(lam, 4)
+        for q, c in add_two_boxes_not_same_column(mu[h - 1]):
+            out.append(AdmissiblePair(mu[:h - 1] + (q,) + mu[h:], 4, c))
     return out
 
 

@@ -512,10 +512,17 @@ def _smallest_irreducible(p, k):
 
     f has a factor of degree d <= k/2 iff gcd(x^(p^d) - x, f) != 1.  The
     powers of x are taken in GF(p)[x]/(f): a FiniteField built on f and
-    kept out of the field cache, as f need not be irreducible."""
+    kept out of the field cache, as f need not be irreducible.
+
+    The codes below p are the binomials x^k + a.  None is irreducible when
+    a prime r | k does not divide p - 1, or 4 | k and p = 3 (mod 4)
+    (Lidl-Niederreiter, Finite Fields, Thm 3.75), and the walk then starts
+    at code p rather than test p reducible binomials."""
     if k == 1:
         return (0, 1)  # x
-    for code in range(p ** k):
+    binomials = all((p - 1) % r == 0 for r in _prime_factors(k)) \
+        and not (k % 4 == 0 and p % 4 == 3)
+    for code in range(0 if binomials else p, p ** k):
         f = tuple(code // p ** i % p for i in range(k)) + (1,)
         ring = object.__new__(FiniteField)
         ring._setup(p, k, f)

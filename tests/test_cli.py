@@ -111,6 +111,28 @@ def test_decide_at_a_large_characteristic(capsys, char):
     assert code == 0 and obj["decision"] == "semisimple"
 
 
+@pytest.mark.parametrize("m,char", [(5, "1000000007"), (5, "2147483647"),
+                                    (9, "998244353")])
+def test_decide_where_no_binomial_is_irreducible(capsys, m, char):
+    # GF(p^4) at p = 3 (mod 4), and GF(p^6) with 3 not dividing p - 1: no
+    # x^k + a is irreducible, and the modulus search skips those p codes
+    code, obj = run_json(capsys, "decide", "--m", str(m), "--n", "3",
+                         "--char", char, "--delta", ",".join(["2"] * m))
+    assert code == 0 and obj["decision"] in ("semisimple", "not-semisimple")
+
+
+@pytest.mark.parametrize("m,delta,want", [
+    (3, "1,0,1", ["0,0", "0,1", "1,1"]),
+    (5, "1,2,3,3,2", ["1,0,0,0", "0,1,1,0", "1,1,1,0", "1,1,1,0", "0,1,1,0"]),
+])
+def test_bar_delta_over_an_extension_field(capsys, m, delta, want):
+    # GF(4) and GF(16): the printed coefficients depend on the modulus and
+    # on the root of unity the field picks
+    code, obj = run_json(capsys, "bar-delta", "--m", str(m), "--char", "2",
+                         "--delta", delta)
+    assert code == 0 and obj == want
+
+
 def test_oracle(capsys):
     code, obj = run_json(capsys, "oracle", "--m", "2", "--n", "2",
                          "--delta", "0,0")

@@ -16,7 +16,7 @@ from cycbrauer.diagrams import (DiagramAlgebra, NumericParams, SymbolicParams,
                                 is_admissible, multiply_diagrams, times_loops,
                                 wreath_to_diagram)
 from cycbrauer.criterion import bar_deltas
-from cycbrauer.gram import (GramMatrix, _block_kinds, cell_gram,
+from cycbrauer.gram import (GramMatrix, _block_kinds, cell_form, cell_gram,
                             cell_pairing, equivariance_check, gram_big,
                             shape_check, single_box_gram, v_basis)
 from cycbrauer.linalg import gauss_det, minor_det
@@ -84,12 +84,18 @@ def test_gram_shape():
         assert shape_check(gm, params) == []
 
 
+def _with_entry(gm, i, j, x):
+    """gm with entry (i, j) replaced by x, a new value with its own code."""
+    index = gm.index.copy()
+    index[i, j] = len(gm.values)
+    return GramMatrix(gm.kind, gm.values + [x], index, gm.basis)
+
+
 def test_shape_check_reports_violations():
     params = SymbolicParams(2)
-    gm = gram_big(2, 3, params)
     x = params.delta(0) + params.one
-    gm.entries[0][0] = params.delta(1)
-    gm.entries[0][1] = x
+    gm = _with_entry(_with_entry(gram_big(2, 3, params), 0, 0,
+                                 params.delta(1)), 0, 1, x)
     assert shape_check(gm, params) == [(0, 0, str(params.delta(1))),
                                        (0, 1, str(x))]
 
@@ -200,9 +206,7 @@ def test_equivariance_reports_the_reference_first_failure(m, n, kind):
     rng = random.Random(100 * m + n)
     for _ in range(4):
         i, j = rng.randrange(gm.size), rng.randrange(gm.size)
-        entries = [row[:] for row in gm.entries]
-        entries[i][j] = entries[i][j] + params.one
-        bad = GramMatrix(gm.kind, gm.size, entries, gm.basis)
+        bad = _with_entry(gm, i, j, gm.values[gm.index[i, j]] + params.one)
         got = equivariance_check(m, n, params, gram=bad)
         assert got == _reference_equivariance(m, n, params, bad), (i, j)
         assert not got["ok"]
@@ -218,9 +222,7 @@ def test_equivariance_merges_equal_entries(m):
              for j, x in enumerate(row) if x == params.delta(1)]
     assert cells
     for i, j in cells[:3]:
-        entries = [row[:] for row in gm.entries]
-        entries[i][j] = params.delta(m - 1)
-        swapped = GramMatrix(gm.kind, gm.size, entries, gm.basis)
+        swapped = _with_entry(gm, i, j, params.delta(m - 1))
         rep = equivariance_check(m, 3, params, gram=swapped)
         assert rep["ok"] and rep == \
             _reference_equivariance(m, 3, params, swapped)
@@ -357,7 +359,8 @@ def test_cell_gram_matches_star_product_reference(kind):
                 size = m if n == 2 else 3 * m
                 with_det = size <= (6 if kind in ("symbolic", "symmetric")
                                     else 12)
-                g = cell_gram(m, n, mu, params, compute_det=with_det)
+                g = cell_form(m, n, mu, params, cell_pairing(m, n),
+                              compute_det=with_det)
                 entries, det = _reference_cell_gram(m, n, mu, params, with_det)
                 assert g.entries == entries, (kind, m, n, mu)
                 assert g.det == det, (kind, m, n, mu)
@@ -373,7 +376,8 @@ def test_cell_gram_symmetric(m, n, box, admissible, raw):
     F = CyclotomicField(m)
     deltas = [raw[min(a, m - a)] if admissible else raw[a] for a in range(m)]
     mu = tuple((1,) if c == box % m and n == 3 else () for c in range(m))
-    g = cell_gram(m, n, mu, NumericParams(F, deltas), compute_det=False)
+    g = cell_form(m, n, mu, NumericParams(F, deltas), cell_pairing(m, n),
+                  compute_det=False)
     for i in range(g.size):
         for j in range(g.size):
             assert g.entries[i][j] == g.entries[j][i]
@@ -459,6 +463,19 @@ def test_cell_det_guard_rejects_a_perturbed_entry(m):
         with pytest.raises(ValueError, match="neither anticirculant nor "
                                              "circulant"):
             _block_kinds(index, m)
+
+
+def test_cell_pairing_index_is_read_only():
+    # every form that cell_form evaluates on one pattern shares its index
+    pairing = cell_pairing(3, 3)
+    F = CyclotomicField(3)
+    forms = [cell_form(3, 3, mu, NumericParams(F, [F.one] * 3), pairing)
+             for mu in _one_box_mus(3)]
+    assert all(g.index is pairing.index for g in forms)
+    with pytest.raises(ValueError, match="read-only"):
+        pairing.index[0, 0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        forms[0].index[0, 0] = 0
 
 
 def test_equal_parameter_rings_mix():

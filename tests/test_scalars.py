@@ -17,7 +17,7 @@ from cycbrauer.deltapoly import SymbolicParams
 from cycbrauer.diagrams import NumericParams, symbolic_algebra
 from cycbrauer.oracle import semisimple_verdict
 from cycbrauer.scalars import (CycElt, CyclotomicField, FiniteField,
-                               NoRootError, _poly_mul, _poly_xgcd,
+                               NoRootError, _gf_xgcd, _poly_mul, _poly_xgcd,
                                _smallest_irreducible,
                                cyclotomic_polynomial, field_with_root,
                                is_prime, power)
@@ -225,6 +225,30 @@ def test_smallest_irreducible_table():
     for (p, k), f in SMALLEST_IRREDUCIBLE.items():
         assert _smallest_irreducible(p, k) == f, (p, k)
         assert FiniteField(p, k).modulus == f
+
+
+def _plain_walk(p, k):
+    """The modulus search with no codes skipped: the first f in base-p
+    order with gcd(x^(p^d) - x, f) = 1 for every d <= k/2."""
+    for code in range(p ** k):
+        f = tuple(code // p ** i % p for i in range(k)) + (1,)
+        ring = object.__new__(FiniteField)
+        ring._setup(p, k, f)
+        x = pw = ring.element([0, 1])
+        for _ in range(k // 2):
+            pw = pw ** p
+            if any(_gf_xgcd(p, f, (pw - x).coeffs)[0][1:]):
+                break
+        else:
+            return f
+
+
+def test_smallest_irreducible_skips_only_reducible_binomials():
+    # the walk skips the binomials x^k + a where Thm 3.75 of Lidl and
+    # Niederreiter rules them all out; the modulus found stays the same
+    for p in filter(is_prime, range(100)):
+        for k in range(2, 7):
+            assert _smallest_irreducible(p, k) == _plain_walk(p, k), (p, k)
 
 
 @st.composite
