@@ -4,13 +4,19 @@ Gaussian elimination over a field is exact here (no rounding anywhere), and
 is used for ranks and determinants of field-valued matrices.  Determinants of
 polynomial-valued matrices use minor expansion with subset memoisation, which
 avoids ring division entirely; the cell Gram determinants call it on their
-label-Fourier blocks, at most 6 x 6, whatever the entries.  A fast modular
-path (row reduction mod p < 2^31) serves as a certified pre-pass for large
-trace-form matrices: rank mod p is always a lower bound for the exact rank,
-and an exactly verified kernel vector certifies the deficiency.  It works on
-panels of 32 columns, each updating the rest in one float64 BLAS matmul: the
-right factor is split into 16-bit halves (the left one sits beside 2^16 times
-itself mod p), so every sum stays below 32 * 2^31 * (2^16 + 2^15) < 2^53.
+label-Fourier blocks, at most 6 x 6, whatever the entries.
+
+A fast modular path, rref_mod_p (row reduction mod p < 2^31), serves as a
+certified pre-pass for large trace-form matrices: rank mod p is always a
+lower bound for the exact rank, and an exactly verified kernel vector
+certifies the deficiency.  It runs in two passes.  The forward pass brings
+the matrix to row echelon form, touching only the rows at and below each new
+pivot row; it gives the rank and the pivots, and at full column rank (an
+empty kernel) nothing else is computed.  On a rank deficit, back-substitution
+over blocks of pivot rows reduces the free columns, the only ones the kernel
+basis reads.  Both passes do their bulk work in exact float64 BLAS products
+of at most 32 inner terms (_dot): one factor is split into 16-bit halves, so
+every sum stays below 2^53.
 """
 
 from __future__ import annotations
@@ -103,8 +109,8 @@ def minor_det(matrix, zero, one):
 # modular fast path
 # ---------------------------------------------------------------------------
 
-_PANEL = 32  # columns per elimination panel
-_CHUNK = 256  # rows per float64 update, to bound its temporaries
+_PANEL = 32  # columns per elimination panel, rows per back-substitution block
+_CHUNK = 256  # columns per float64 update, to bound its buffer
 
 
 @lru_cache(maxsize=None)
@@ -122,63 +128,176 @@ def primes_for_modular(m):
     return tuple(out)
 
 
+def _reduce(t, p, q=None):
+    """t mod p in place, for an int64 array t with entries in [0, 2^63); q,
+    an int64 array of t's shape, if given, holds the quotients.  Floor
+    division and two passes beat numpy's % from about 1,000 entries up."""
+    if t.size < 1024:
+        t %= p
+        return t
+    q = np.floor_divide(t, p, out=q)
+    q *= p
+    t -= q
+    return t
+
+
+def _dot(x, y, p, out=None):
+    """x @ y as float64, exact but not reduced mod p, for int64 arrays x and y
+    with entries in [0, p), p < 2^31, and at most _PANEL inner terms.
+
+    y is split into 16-bit halves and x stands beside 2^16 x mod p, so each
+    sum, even with one more entry below p added to it, stays below
+    32 * 2^31 * (2^16 + 2^15) + 2^31 < 2^53.
+    """
+    halves = np.vstack([y & 0xFFFF, y >> 16]).astype(np.float64)
+    wide = np.hstack([x, (x << 16) % p]).astype(np.float64)
+    return np.matmul(wide, halves, out=out)
+
+
+def _echelon(a, p):
+    """Reduce a (int64, entries in [0, p)) in place to row echelon form with
+    every pivot 1, and return the pivot columns.  Only rows at and below a
+    pivot row change when it is found.
+
+    The columns go in _PANEL-column panels.  Tracker columns beside a panel
+    write each row as itself plus E times the panel's pivot rows as they came
+    in (E = S^-1 for the pivot rows themselves); the columns to the right of
+    the panel gain E times those rows in one _dot, once the panel's row swaps
+    are applied to them.
+    """
+    nrows, ncols = a.shape
+    pivots = []
+    # the float64 products of an update right of a panel, then (in the
+    # same memory) the quotients of its reduction, _CHUNK columns at a time:
+    # fresh arrays for every panel would cost more in page faults than in
+    # arithmetic
+    work = np.empty(nrows * _CHUNK)
+    for c0 in range(0, ncols, _PANEL):
+        top = len(pivots)
+        if top == nrows:
+            break
+        c1 = min(c0 + _PANEL, ncols)
+        w, h = c1 - c0, nrows - top
+        panel = np.zeros((h, 2 * w), np.int64)
+        panel[:, :w] = a[top:, c0:c1]
+        came_from = list(range(h))
+        moved = set()
+        row = 0
+        for col in range(w):
+            nz = panel[row:, col].nonzero()[0]
+            if len(nz) == 0:
+                continue
+            if nz[0]:
+                piv = row + int(nz[0])
+                panel[[row, piv]] = panel[[piv, row]]
+                came_from[row], came_from[piv] = came_from[piv], came_from[row]
+                moved.update((row, piv))
+            end = w + row + 1  # the pivot row is zero outside col..end
+            panel[row, end - 1] = 1  # its tracker cell
+            inv = pow(int(panel[row, col]), -1, p)
+            prow = panel[row, col:end] * inv % p
+            panel[row, col:end] = prow
+            if len(nz) > 1:
+                below = nz[1:] + row  # the rows below with a nonzero in col
+                t = np.multiply.outer(panel[below, col], p - prow)
+                t += panel[below, col:end]
+                panel[below, col:end] = _reduce(t, p)
+            pivots.append(c0 + col)
+            row += 1
+            if row == h:
+                break
+        a[top:, c0:c1] = panel[:, :w]
+        if row == 0 or c1 == ncols:
+            continue
+        rest = a[top:, c1:]
+        moved = sorted(moved)
+        rest[moved] = rest[[came_from[j] for j in moved]]
+        # pivot rows become E times the old ones, the others gain it
+        for part in np.split(rest, range(_CHUNK, rest.shape[1], _CHUNK),
+                             axis=1):
+            s = _dot(panel[:, w:w + row], part[:row], p,
+                     out=work[:part.size].reshape(part.shape))
+            s[row:] += part[row:]
+            part[...] = s
+            _reduce(part, p, s.view(np.int64))
+    return pivots
+
+
+def _back_substitute(u, pivots, free, p):
+    """The free columns of the reduced form of the echelon form u (int64,
+    pivots 1, rank x ncols): U_p^-1 U_f, with U_p the unit upper triangular
+    pivot columns of u and U_f its free columns.
+
+    U_p is taken in diagonal blocks of _PANEL pivot rows.  The inverses of
+    all the blocks come from one row-by-row back-substitution run on all of
+    them at once; then each block, from the bottom up, is solved with its
+    inverse and eliminated from the rows above in one _dot each.
+    """
+    x = u[:, free]
+    rank = len(pivots)
+    size = min(_PANEL, rank)
+    starts = range(0, rank, size)
+    # the diagonal blocks, the last one padded with the identity
+    blocks = np.tile(np.eye(size, dtype=np.int64), (len(starts), 1, 1))
+    for b, b0 in enumerate(starts):
+        cols = pivots[b0:b0 + size]
+        blocks[b, :len(cols), :len(cols)] = u[b0:b0 + size, cols]
+    inverses = np.tile(np.eye(size, dtype=np.int64), (len(starts), 1, 1))
+    for i in range(size - 1, 0, -1):
+        t = blocks[:, :i, i, None] * (p - inverses[:, i, None, :])
+        t += inverses[:, :i]
+        inverses[:, :i] = _reduce(t, p)
+    for b, b0 in reversed(list(enumerate(starts))):
+        cols = pivots[b0:b0 + size]
+        inv = inverses[b, :len(cols), :len(cols)]
+        xb = x[b0:b0 + size]
+        xb[...] = _dot(inv, xb, p)
+        _reduce(xb, p)
+        if b0:
+            s = _dot((p - u[:b0, cols]) % p, xb, p)
+            s += x[:b0]
+            x[:b0] = s
+            _reduce(x[:b0], p, s.view(np.int64))
+    return x
+
+
 def rref_mod_p(mat, p):
-    """Reduced row echelon form mod p of an int matrix (numpy int64).
+    """Reduced row echelon form mod p of an integer matrix.
 
     Returns (rank, pivot_cols, kernel_basis) where kernel_basis is an int64
-    array whose rows (entries in [0, p)) span the right kernel mod p.
-    Needs p < 2^31, so that the int64 row update cannot overflow.
+    array whose rows (entries in [0, p)) span the right kernel mod p.  Needs
+    an integer or bool matrix (any other dtype is a TypeError, as a fraction
+    or float has no residue to take) and p < 2^31, so that the int64 row
+    update cannot overflow.
 
-    Block Gauss-Jordan over _PANEL-column panels: tracker columns beside a
-    panel write each row as itself plus E times its pivot rows as they came
-    in (E = S^-1 for those), and the columns to the right gain E times them.
-    Reduced echelon form is unique: the output is that of plain elimination.
+    The forward pass (_echelon) gives the rank and the pivots; at full
+    column rank the kernel is empty and nothing else is computed.  Otherwise
+    back-substitution (_back_substitute) reduces the free columns only.
+    Reduced echelon form is unique: the output is that of plain Gauss-Jordan
+    elimination.
     """
     if not 2 <= p < 2 ** 31:
         raise ValueError("rref_mod_p needs 2 <= p < 2**31, got %d" % p)
-    a = np.array(mat, dtype=np.int64) % p
-    nrows, ncols = a.shape
-    pivots = []
-    for c0 in range(0, ncols, _PANEL):
-        top = row = len(pivots)
-        c1 = min(c0 + _PANEL, ncols)
-        w = c1 - c0
-        panel = np.hstack([a[:, c0:c1], np.zeros((nrows, w), np.int64)])
-        for col in range(w):
-            nz = np.nonzero(panel[row:, col])[0]
-            if len(nz) == 0:
-                continue
-            piv = row + int(nz[0])
-            if piv != row:
-                panel[[row, piv]] = panel[[piv, row]]
-                a[[row, piv]] = a[[piv, row]]
-            end = w + row - top + 1  # the pivot row is zero outside col..end
-            panel[row, end - 1] = 1  # its tracker cell
-            inv = pow(int(panel[row, col]), -1, p)
-            panel[row, col:end] = panel[row, col:end] * inv % p
-            colvals = panel[:, col].copy()
-            colvals[row] = 0
-            mask = colvals != 0
-            if mask.any():
-                panel[mask, col:end] = (panel[mask, col:end] - colvals[mask, None]
-                                        * panel[row, col:end][None, :]) % p
-            pivots.append(c0 + col)
-            row += 1
-        a[:, c0:c1] = panel[:, :w]
-        old = a[top:row, c1:]
-        halves = np.vstack([old & 0xFFFF, old >> 16]).astype(np.float64)
-        track = panel[:, w:w + row - top]
-        wide = np.hstack([track, (track << 16) % p]).astype(np.float64)
-        a[top:row, c1:] = 0  # pivot rows become E times old, the others gain it
-        touched = np.flatnonzero(track.any(axis=1))
-        for rows in np.split(touched, range(_CHUNK, len(touched), _CHUNK)):
-            a[rows, c1:] = (a[rows, c1:] + (wide[rows] @ halves).astype(np.int64)) % p
+    a = np.asarray(mat)
+    if a.dtype.kind not in "biu":
+        raise TypeError("rref_mod_p needs an integer matrix, got dtype %s"
+                        % a.dtype)
+    if a.dtype == np.uint64:
+        a = a % np.uint64(p)  # a cast to int64 would wrap from 2^63 up
+    a = a.astype(np.int64)
+    a %= p
+    ncols = a.shape[1]
+    pivots = _echelon(a, p)
     rank = len(pivots)
+    kernel = np.zeros((ncols - rank, ncols), dtype=np.int64)
+    if rank == ncols:
+        return rank, pivots, kernel
     free = np.ones(ncols, dtype=bool)
     free[pivots] = False
-    kernel = np.zeros((ncols - rank, ncols), dtype=np.int64)
     kernel[:, free] = np.eye(ncols - rank, dtype=np.int64)
-    kernel[:, pivots] = -a[:rank, free].T % p
+    if rank:
+        kernel[:, pivots] = (p - _back_substitute(a[:rank], pivots, free,
+                                                  p).T) % p
     return rank, pivots, kernel
 
 

@@ -30,13 +30,16 @@ this covers every point the concordance sweep generates) has the same rank
 over Q(zeta_m) as over Q and is used as it is.  Otherwise it is viewed as
 a matrix over Q by replacing every cyclotomic entry with its
 phi(m) x phi(m) regular-representation block.  A modular row reduction at
-a large prime gives the fast answer;
-full rank mod p certifies semisimplicity outright, and a rank deficit is
-certified by rationally reconstructing the mod-p kernel basis and
-verifying T v = 0 exactly in integer arithmetic (T and v scaled to
-integers; float64 or int64 only under a proven bound).  If reconstruction
-fails at every prime (never observed), exact fraction elimination is the
-fallback for small sizes and the point is reported unresolved otherwise.
+a large prime gives the fast answer.  Full rank mod p certifies
+semisimplicity outright, after the forward pass alone (rref_mod_p computes
+no reduced form at full rank).  A rank deficit is certified by rationally
+reconstructing the kernel basis (only the distinct residues of its pivot
+columns: its free columns are the identity) and verifying T v = 0 exactly,
+with T and v scaled to integers and held as int64 (as Python integers only
+from 2^62 up); the product is formed in float64 or int64 only under a
+proven bound.  If reconstruction fails at every prime (never observed),
+exact fraction elimination is the fallback for small sizes and the point
+is reported unresolved otherwise.
 """
 
 from __future__ import annotations
@@ -162,16 +165,58 @@ def _to_rational_blocks(field, values, index):
     return flat, big.transpose(0, 2, 1, 3).reshape(N * deg, N * deg), deg
 
 
+def _abs_max(x):
+    """max |x| of a nonempty integer array, as a Python integer (exact for
+    int64, where abs would overflow at -2^63)."""
+    return max(int(x.max()), -int(x.min()))
+
+
 def _product_is_zero(a, b):
-    """Whether the product of two integer matrices (numpy object arrays of
-    Python integers) is exactly zero.  max|a| times the largest column sum
-    of |b| bounds every partial sum; the product is formed in float64 BLAS
-    below 2^53, in int64 below 2^63 and in Python integers otherwise."""
-    bound = abs(a).max() * abs(b).sum(axis=0).max()
-    if bound < 2 ** 63:
-        dtype = np.float64 if bound < 2 ** 53 else np.int64
-        a, b = a.astype(dtype), b.astype(dtype)
-    return not np.count_nonzero(a @ b)
+    """Whether the product of two integer matrices (numpy int64 arrays, or
+    object arrays of Python integers) is exactly zero.  max|a| times the
+    largest column sum of |b| bounds every partial sum; the product is formed
+    in float64 BLAS below 2^53, in int64 below 2^63 and in Python integers
+    otherwise."""
+    if b.dtype != object and _abs_max(b) * len(b) >= 2 ** 63:
+        b = b.astype(object)  # its column sums could overflow int64
+    bound = _abs_max(a) * int(abs(b).sum(axis=0).max())
+    dtype = (np.float64 if bound < 2 ** 53 else np.int64 if bound < 2 ** 63
+             else object)
+    return not np.count_nonzero(a.astype(dtype, copy=False)
+                                @ b.astype(dtype, copy=False))
+
+
+def _lift_kernel(kernel, pivots, p):
+    """The rows of a kernel basis mod p from rref_mod_p, lifted to integer
+    vectors, or None if a residue has no rational reconstruction.
+
+    Each vector is its rational lift scaled by the lcm of its own
+    denominators.  The basis is the identity on the free columns, so only
+    the distinct residues of its pivot columns are lifted.  The vectors are
+    int64 unless an entry could reach 2^62.
+    """
+    block = kernel[:, pivots]
+    distinct, inverse = np.unique(block, return_inverse=True)
+    lifts = [rational_reconstruct(a, p) for a in distinct.tolist()]
+    if any(x is None for x in lifts):
+        return None
+    inverse = inverse.reshape(block.shape)
+    den_values, den_code = np.unique([x.denominator for x in lifts],
+                                     return_inverse=True)
+    present = np.zeros((len(kernel), len(den_values)), dtype=bool)
+    present[np.arange(len(kernel))[:, None], den_code[inverse]] = True
+    scales = [lcm(*den_values[row].tolist()) for row in present]
+    # rational reconstruction keeps |numerator| below sqrt(p / 2)
+    nums = np.array([x.numerator for x in lifts], dtype=np.int64)
+    big = max(scales) * _abs_max(nums) >= 2 ** 62
+    scales = np.array(scales, dtype=object if big else np.int64)
+    dens = den_values.astype(scales.dtype)[den_code]
+    free = np.ones(kernel.shape[1], dtype=bool)
+    free[pivots] = False
+    vectors = np.empty(kernel.shape, dtype=scales.dtype)
+    vectors[:, free] = kernel[:, free] * scales[:, None]  # the identity
+    vectors[:, pivots] = nums[inverse] * (scales[:, None] // dens[inverse])
+    return vectors
 
 
 def _rank_exact_certified(values, index, primes):
@@ -180,36 +225,27 @@ def _rank_exact_certified(values, index, primes):
 
     Returns (rank, method).  Full rank mod p is already exact (minors can
     only vanish further mod p); a deficit is accepted only once the lifted
-    kernel vectors are verified exactly: T and every vector are scaled to
+    kernel vectors (_lift_kernel) are verified exactly: T is scaled to
     integers and T v = 0 is checked in exact integer arithmetic.  Each
-    distinct entry is reduced and each distinct kernel residue lifted once.
+    distinct entry is scaled and reduced once, and T stays int64 unless a
+    scaled entry reaches 2^62.
     """
     N = len(index)
     den = lcm(*(x.denominator for x in values))
-    scaled = np.array([x.numerator * (den // x.denominator) for x in values],
-                      dtype=object)
+    ints = [x.numerator * (den // x.denominator) for x in values]
+    big = any(abs(x) >= 2 ** 62 for x in ints)
+    scaled = np.array(ints, dtype=object if big else np.int64)
     for p in primes:
         if any(x.denominator % p == 0 for x in values):
             continue
         residues = np.array([x.numerator * pow(x.denominator, -1, p) % p
                              for x in values], dtype=np.int64)
-        rank_p, _, kernel = rref_mod_p(residues[index], p)
+        rank_p, pivots, kernel = rref_mod_p(residues[index], p)
         if rank_p == N:
             return N, "modular-full-rank"
-        distinct, inverse = np.unique(kernel, return_inverse=True)
-        lifts = [rational_reconstruct(a, p) for a in distinct.tolist()]
-        if any(x is None for x in lifts):
-            continue
-        inverse = inverse.reshape(kernel.shape)
-        nums = np.array([x.numerator for x in lifts], dtype=object)
-        dens = np.array([x.denominator for x in lifts], dtype=object)
-        # each vector is scaled by the lcm of its own denominators
-        present = np.zeros((len(kernel), len(lifts)), dtype=bool)
-        present[np.arange(len(kernel))[:, None], inverse] = True
-        scales = np.array([lcm(*dens[row]) for row in present], dtype=object)
-        vectors = nums[inverse] * (scales[:, None] // dens[inverse])
+        vectors = _lift_kernel(kernel, pivots, p)
         # verify T v = 0 exactly
-        if _product_is_zero(scaled[index], vectors.T):
+        if vectors is not None and _product_is_zero(scaled[index], vectors.T):
             return rank_p, "modular-certified-kernel"
     if N <= 160:
         T = [[values[v] for v in row] for row in index.tolist()]

@@ -108,16 +108,56 @@ PRIMES = sorted({2, 3, 2 ** 31 - 1}
 PANEL_EDGES = [31, 32, 33, 64, 65]
 
 
+def _rank_exactly(rng, rows, inner, cols, p):
+    """A rows x cols matrix of rank exactly inner mod p (for any p): the
+    product of [I; R] and [I | R'] with random R, R', under random row and
+    column permutations."""
+    left = np.vstack([np.eye(inner, dtype=np.int64),
+                      rng.integers(0, p, (rows - inner, inner))])
+    right = np.hstack([np.eye(inner, dtype=np.int64),
+                       rng.integers(0, p, (inner, cols - inner))])
+    mat = _mul_mod(left, right, p)
+    return mat[rng.permutation(rows)][:, rng.permutation(cols)]
+
+
+def _invertible(rng, n, p):
+    """An n x n matrix invertible mod p (for any p): L U with random unit
+    lower and upper triangular L and U, whose determinant is 1."""
+    eye = np.eye(n, dtype=np.int64)
+    lower = np.tril(rng.integers(0, p, (n, n)), -1) + eye
+    upper = np.triu(rng.integers(0, p, (n, n)), 1) + eye
+    return _mul_mod(lower, upper, p)
+
+
+def _mul_mod(x, y, p):
+    """x @ y mod p in Python integers."""
+    return (x.astype(object) @ y.astype(object) % p).astype(np.int64)
+
+
 @st.composite
 def modular_matrices(draw):
-    """A matrix of 1..100 rows and columns and a prime p: uniform residues,
-    residues in {0, p - 2, p - 1} (the largest partial sums in the panel
-    update), or a product through an inner dimension of 1..40 (low rank);
-    sometimes with about a third of its columns zeroed."""
+    """A matrix and a prime p: 1..100 rows and columns (sometimes at the
+    panel edges, or a tall 100 x 40 or wide 40 x 100 shape) with uniform
+    residues, residues in {0, p - 2, p - 1} (the largest partial sums in the
+    panel update), or a product through an inner dimension of 1..40 (low
+    rank), sometimes with about a third of its columns zeroed; or a matrix of
+    rank exactly at a panel edge with at least 66 columns; or a square
+    matrix of full rank."""
     size = st.integers(1, 100) | st.sampled_from(PANEL_EDGES)
-    rows, cols, p = draw(size), draw(size), draw(st.sampled_from(PRIMES))
+    rows, cols = draw(st.tuples(size, size)
+                      | st.sampled_from([(100, 40), (40, 100)]))
+    p = draw(st.sampled_from(PRIMES))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    kind = draw(st.sampled_from(["uniform", "top", "low-rank"]))
+    kind = draw(st.sampled_from(["uniform", "top", "low-rank", "panel-rank",
+                                 "full-rank"]))
+    if kind == "panel-rank":
+        inner = draw(st.sampled_from(PANEL_EDGES))
+        rows = draw(st.integers(inner, 100))
+        cols = draw(st.integers(max(66, inner), 100))
+        return _rank_exactly(rng, rows, inner, cols, p), p
+    if kind == "full-rank":
+        mat = _invertible(rng, rows, p)
+        return mat[rng.permutation(rows)][:, rng.permutation(rows)], p
     if kind == "uniform":
         mat = rng.integers(0, p, (rows, cols))
     elif kind == "top":
@@ -159,6 +199,45 @@ def test_rref_mod_p_matches_reference_on_trace_matrices(monkeypatch, m, n,
     oracle.radical_dimension(oracle.StructureTable(m, n), F,
                              [F.embed(d) for d in ds])
     assert reduced and reduced[0] == basis_size(m, n)
+
+
+@pytest.mark.parametrize("inner", PANEL_EDGES)
+@pytest.mark.parametrize("p", [2, P])
+def test_rref_mod_p_rank_exactly_at_a_panel_edge(inner, p):
+    rng = np.random.default_rng(inner)
+    for rows, cols in [(inner, 66), (100, 100), (inner, 100)]:
+        mat = _rank_exactly(rng, rows, inner, max(cols, inner), p)
+        got = rref_mod_p(mat, p)
+        assert got[0] == inner
+        _assert_same_rref(got, _rref_reference(mat, p))
+
+
+@pytest.mark.parametrize("n", [1] + PANEL_EDGES + [100])
+def test_rref_mod_p_full_rank_has_an_empty_int64_kernel(n):
+    rank, pivots, kernel = rref_mod_p(
+        _invertible(np.random.default_rng(n), n, P), P)
+    assert rank == n and pivots == list(range(n))
+    assert kernel.shape == (0, n) and kernel.dtype == np.int64
+
+
+@pytest.mark.parametrize("mat", [
+    [[Fraction(1, 2), 1], [1, 2]],  # rank 1 over Q, 2 if read as [[0, 1], ...]
+    [[0.5, 1], [1, 2]],
+    [[2.9]],  # read as 2 by an int64 cast
+    np.array([[1.0, 2.0]]),
+])
+def test_rref_mod_p_refuses_non_integer_matrices(mat):
+    with pytest.raises(TypeError):
+        rref_mod_p(mat, P)
+
+
+def test_rref_mod_p_takes_python_and_numpy_integers():
+    assert rref_mod_p([[1, 2], [2, 4]], P)[0] == 1
+    assert rref_mod_p([[True, False], [False, True]], P)[0] == 2
+    assert rref_mod_p(np.array([[1, 2], [3, 4]], dtype=np.int32), 5)[0] == 2
+    assert rref_mod_p(np.array([[1, 2], [3, 4]], dtype=np.uint8), 2)[0] == 1
+    # 2^64 - 1 = 0 (mod 5); an int64 cast would read it as -1
+    assert rref_mod_p(np.array([[2 ** 64 - 1]], dtype=np.uint64), 5)[0] == 0
 
 
 def test_rref_mod_p_refuses_large_primes():

@@ -297,6 +297,52 @@ def test_product_is_zero_leaves_float64_beyond_2_53():
                                             dtype=object))
 
 
+# int64 operands around the float64 (2^53) and int64 (2^63) limits, each
+# with its exact product's zero test
+_INT64_EDGES = [
+    ([[1, 1]], [[2 ** 53 + 1], [-2 ** 53]], False),  # 1 rounds to 0 in float64
+    ([[1, 1]], [[2 ** 53], [-2 ** 53]], True),
+    ([[2 ** 32, 2 ** 32]], [[2 ** 31], [2 ** 31]], False),  # 2^64 wraps to 0
+    ([[2 ** 62, -2 ** 62]], [[1], [1]], True),
+    ([[2 ** 62, 2 ** 62]], [[1], [1]], False),  # 2^63 wraps negative
+    ([[1, 1, 1, 1]], [[2 ** 62], [2 ** 62], [-2 ** 62], [-2 ** 62]], True),
+    ([[-2 ** 63]], [[1]], False),  # abs overflows in int64
+    ([[3, -1]], [[2 ** 61 - 1], [3 * (2 ** 61 - 1)]], True),
+]
+
+
+@pytest.mark.parametrize("a,b,zero", _INT64_EDGES)
+def test_product_is_zero_on_int64_matches_python_integers(a, b, zero):
+    exact = not any(sum(x * y for x, y in zip(row, col))
+                    for row in a for col in zip(*b))
+    assert exact == zero
+    as_object = _product_is_zero(np.array(a, dtype=object),
+                                 np.array(b, dtype=object))
+    assert as_object == zero
+    assert _product_is_zero(np.array(a, dtype=np.int64),
+                            np.array(b, dtype=np.int64)) == zero
+
+
+def test_rank_certificate_at_3_3_delta_zero_stays_typed(monkeypatch):
+    # the (3,3) trace form at delta = 0 has rank 243 of 405; its certificate
+    # is checked on int64 or float64 arrays, never on an N x N object array
+    F = CyclotomicField(3)
+    values, index = trace_matrix(StructureTable(3, 3), F, [F.zero] * 3)
+    values, index, deg = _to_rational_blocks(F, values, index)
+    seen = []
+    check = cycbrauer.oracle._product_is_zero
+
+    def typed(a, b):
+        seen.append((a.dtype, b.dtype, a.shape, b.shape))
+        return check(a, b)
+
+    monkeypatch.setattr(cycbrauer.oracle, "_product_is_zero", typed)
+    assert _rank_exact_certified(values, index, primes_for_modular(3)) \
+        == (243, "modular-certified-kernel")
+    assert seen == [(np.dtype(np.int64), np.dtype(np.int64), (405, 405),
+                     (405, 162))]
+
+
 def test_rank_certificate_with_entries_beyond_int64():
     # rank 1; the scaled entries overflow int64, so the exact T v = 0 check
     # runs in Python integers (the kernel ratio b/a = 21/11 stays small
