@@ -50,6 +50,14 @@ def bar_deltas(field, deltas):
                 field.zero) for i in range(m)]
 
 
+@lru_cache(maxsize=1)
+def _bars(field, deltas):
+    """bar_deltas of a tuple of field elements, kept for the last point:
+    decide in each variant and g_mu_values at one point share one
+    transform."""
+    return tuple(bar_deltas(field, deltas))
+
+
 @lru_cache(maxsize=None)
 def z_tilde(m, n, variant="printed"):
     """The set Ztilde_{m,n} (n >= 2), frozen.
@@ -98,7 +106,7 @@ def g_lambda_mu(field, bars, content):
 
 def g_mu(field, deltas, mu):
     """g_mu = product of g_{lambda,mu} over admissible lambda."""
-    bars = bar_deltas(field, deltas)
+    bars = _bars(field, tuple(field.coerce(d) for d in deltas))
     out = field.one
     for pair in admissible_set(mu, len(deltas)):
         out = out * g_lambda_mu(field, bars, pair.content)
@@ -120,7 +128,7 @@ def g_mu_values(m, n, field, deltas):
     order: one bar transform, and one cell factor per content, which
     enters g_mu once per admissible pair of that content."""
     table, contents = _mu_contents(m, n)
-    bars = bar_deltas(field, deltas)
+    bars = _bars(field, tuple(field.coerce(d) for d in deltas))
     factor = {c: g_lambda_mu(field, bars, c) for c in contents}
     return [(mu, prod((factor[c] for c in cs), start=field.one))
             for mu, cs in table]
@@ -186,7 +194,7 @@ def _obstructions(m, n, field, vals, variant):
         return [{"kind": "delta-zero"}]
     if p and m * factorial(n) % p == 0:
         return [{"kind": "char", "divisor": m * factorial(n)}]
-    bars = bar_deltas(field, vals)
+    bars = _bars(field, tuple(vals))
     if variant == "gmu":
         # g_mu = 0 iff one of its factors is, and a factor depends on its
         # pair only through the content: one zero test per content

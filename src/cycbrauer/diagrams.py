@@ -133,9 +133,11 @@ def enumerate_basis(m, n):
             for rec in matchings(rest):
                 yield [(a, b)] + rec
 
+    # matchings yields arcs (p, q), p < q, in increasing p: the normal form
     for match in matchings(list(range(1, 2 * n + 1))):
-        for labels in itertools.product(range(m), repeat=n):
-            out.append(make_diagram(m, n, list(zip(match, labels))))
+        arcs = tuple(match)
+        out.extend(Diagram(m, n, arcs, labels)
+                   for labels in itertools.product(range(m), repeat=n))
     return out
 
 
@@ -287,6 +289,32 @@ def star_diagram(d):
         q2 = q + n if q <= n else q - n
         arcs.append((tuple(sorted((p2, q2))), lab))
     return make_diagram(d.m, n, arcs)
+
+
+def basis_involutions(basis):
+    """star_diagram and the negation of every label as permutations of
+    basis = enumerate_basis(m, n): two int arrays holding at k the
+    basis_index of the image of basis[k].
+
+    Each skeleton is starred once, labelled by its arc positions (kept
+    apart mod n), which gives the skeleton of the image and where each
+    label goes; the labellings then follow as base-m digits.
+    """
+    m, n = basis[0].m, basis[0].n
+    size = m ** n
+    skeletons = [d.arcs for d in basis[::size]]
+    first = {arcs: s * size for s, arcs in enumerate(skeletons)}
+    images = [star_diagram(Diagram(n, n, arcs, tuple(range(n))))
+              for arcs in skeletons]
+    start = np.array([first[d.arcs] for d in images])
+    moves = np.array([d.labels for d in images],
+                     dtype=np.intp).reshape(len(images), n)
+    skeleton, number = np.divmod(np.arange(len(skeletons) * size), size)
+    place = m ** np.arange(n - 1, -1, -1)
+    digits = number[:, None] // place % m  # digit r labels arc r
+    star = start[skeleton] + np.take_along_axis(
+        digits, moves[skeleton], axis=1) @ place
+    return star, skeleton * size + (-digits % m) @ place
 
 
 # ---------------------------------------------------------------------------

@@ -194,13 +194,13 @@ def _echelon(a, p):
                 moved.update((row, piv))
             end = w + row + 1  # the pivot row is zero outside col..end
             panel[row, end - 1] = 1  # its tracker cell
-            inv = pow(int(panel[row, col]), -1, p)
-            prow = panel[row, col:end] * inv % p
-            panel[row, col:end] = prow
+            prow = panel[row, col:end]  # a view: normalised in place
+            prow *= pow(int(prow[0]), -1, p)
+            prow %= p
             if len(nz) > 1:
                 below = nz[1:] + row  # the rows below with a nonzero in col
-                t = np.multiply.outer(panel[below, col], p - prow)
-                t += panel[below, col:end]
+                t = panel[below, col:end]
+                t += np.multiply.outer(t[:, 0], p - prow)
                 panel[below, col:end] = _reduce(t, p)
             pivots.append(c0 + col)
             row += 1
@@ -228,14 +228,15 @@ def _back_substitute(u, pivots, free, p):
     pivots 1, rank x ncols): U_p^-1 U_f, with U_p the unit upper triangular
     pivot columns of u and U_f its free columns.
 
-    U_p is taken in diagonal blocks of _PANEL pivot rows.  The inverses of
+    U_p is taken in diagonal blocks of at most _PANEL pivot rows, as few
+    as that allows and of one size (the last padded).  The inverses of
     all the blocks come from one row-by-row back-substitution run on all of
     them at once; then each block, from the bottom up, is solved with its
     inverse and eliminated from the rows above in one _dot each.
     """
     x = u[:, free]
     rank = len(pivots)
-    size = min(_PANEL, rank)
+    size = -(-rank // -(-rank // _PANEL))  # the inverses take size - 1 steps
     starts = range(0, rank, size)
     # the diagonal blocks, the last one padded with the identity
     blocks = np.tile(np.eye(size, dtype=np.int64), (len(starts), 1, 1))

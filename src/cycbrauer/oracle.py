@@ -11,26 +11,51 @@ index, loop monomial index) rows.
 
 Trace form: T travels from the table to the certificate as one pair
 (values, index).  values lists the distinct entries, each computed once in
-exact field arithmetic; index is an N x N integer array with
-T_ij = values[index[i, j]].  Flattening, reduction mod p and the exact
-check all work per distinct value, and numpy only counts and indexes.
+exact field arithmetic; index is an N x N array of the smallest unsigned
+dtype with T_ij = values[index[i, j]].  Flattening, reduction mod p and
+the exact check all work per distinct value, and numpy only counts and
+indexes.
 
 Plan and evaluation.  What does not depend on delta is built once per
 StructureTable, which a sweep item shares across its points: the products,
 the trace plan (diagonal monomial counts, the distinct count rows, the
-numbering of (monomial, trace class) pairs and the read-only index) and,
-on first use, the cell pairing of the n in {2, 3} cross-check.  The modular
-primes are found once per m.  Each point then evaluates only its
-monomials, traces and values, the cell Gram entries and determinants (the
-circulant guard included), and the certified rank.
+numbering of (monomial, trace class) pairs and the read-only index), the
+symmetry plan (below) and, on first use, the cell pairing of the n in
+{2, 3} cross-check.  The modular primes are found once per m.  Each point
+then evaluates only its monomials, traces and values, the symmetry checks,
+the cell Gram entries and determinants (the circulant guard included), and
+the certified rank.
+
+Symmetry blocks.  On the admissible locus T(x, y) = tr(L_{xy}) keeps its
+value when one basis permutation g acts on both x and y, for three kinds
+of g: conjugation by a group element (as in any associative algebra), star
+and the negation of every label; off the locus they may fail.  The plan
+holds commuting involutions of these kinds (_involutions) and, for each g,
+the pairs of entry codes (index[i, j], index[g i, g j]) (_code_pairs).
+Each point checks values[v] == values[w] on every pair of a generator, so
+g fixes T exactly or is dropped for that point.  The kept generators span
+an elementary abelian 2-group G.  For a character chi of G, the vectors
+sum_h chi(h) e_{h r} over the orbits G r whose stabiliser chi is trivial
+on (as many as the orbit's points; Serre, Linear Representations of Finite
+Groups, 2.6) make a basis change of determinant +-2^k, invertible over Q
+and mod every odd p, under which T becomes block diagonal: the chi and psi
+blocks meet in sum_g chi(g) psi(g) = 0 unless chi = psi.  Up to rows and
+columns scaled by powers of 2, chi's block is
+T_chi[r, r'] = sum_h chi(h) T[r, h r'] (_character_blocks), so the rank of
+T, over Q and mod each odd prime, is the sum of the block ranks, and so is
+the radical (as in Cohen-Ivanyos-Wales, JPAA 1997).  With no generator
+kept, G is trivial and T is its one block.
 
 Rank strategy: a trace matrix whose entries are all rational (so whenever
 every delta_a is real and m is 1, 2, 3, 4 or 6, as Q(zeta_m) meets R in Q;
 this covers every point the concordance sweep generates) has the same rank
 over Q(zeta_m) as over Q and is used as it is.  Otherwise it is viewed as
 a matrix over Q by replacing every cyclotomic entry with its
-phi(m) x phi(m) regular-representation block.  A modular row reduction at
-a large prime gives the fast answer.  Full rank mod p certifies
+phi(m) x phi(m) regular-representation block, and so is each symmetry
+block: the same permutations act on the flat matrix, lifted to
+(i*phi(m) + r).  Each block is ranked on its own, on the same certified
+path.  A modular row reduction at a large prime gives the fast answer.
+Full rank mod p certifies
 semisimplicity outright, after the forward pass alone (rref_mod_p computes
 no reduced form at full rank).  A rank deficit is certified by rationally
 reconstructing the kernel basis (only the distinct residues of its pivot
@@ -53,8 +78,10 @@ import numpy as np
 
 from . import __version__
 from .criterion import VARIANTS, bar_deltas, decide, g_mu_values, z_set
-from .diagrams import (OFF_LOCUS_NOTE, NumericParams, basis_size,
-                       deltas_admissible, enumerate_basis, multiply_all)
+from .diagrams import (OFF_LOCUS_NOTE, NumericParams, basis_index,
+                       basis_involutions, basis_size, deltas_admissible,
+                       enumerate_basis, generator, identity_diagram,
+                       multiply_all)
 from .gram import cell_form, cell_pairing
 from .linalg import gauss_rank, primes_for_modular, rational_reconstruct, rref_mod_p
 from .scalars import CyclotomicField, power
@@ -77,7 +104,9 @@ class StructureTable:
     ``trace_rows[t]`` lists the (monomial, count) pairs whose sum is the
     t-th distinct trace, ``value_pairs[v]`` the (monomial, trace) pair of
     the v-th distinct entry of T, and ``index`` (N x N, read-only) the
-    entry of each T_ij.
+    entry of each T_ij.  The symmetry plan: ``symmetries`` lists each
+    generator tried (a basis permutation) with its code pairs, and the
+    blocks of each set of generators that passed are kept once built.
     """
 
     def __init__(self, m, n, cap=500):
@@ -109,14 +138,108 @@ class StructureTable:
         occurs[code] = True
         self.value_pairs = [divmod(pair, T)
                             for pair in np.flatnonzero(occurs).tolist()]
-        self.index = (np.cumsum(occurs) - 1)[code].reshape(N, N)
+        V = len(self.value_pairs)
+        self.index = ((np.cumsum(occurs) - 1)[code].reshape(N, N)
+                      .astype(np.min_scalar_type(V - 1)))
         self.index.flags.writeable = False
+        self.symmetries = [(g, _code_pairs(self.index, g, V))
+                           for g in _involutions(self)]
+        self._blocks = {}
+
+    def blocks(self, values):
+        """The symmetry blocks of T = (values, table.index): each an index
+        stack S with block sum_h values'[S[h]], values' being values
+        followed by their negatives.  T is congruent to the direct sum of
+        the blocks (see the module docstring); only the generators that
+        fix every entry of T, checked exactly on their code pairs, are
+        used."""
+        kept = tuple(k for k, (_, pairs) in enumerate(self.symmetries)
+                     if all(values[v] == values[w] for v, w in pairs))
+        if kept not in self._blocks:
+            self._blocks[kept] = _character_blocks(
+                self.index, [self.symmetries[k][0] for k in kept],
+                len(values))
+        return self._blocks[kept]
 
     @cached_property
     def cell_pairing(self):
         """The cell forms' entry pattern gram.cell_pairing(m, n), built and
         its block kinds checked once, on first use (n in {2, 3})."""
         return cell_pairing(self.m, self.n)
+
+
+def _involutions(table):
+    """The symmetries of the trace form tried at each point, as basis
+    permutations: star, the negation of every label, and conjugation by
+    t_i^{m/2} for every i (m even) or by s_1, s_3, ... (m odd), two lookups
+    each in the table's products.  One already in the group that the
+    earlier ones generate (the identity, say) is left out, and the rest are
+    checked to be commuting involutions: any k of them generate a group of
+    order 2^k."""
+    m, n, N = table.m, table.n, table.size
+    candidates = list(basis_involutions(table.basis))
+    if m % 2:
+        elements = [basis_index(generator(m, n, "s", i))
+                    for i in range(1, n, 2)]
+    else:  # t_i^{m/2} labels strand i, the i-th arc of the identity, m/2
+        one = basis_index(identity_diagram(m, n))
+        elements = [one + m // 2 * m ** (n - i) for i in range(1, n + 1)]
+    product = table.products[:, 0].reshape(N, N)
+    candidates += [product[product[g], g] for g in elements]  # g = g^-1
+    group, gens = [np.arange(N)], []
+    for g in candidates:
+        if any(np.array_equal(g, e) for e in group):
+            continue
+        if not (np.array_equal(g[g], group[0])
+                and all(np.array_equal(g[h], h[g]) for h in gens)):
+            raise AssertionError("symmetries are not commuting involutions")
+        gens.append(g)
+        group += [g[e] for e in group]
+    return gens
+
+
+def _code_pairs(index, g, V):
+    """The pairs v < w of entry codes of T with T_ij = values[v] and
+    T_{g(i) g(j)} = values[w] for some i, j: g fixes T iff values[v] ==
+    values[w] on each."""
+    moved = index.take(g, axis=0).take(g, axis=1)
+    occurs = np.zeros(V * V, dtype=bool)
+    occurs[index.astype(np.min_scalar_type(V * V - 1)) * V + moved] = True
+    v, w = np.divmod(np.flatnonzero(occurs), V)
+    return [(a, b) for a, b in zip(v.tolist(), w.tolist()) if a < b]
+
+
+def _character_blocks(index, gens, V):
+    """The blocks of T_ij = values[index[i, j]] under the group generated by
+    the commuting involutions gens, one per character chi of it.
+
+    The orbit representatives r whose stabiliser chi is trivial on index the
+    rows and columns of chi's block, whose (r, r') entry is
+    sum_h chi(h) T[r, h(r')] over the group; its stack holds
+    index[r, h(r')] at h, plus V where chi(h) = -1.
+    """
+    N = len(index)
+    group = [np.arange(N)]  # element h: the product of gens at h's bits
+    chi = np.ones((1, 1), dtype=int)  # chi_c(h) at c, h: Walsh-Hadamard
+    for g in gens:
+        group += [g[e] for e in group]
+        chi = np.kron([[1, 1], [1, -1]], chi)
+    group = np.array(group)
+    reps = np.flatnonzero(group.min(axis=0) == np.arange(N))
+    fixes = group[:, reps] == reps
+    odd = chi < 0
+    dtype = np.min_scalar_type(2 * V - 1)
+    shifts = np.where(odd, V, 0).astype(dtype)
+    blocks = []
+    for shift, keep in zip(shifts, ~(fixes & odd[:, :, None]).any(axis=1)):
+        rows = reps[keep]
+        if len(rows):
+            stack = index[rows][:, group[:, rows]].astype(dtype, copy=False)
+            stack += shift[:, None]
+            blocks.append(stack.swapaxes(0, 1))
+    if sum(stack.shape[-1] for stack in blocks) != N:
+        raise AssertionError("symmetry blocks do not partition the basis")
+    return blocks
 
 
 def trace_matrix(table, field, deltas):
@@ -142,7 +265,9 @@ def trace_matrix(table, field, deltas):
 
 def _to_rational_blocks(field, values, index):
     """Flatten T = (values, index) over Q(zeta_m) to a matrix over Q,
-    returned as (values, index, deg) of Fractions.
+    returned as (values, index, deg) of Fractions.  index may carry leading
+    axes (a stack), which are kept, or be a list of such arrays (the
+    blocks of T), each flattened alike.
 
     A matrix whose entries are all rational has the same rank over
     Q(zeta_m) as over Q, so it keeps its index (deg = 1).  Otherwise each
@@ -159,16 +284,21 @@ def _to_rational_blocks(field, values, index):
     for x in values:
         cols = [x * b for b in basis]
         flat.extend(col.coeffs[r] for r in range(deg) for col in cols)
-    N = len(index)
     cells = np.arange(deg * deg).reshape(deg, deg)
-    big = index[:, :, None, None] * deg * deg + cells  # (i, j, r, c)
-    return flat, big.transpose(0, 2, 1, 3).reshape(N * deg, N * deg), deg
+
+    def lift(index):
+        *lead, N, _ = index.shape
+        big = index[..., None, None].astype(np.intp) * deg * deg + cells
+        return big.swapaxes(-3, -2).reshape(*lead, N * deg, N * deg)
+
+    return (flat, [lift(ix) for ix in index] if isinstance(index, list)
+            else lift(index), deg)
 
 
 def _abs_max(x):
-    """max |x| of a nonempty integer array, as a Python integer (exact for
-    int64, where abs would overflow at -2^63)."""
-    return max(int(x.max()), -int(x.min()))
+    """max |x| of an integer array, 0 if it is empty, as a Python integer
+    (exact for int64, where abs would overflow at -2^63)."""
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
 
 def _product_is_zero(a, b):
@@ -219,47 +349,72 @@ def _lift_kernel(kernel, pivots, p):
     return vectors
 
 
+_METHODS = ("modular-full-rank", "modular-certified-kernel", "exact-gauss")
+
+
 def _rank_exact_certified(values, index, primes):
     """Exact rank of the Fraction matrix T_ij = values[index[i, j]] via a
-    modular pass with certificates.
+    modular pass with certificates.  index may also be a list of the
+    blocks of a block-diagonal form of T, each an index stack (k, b, b)
+    that stands for the sum of its k matrices; their ranks add up.
 
-    Returns (rank, method).  Full rank mod p is already exact (minors can
-    only vanish further mod p); a deficit is accepted only once the lifted
-    kernel vectors (_lift_kernel) are verified exactly: T is scaled to
-    integers and T v = 0 is checked in exact integer arithmetic.  Each
-    distinct entry is scaled and reduced once, and T stays int64 unless a
-    scaled entry reaches 2^62.
+    Returns (rank, method), the method the most demanding any block
+    needed.  Full rank mod p is already exact (minors can only vanish
+    further mod p); a deficit is accepted only once the lifted kernel
+    vectors (_lift_kernel) are verified exactly: T is scaled to integers
+    and T v = 0 is checked in exact integer arithmetic.  Each distinct
+    entry is scaled, and reduced mod each prime tried, once for all the
+    blocks, and T stays int64 unless a scaled entry could reach 2^62.
     """
-    N = len(index)
+    stacks = [ix.reshape(-1, *ix.shape[-2:])
+              for ix in (index if isinstance(index, list) else [index])]
     den = lcm(*(x.denominator for x in values))
     ints = [x.numerator * (den // x.denominator) for x in values]
-    big = any(abs(x) >= 2 ** 62 for x in ints)
+    big = max(map(len, stacks)) * max(map(abs, ints)) >= 2 ** 62
     scaled = np.array(ints, dtype=object if big else np.int64)
-    for p in primes:
-        if any(x.denominator % p == 0 for x in values):
-            continue
-        residues = np.array([x.numerator * pow(x.denominator, -1, p) % p
-                             for x in values], dtype=np.int64)
-        rank_p, pivots, kernel = rref_mod_p(residues[index], p)
-        if rank_p == N:
-            return N, "modular-full-rank"
-        vectors = _lift_kernel(kernel, pivots, p)
-        # verify T v = 0 exactly
-        if vectors is not None and _product_is_zero(scaled[index], vectors.T):
-            return rank_p, "modular-certified-kernel"
-    if N <= 160:
-        T = [[values[v] for v in row] for row in index.tolist()]
-        return gauss_rank(T), "exact-gauss"
-    raise ArithmeticError("rank not certifiable within prime budget")
+    primes = [p for p in primes
+              if all(x.denominator % p for x in values)]
+    residues = {}  # per prime, on first use
+    rank, worst = 0, 0
+    for stack in stacks:
+        N = stack.shape[-1]
+        for p in primes:
+            if p not in residues:
+                residues[p] = np.array(
+                    [x.numerator * pow(x.denominator, -1, p) % p
+                     for x in values], dtype=np.int64)
+            rank_p, pivots, kernel = rref_mod_p(
+                residues[p][stack].sum(axis=0), p)
+            if rank_p == N:
+                method = 0
+                break
+            vectors = _lift_kernel(kernel, pivots, p)
+            # verify T v = 0 exactly
+            if vectors is not None and _product_is_zero(
+                    scaled[stack].sum(axis=0), vectors.T):
+                method = 1
+                break
+        else:
+            if N > 160:
+                raise ArithmeticError("rank not certifiable within prime "
+                                      "budget")
+            rank_p, method = gauss_rank(
+                [[sum(values[v] for v in entry) for entry in row]
+                 for row in np.moveaxis(stack, 0, -1).tolist()]), 2
+        rank += rank_p
+        worst = max(worst, method)
+    return rank, _METHODS[worst]
 
 
 def radical_dimension(table, field, deltas):
-    """dim of the radical of the trace form; 0 iff semisimple (char 0)."""
+    """dim of the radical of the trace form; 0 iff semisimple (char 0).
+    T is ranked on its symmetry blocks (StructureTable.blocks)."""
     if field.characteristic:
         raise ValueError("oracle is valid in characteristic 0 only")
-    values, index = trace_matrix(table, field, deltas)
-    values, index, deg = _to_rational_blocks(field, values, index)
-    rank_q, method = _rank_exact_certified(values, index,
+    values, _ = trace_matrix(table, field, deltas)
+    flat, blocks, deg = _to_rational_blocks(
+        field, values + [-x for x in values], table.blocks(values))
+    rank_q, method = _rank_exact_certified(flat, blocks,
                                            primes_for_modular(field.m))
     if rank_q % deg:
         raise AssertionError("rank over Q not divisible by the field degree")

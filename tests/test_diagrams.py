@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycbrauer.diagrams import (DiagramAlgebra, NumericParams,
+from cycbrauer.diagrams import (Diagram, DiagramAlgebra, NumericParams,
                                 SymbolicParams, associativity_check,
                                 associativity_witness, basis_index,
-                                basis_size, compose_strands, enumerate_basis,
+                                basis_involutions, basis_size,
+                                compose_strands, enumerate_basis,
                                 from_awb, generator, identity_diagram,
                                 iota_diagram, is_admissible,
                                 make_diagram, multiply_all,
@@ -152,6 +153,29 @@ def test_basis_index_is_the_enumeration_position():
                 basis = enumerate_basis(m, n)
                 assert [basis_index(d) for d in basis] == \
                     list(range(len(basis))), (m, n)
+
+
+def test_enumerate_basis_is_in_normal_form():
+    # the diagrams are built without make_diagram, which leaves each as it is
+    for m in range(1, 5):
+        for n in range(4):
+            for d in enumerate_basis(m, n):
+                assert make_diagram(m, n, d.arc_items()) == d
+                assert all(type(x) is int for x in d.labels)
+
+
+def test_basis_involutions_match_star_and_negation():
+    for m in range(1, 5):
+        for n in range(5):
+            if basis_size(m, n) <= 1680:
+                basis = enumerate_basis(m, n)
+                star, negation = basis_involutions(basis)
+                assert star.tolist() == [basis_index(star_diagram(d))
+                                         for d in basis], (m, n)
+                assert negation.tolist() == [
+                    basis_index(Diagram(m, n, d.arcs,
+                                        tuple(-a % m for a in d.labels)))
+                    for d in basis], (m, n)
 
 
 @st.composite

@@ -198,7 +198,8 @@ def test_rref_mod_p_matches_reference_on_trace_matrices(monkeypatch, m, n,
           else [Fraction(7, 3)] + [Fraction(-5, 4)] * (m - 1))
     oracle.radical_dimension(oracle.StructureTable(m, n), F,
                              [F.embed(d) for d in ds])
-    assert reduced and reduced[0] == basis_size(m, n)
+    # one pass per symmetry block of T, and the blocks partition the basis
+    assert sum(reduced) == basis_size(m, n)
 
 
 @pytest.mark.parametrize("inner", PANEL_EDGES)

@@ -1,12 +1,15 @@
 """Trace-form oracle and the concordance harness."""
 
 import hashlib
+import itertools
+import json
 import os
 import random
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,12 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cycbrauer
-from cycbrauer import diagrams
+from cycbrauer import criterion, diagrams, oracle
 from cycbrauer.criterion import z_set
-from cycbrauer.diagrams import (NumericParams, basis_size, enumerate_basis,
-                                multiply_diagrams)
+from cycbrauer.diagrams import (Diagram, NumericParams,
+                                basis_involutions, basis_size,
+                                enumerate_basis, generator, identity_diagram,
+                                multiply_diagrams, star_diagram)
 from cycbrauer.gram import cell_gram
 from cycbrauer.oracle import (StructureTable, _cell_det_values,
+                              _character_blocks, _code_pairs,
                               _hyperplane_point,
                               _product_is_zero, _rank_exact_certified,
                               _to_rational_blocks,
@@ -403,6 +409,186 @@ def test_rank_falls_back_to_exact_elimination():
     assert _rank_exact_certified(values, index, []) == (2, "exact-gauss")
 
 
+def test_rank_of_the_zero_matrix_is_certified():
+    # every column is free: the kernel is the identity, and T = 0 is
+    # checked exactly (a block wholly in the radical ends here)
+    assert _rank_exact_certified([Fraction(0)],
+                                 np.zeros((3, 3), dtype=np.int64),
+                                 primes_for_modular(2)) \
+        == (0, "modular-certified-kernel")
+
+
+# ---------------------------------------------------------------------------
+# the symmetry blocks of the trace form
+# ---------------------------------------------------------------------------
+
+REPORTS = Path(__file__).resolve().parent.parent / "reports"
+GENERIC = {2: [Fraction(-617, 113), Fraction(389, 271)],
+           3: [Fraction(-617, 113), Fraction(389, 271), Fraction(389, 271)],
+           4: [Fraction(-617, 113), Fraction(389, 271), Fraction(-733, 149),
+               Fraction(389, 271)]}
+
+
+def _unsplit_radical(table, field, deltas):
+    """N minus the rank of the whole trace form, flattened and certified
+    in one piece: the reference for radical_dimension's block ranks."""
+    values, index = trace_matrix(table, field, deltas)
+    flat, big, deg = _to_rational_blocks(field, values, index)
+    rank, _ = _rank_exact_certified(flat, big, primes_for_modular(field.m))
+    return table.size - rank // deg
+
+
+def _reference_involutions(table):
+    """_involutions from the diagrams themselves: star_diagram, labels
+    negated one by one, and g b g^-1 by multiply_diagrams, with the same
+    rule for leaving a candidate out."""
+    m, n, basis = table.m, table.n, table.basis
+    where = {d: k for k, d in enumerate(basis)}
+    negated = [Diagram(m, n, d.arcs, tuple(-a % m for a in d.labels))
+               for d in basis]
+    candidates = [[where[star_diagram(d)] for d in basis],
+                  [where[d] for d in negated]]
+    if m % 2:
+        elements = [generator(m, n, "s", i) for i in range(1, n, 2)]
+    else:
+        one = identity_diagram(m, n)
+        elements = [Diagram(m, n, one.arcs,
+                            tuple(m // 2 * (k == i - 1) for k in range(n)))
+                    for i in range(1, n + 1)]
+    for g in elements:
+        row = []
+        for d in basis:
+            gd, loops = multiply_diagrams(g, d)
+            gdg, more = multiply_diagrams(gd, g)
+            assert loops == more == ()
+            row.append(where[gdg])
+        candidates.append(row)
+    group, gens = {tuple(range(len(basis)))}, []
+    for g in map(tuple, candidates):
+        if g not in group:
+            gens.append(g)
+            group |= {tuple(g[x] for x in e) for e in group}
+    return gens
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5)
+                                 for n in range(1, 4)
+                                 if basis_size(m, n) <= 405])
+def test_planned_symmetries_match_the_diagrams(m, n):
+    t = StructureTable(m, n)
+    assert [tuple(g.tolist()) for g, _ in t.symmetries] \
+        == _reference_involutions(t)
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5)
+                                 for n in range(1, 4)
+                                 if basis_size(m, n) <= 405])
+def test_code_pairs_decide_invariance_like_the_whole_matrix(m, n):
+    # the code-pair check of a permutation g agrees with comparing T and
+    # g T g^T entry by entry: every planned symmetry passes at a generic
+    # admissible point, and some swap of two basis diagrams fails
+    F = CyclotomicField(m)
+    t = StructureTable(m, n)
+    free = GENERIC.get(m, [Fraction(5, 7)])
+    values, index = trace_matrix(
+        t, F, [F.embed(free[min(j, m - j)]) for j in range(m)])
+    T = np.array(_expand(values, index), dtype=object)
+    swaps = []
+    for i in range(1, min(t.size, 6)):
+        swaps.append(np.arange(t.size))
+        swaps[-1][[0, i]] = [i, 0]
+    fixes = []
+    for g in [g for g, _ in t.symmetries] + swaps:
+        fixes.append((T[np.ix_(g, g)] == T).all())
+        assert all(values[v] == values[w]
+                   for v, w in _code_pairs(t.index, g, len(values))) \
+            == fixes[-1]
+    assert all(fixes[:len(t.symmetries)])
+    assert t.size <= 2 or not all(fixes)
+
+
+@pytest.mark.parametrize("m,n,blocks", [(2, 3, 8), (3, 3, 8), (4, 3, 16),
+                                        (2, 4, 16)])
+def test_block_sizes_partition_the_basis(m, n, blocks):
+    # for every subset of the generators: all of them at an admissible
+    # point, fewer where some fail their check
+    t = StructureTable(m, n, cap=basis_size(m, n))
+    gens = [g for g, _ in t.symmetries]
+    assert len(_character_blocks(t.index, gens, len(t.value_pairs))) \
+        == 2 ** len(gens) == blocks
+    for k in range(len(gens) + 1):
+        for subset in itertools.combinations(gens, k):
+            stacks = _character_blocks(t.index, list(subset),
+                                       len(t.value_pairs))
+            assert sum(s.shape[-1] for s in stacks) == t.size
+            assert all(s.shape == (2 ** k,) + s.shape[-1:] * 2
+                       for s in stacks)
+
+
+def test_block_radical_matches_the_unsplit_one_on_the_concordance_grid():
+    config = json.loads((REPORTS / "concordance.config.json").read_text())
+    tracked = json.loads((REPORTS / "concordance.json").read_text())
+    items = sweep_points(config["grid"], config["seed"],
+                         config["generic_points"], config["hyperplane_points"])
+    radicals = []
+    for m, n, todo in items:
+        F, t = CyclotomicField(m), StructureTable(m, n)
+        for _, deltas in todo:
+            radicals.append(radical_dimension(t, F, deltas))
+            assert radicals[-1] == _unsplit_radical(t, F, deltas)
+    assert radicals == [p["oracle"]["radical"] for p in tracked["points"]]
+
+
+@pytest.mark.parametrize("m,n,radicals", [(4, 3, (486, 0)), (2, 4, (630, 0))])
+def test_block_radical_matches_the_unsplit_one_at_reach_points(m, n,
+                                                               radicals):
+    F = CyclotomicField(m)
+    t = StructureTable(m, n, cap=basis_size(m, n))
+    for deltas, want in zip(([F.zero] * m, [F.embed(d) for d in GENERIC[m]]),
+                            radicals):
+        assert radical_dimension(t, F, deltas) == want
+        assert _unsplit_radical(t, F, deltas) == want
+
+
+_TABLES = {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 4), n=st.integers(1, 3), data=st.data())
+def test_block_radical_matches_the_unsplit_one_on_the_admissible_locus(
+        m, n, data):
+    # small integers put many points on the variants' hyperplanes, where
+    # some blocks lose rank
+    F = CyclotomicField(m)
+    if (m, n) not in _TABLES:
+        _TABLES[m, n] = StructureTable(m, n, cap=basis_size(m, n))
+    t = _TABLES[m, n]
+    coordinate = st.one_of(st.integers(-6, 6).map(Fraction),
+                           st.fractions(-9, 9, max_denominator=12))
+    free = [data.draw(coordinate) for _ in range(m // 2 + 1)]
+    deltas = [F.embed(free[min(j, m - j)]) for j in range(m)]
+    values, _ = trace_matrix(t, F, deltas)
+    assert all(values[v] == values[w]
+               for _, pairs in t.symmetries for v, w in pairs)
+    assert radical_dimension(t, F, deltas) == _unsplit_radical(t, F, deltas)
+
+
+def test_a_symmetry_that_fails_at_a_point_is_dropped():
+    # off the admissible locus label negation no longer fixes T (nor, at
+    # this point, does any other generator): it fails its check, T stays
+    # one block, and the radical is the unsplit one
+    F = CyclotomicField(3)
+    t = StructureTable(3, 3)
+    _, negation = basis_involutions(t.basis)
+    pairs, = [p for g, p in t.symmetries if np.array_equal(g, negation)]
+    deltas = [F.embed(2), F.embed(1), F.embed(3)]
+    values, index = trace_matrix(t, F, deltas)
+    assert not all(values[v] == values[w] for v, w in pairs)
+    (stack,) = t.blocks(values)
+    assert np.array_equal(stack, index[None])
+    assert radical_dimension(t, F, deltas) == _unsplit_radical(t, F, deltas)
+
+
 def _flattening_points():
     F3, F5 = CyclotomicField(3), CyclotomicField(5)
     z3, z5 = F3.zeta, F5.zeta
@@ -587,6 +773,23 @@ def test_concordance_sweep_small():
     assert rep == rep2
     csv_text = report_csv(rep)
     assert csv_text.count("\n") == 6  # header + 5 points
+
+
+def test_sweep_computes_one_bar_transform_per_point(monkeypatch):
+    # the three variants and g_mu_values at a point share one transform;
+    # generating an on-hyperplane point inverts one more
+    calls, transform = Counter(), criterion.bar_deltas
+    for mod in (criterion, oracle):
+        def counted(*args, mod=mod):
+            calls[mod.__name__] += 1
+            return transform(*args)
+        monkeypatch.setattr(mod, "bar_deltas", counted)
+    criterion._bars.cache_clear()
+    report = concordance_sweep([(2, 2), (3, 2), (2, 3)], seed=4,
+                               generic_points=3, hyperplane_points=2)
+    provenance = Counter(p["provenance"] for p in report["points"])
+    assert calls == {"cycbrauer.criterion": sum(provenance.values()),
+                     "cycbrauer.oracle": provenance["on-hyperplane"]}
 
 
 def test_concordance_sweep_points_are_admissible():
