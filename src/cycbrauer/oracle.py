@@ -55,16 +55,16 @@ phi(m) x phi(m) regular-representation block, and so is each symmetry
 block: the same permutations act on the flat matrix, lifted to
 (i*phi(m) + r).  Each block is ranked on its own, on the same certified
 path.  A modular row reduction at a large prime gives the fast answer.
-Full rank mod p certifies
-semisimplicity outright, after the forward pass alone (rref_mod_p computes
-no reduced form at full rank).  A rank deficit is certified by rationally
-reconstructing the kernel basis (only the distinct residues of its pivot
-columns: its free columns are the identity) and verifying T v = 0 exactly,
-with T and v scaled to integers and held as int64 (as Python integers only
-from 2^62 up); the product is formed in float64 or int64 only under a
-proven bound.  If reconstruction fails at every prime (never observed),
-exact fraction elimination is the fallback for small sizes and the point
-is reported unresolved otherwise.
+Full rank mod p certifies semisimplicity outright, after the forward pass
+alone (rref_mod_p computes no reduced form at full rank).  A rank deficit
+is certified by rationally reconstructing the kernel basis (only the
+distinct residues of its pivot columns: its free columns are the
+identity) and verifying T v = 0 exactly, with T scaled to integers and
+the kernel by one common denominator, held as int64 (as Python integers
+only from 2^62 up); the product is formed in float64 or int64 only under a
+proven bound.  A block that no prime certifies (never observed) is ranked
+by exact fraction elimination if it has at most 160 rows; a larger one
+raises ArithmeticError, so the CLI exits 2 and a sweep stops.
 """
 
 from __future__ import annotations
@@ -263,36 +263,31 @@ def trace_matrix(table, field, deltas):
     return values, table.index
 
 
-def _to_rational_blocks(field, values, index):
-    """Flatten T = (values, index) over Q(zeta_m) to a matrix over Q,
-    returned as (values, index, deg) of Fractions.  index may carry leading
-    axes (a stack), which are kept, or be a list of such arrays (the
-    blocks of T), each flattened alike.
+def _to_rational_blocks(field, values, blocks):
+    """Flatten T = (values, blocks) over Q(zeta_m) to a matrix over Q,
+    returned as (values, blocks, deg) of Fractions.  blocks lists the index
+    stacks (k, b, b) of a block-diagonal form of T, each flattened alike.
 
     A matrix whose entries are all rational has the same rank over
-    Q(zeta_m) as over Q, so it keeps its index (deg = 1).  Otherwise each
+    Q(zeta_m) as over Q, so it keeps its blocks (deg = 1).  Otherwise each
     entry becomes its deg x deg multiplication matrix on the power basis
     (deg = phi(m)): block v of the flat values holds values[v], and entry
-    (i*deg + r, j*deg + c) of the flat matrix is cell (r, c) of block
-    index[i, j].
+    (h, i*deg + r, j*deg + c) of a flat stack is cell (r, c) of block
+    stack[h, i, j].
     """
     deg = field.degree
     if deg == 1 or not any(any(x.coeffs[1:]) for x in values):
-        return [x.coeffs[0] for x in values], index, 1
+        return [x.coeffs[0] for x in values], blocks, 1
     basis = [field.element([0] * c + [1]) for c in range(deg)]
     flat = []
     for x in values:
         cols = [x * b for b in basis]
         flat.extend(col.coeffs[r] for r in range(deg) for col in cols)
     cells = np.arange(deg * deg).reshape(deg, deg)
-
-    def lift(index):
-        *lead, N, _ = index.shape
-        big = index[..., None, None].astype(np.intp) * deg * deg + cells
-        return big.swapaxes(-3, -2).reshape(*lead, N * deg, N * deg)
-
-    return (flat, [lift(ix) for ix in index] if isinstance(index, list)
-            else lift(index), deg)
+    big = [(s[..., None, None].astype(np.intp) * deg * deg + cells)
+           .swapaxes(2, 3).reshape(len(s), deg * s.shape[1], -1)
+           for s in blocks]
+    return flat, big, deg
 
 
 def _abs_max(x):
@@ -320,10 +315,11 @@ def _lift_kernel(kernel, pivots, p):
     """The rows of a kernel basis mod p from rref_mod_p, lifted to integer
     vectors, or None if a residue has no rational reconstruction.
 
-    Each vector is its rational lift scaled by the lcm of its own
-    denominators.  The basis is the identity on the free columns, so only
-    the distinct residues of its pivot columns are lifted.  The vectors are
-    int64 unless an entry could reach 2^62.
+    Every vector is its rational lift scaled by one lcm of all the
+    denominators (T v = 0 holds for every multiple of v).  The basis is the
+    identity on the free columns, so only the distinct residues of its
+    pivot columns are lifted.  The vectors are int64 unless an entry could
+    reach 2^62.
     """
     block = kernel[:, pivots]
     distinct, inverse = np.unique(block, return_inverse=True)
@@ -331,32 +327,25 @@ def _lift_kernel(kernel, pivots, p):
     if any(x is None for x in lifts):
         return None
     inverse = inverse.reshape(block.shape)
-    den_values, den_code = np.unique([x.denominator for x in lifts],
-                                     return_inverse=True)
-    present = np.zeros((len(kernel), len(den_values)), dtype=bool)
-    present[np.arange(len(kernel))[:, None], den_code[inverse]] = True
-    scales = [lcm(*den_values[row].tolist()) for row in present]
-    # rational reconstruction keeps |numerator| below sqrt(p / 2)
-    nums = np.array([x.numerator for x in lifts], dtype=np.int64)
-    big = max(scales) * _abs_max(nums) >= 2 ** 62
-    scales = np.array(scales, dtype=object if big else np.int64)
-    dens = den_values.astype(scales.dtype)[den_code]
+    scale = lcm(*(x.denominator for x in lifts))
+    nums = [x.numerator * (scale // x.denominator) for x in lifts]
+    dtype = object if max([scale, *map(abs, nums)]) >= 2 ** 62 else np.int64
     free = np.ones(kernel.shape[1], dtype=bool)
     free[pivots] = False
-    vectors = np.empty(kernel.shape, dtype=scales.dtype)
-    vectors[:, free] = kernel[:, free] * scales[:, None]  # the identity
-    vectors[:, pivots] = nums[inverse] * (scales[:, None] // dens[inverse])
+    vectors = np.empty(kernel.shape, dtype=dtype)
+    vectors[:, free] = kernel[:, free].astype(dtype) * scale  # the identity
+    vectors[:, pivots] = np.array(nums, dtype=dtype)[inverse]
     return vectors
 
 
 _METHODS = ("modular-full-rank", "modular-certified-kernel", "exact-gauss")
 
 
-def _rank_exact_certified(values, index, primes):
-    """Exact rank of the Fraction matrix T_ij = values[index[i, j]] via a
-    modular pass with certificates.  index may also be a list of the
-    blocks of a block-diagonal form of T, each an index stack (k, b, b)
-    that stands for the sum of its k matrices; their ranks add up.
+def _rank_exact_certified(values, blocks, primes):
+    """Exact rank of a Fraction matrix T via a modular pass with
+    certificates.  blocks lists the blocks of a block-diagonal form of T,
+    each an index stack S (k, b, b) that stands for the matrix
+    sum_h values[S[h]]; their ranks add up.
 
     Returns (rank, method), the method the most demanding any block
     needed.  Full rank mod p is already exact (minors can only vanish
@@ -366,17 +355,15 @@ def _rank_exact_certified(values, index, primes):
     entry is scaled, and reduced mod each prime tried, once for all the
     blocks, and T stays int64 unless a scaled entry could reach 2^62.
     """
-    stacks = [ix.reshape(-1, *ix.shape[-2:])
-              for ix in (index if isinstance(index, list) else [index])]
     den = lcm(*(x.denominator for x in values))
     ints = [x.numerator * (den // x.denominator) for x in values]
-    big = max(map(len, stacks)) * max(map(abs, ints)) >= 2 ** 62
+    big = max(map(len, blocks)) * max(map(abs, ints)) >= 2 ** 62
     scaled = np.array(ints, dtype=object if big else np.int64)
     primes = [p for p in primes
               if all(x.denominator % p for x in values)]
     residues = {}  # per prime, on first use
     rank, worst = 0, 0
-    for stack in stacks:
+    for stack in blocks:
         N = stack.shape[-1]
         for p in primes:
             if p not in residues:

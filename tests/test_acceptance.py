@@ -236,9 +236,9 @@ def test_criterion_11_oracle_sanity():
         e = identity(m, 2)
         index = np.array([[int(compose(g, h) == e) for h in group]
                           for g in group])
-        values, index, deg = _to_rational_blocks(F, [F.zero, F.embed(N)],
-                                                 index)
-        rank, _ = _rank_exact_certified(values, index,
+        values, blocks, deg = _to_rational_blocks(F, [F.zero, F.embed(N)],
+                                                  [index[None]])
+        rank, _ = _rank_exact_certified(values, blocks,
                                         primes_for_modular(m)[:3])
         ok &= rank == N * deg
     for (m, n) in [(2, 2), (3, 2), (2, 3), (3, 3)]:

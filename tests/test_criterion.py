@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from cycbrauer.criterion import (VARIANTS, bar_deltas, brauer_z, decide,
                                  g_lambda_mu, g_mu, g_mu_values, z_set,
                                  z_tilde)
-from cycbrauer.oracle import _hyperplane_point, semisimple_verdict
+from cycbrauer.oracle import (StructureTable, _hyperplane_point,
+                              semisimple_verdict)
 from cycbrauer.partitions import admissible_set, multipartitions
 from cycbrauer.scalars import (CyclotomicField, FiniteField, NoRootError,
                                field_with_root)
@@ -135,6 +136,22 @@ def test_decide_m1_delta_zero_matches_oracle():
     for n in (2, 3, 4):
         rad = semisimple_verdict(1, n, Q, [Q.zero])["radical"]
         assert decide(1, n, Q, [Q.zero]).semisimple == (rad == 0), (n, rad)
+
+
+@pytest.mark.parametrize("n,locus", [(2, []), (3, [-2, 1]),
+                                     (4, [-4, -2, 1, 2])])
+def test_decide_m1_matches_oracle_at_integer_deltas(n, locus):
+    # every integer delta != 0 in [-2n-1, 2n+1], on one table per n; the
+    # oracle's non-semisimple values are Rui's Z(n) = [4-2n, n-2] less the
+    # odd i in (4-2n, 3-n], without 0
+    table = StructureTable(1, n)
+    found = []
+    for d in range(-2 * n - 1, 2 * n + 2):
+        if d:
+            rad = semisimple_verdict(1, n, Q, [d], table=table)["radical"]
+            assert decide(1, n, Q, [d]).semisimple == (rad == 0), (n, d, rad)
+            found += [d] if rad else []
+    assert found == locus
 
 
 def _gmu_reasons_reference(m, n, field, deltas):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -334,7 +335,7 @@ def test_rank_certificate_at_3_3_delta_zero_stays_typed(monkeypatch):
     # is checked on int64 or float64 arrays, never on an N x N object array
     F = CyclotomicField(3)
     values, index = trace_matrix(StructureTable(3, 3), F, [F.zero] * 3)
-    values, index, deg = _to_rational_blocks(F, values, index)
+    values, blocks, deg = _to_rational_blocks(F, values, [index[None]])
     seen = []
     check = cycbrauer.oracle._product_is_zero
 
@@ -343,7 +344,7 @@ def test_rank_certificate_at_3_3_delta_zero_stays_typed(monkeypatch):
         return check(a, b)
 
     monkeypatch.setattr(cycbrauer.oracle, "_product_is_zero", typed)
-    assert _rank_exact_certified(values, index, primes_for_modular(3)) \
+    assert _rank_exact_certified(values, blocks, primes_for_modular(3)) \
         == (243, "modular-certified-kernel")
     assert seen == [(np.dtype(np.int64), np.dtype(np.int64), (405, 405),
                      (405, 162))]
@@ -356,13 +357,14 @@ def test_rank_certificate_with_entries_beyond_int64():
     a, b = Fraction(10 ** 30, 7), Fraction(3 * 10 ** 30, 11)
     values = [a, 2 * a, b, 4 * a, 2 * b]
     index = np.array([[0, 1, 2], [1, 3, 4], [0, 1, 2]])
-    assert _rank_exact_certified(values, index, primes_for_modular(1)[:2]) \
+    assert _rank_exact_certified(values, [index[None]],
+                                 primes_for_modular(1)[:2]) \
         == (1, "modular-certified-kernel")
     # full rank with the same magnitudes
     index[2, 2] = len(values)
     values.append(b + 1)
-    assert _rank_exact_certified(values, index, primes_for_modular(1)[:2])[0] \
-        == 2
+    assert _rank_exact_certified(values, [index[None]],
+                                 primes_for_modular(1)[:2])[0] == 2
 
 
 def test_rank_certificate_scales_each_vector_by_all_its_denominators():
@@ -371,8 +373,28 @@ def test_rank_certificate_scales_each_vector_by_all_its_denominators():
     values = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 3),
               Fraction(7, 3)]
     index = np.array([[1, 0, 2], [0, 1, 3], [1, 1, 4]])
-    assert _rank_exact_certified(values, index, primes_for_modular(1)[:2]) \
+    assert _rank_exact_certified(values, [index[None]],
+                                 primes_for_modular(1)[:2]) \
         == (2, "modular-certified-kernel")
+
+
+def test_rank_certificate_scales_every_kernel_vector_by_one_denominator(
+        monkeypatch):
+    # rows (2, 0, -1, 0) and (0, 3, 0, -1), each twice: the kernel vectors
+    # (1/2, 0, 1, 0) and (0, 1/3, 0, 1) are both scaled by 6, as int64
+    values = [Fraction(0), Fraction(2), Fraction(3), Fraction(-1)]
+    rows = [[1, 0, 3, 0], [0, 2, 0, 3]]
+    index = np.array(rows + rows)
+    seen = []
+    check = cycbrauer.oracle._product_is_zero
+    monkeypatch.setattr(cycbrauer.oracle, "_product_is_zero",
+                        lambda a, b: seen.append(b.T) or check(a, b))
+    assert _rank_exact_certified(values, [index[None]],
+                                 primes_for_modular(1)[:2]) \
+        == (2, "modular-certified-kernel")
+    (vectors,) = seen
+    assert vectors.dtype == np.int64
+    assert vectors.tolist() == [[3, 0, 6, 0], [0, 2, 0, 6]]
 
 
 def test_rank_deficit_mod_p_alone_is_not_trusted():
@@ -381,7 +403,8 @@ def test_rank_deficit_mod_p_alone_is_not_trusted():
     p = primes_for_modular(1)[0]
     values = [Fraction(0), Fraction(1), Fraction(p)]
     index = np.array([[1, 0], [0, 2]])
-    assert _rank_exact_certified(values, index, primes_for_modular(1)[:2]) \
+    assert _rank_exact_certified(values, [index[None]],
+                                 primes_for_modular(1)[:2]) \
         == (2, "modular-full-rank")
 
 
@@ -397,7 +420,7 @@ def test_rank_skips_a_prime_dividing_a_denominator(monkeypatch):
     rref = cycbrauer.oracle.rref_mod_p
     monkeypatch.setattr(cycbrauer.oracle, "rref_mod_p",
                         lambda a, prime: used.append(prime) or rref(a, prime))
-    rank, method = _rank_exact_certified(values, index, [p, q])
+    rank, method = _rank_exact_certified(values, [index[None]], [p, q])
     assert used == [q] and method.startswith("modular")
     assert rank == gauss_rank(_expand(values, index))
 
@@ -406,14 +429,15 @@ def test_rank_falls_back_to_exact_elimination():
     # with no prime to try, a small matrix is ranked by fraction elimination
     values = [Fraction(1, 3), Fraction(2, 3), Fraction(-5, 7)]
     index = np.array([[0, 1, 2], [1, 1, 2], [0, 1, 2]])
-    assert _rank_exact_certified(values, index, []) == (2, "exact-gauss")
+    assert _rank_exact_certified(values, [index[None]], []) \
+        == (2, "exact-gauss")
 
 
 def test_rank_of_the_zero_matrix_is_certified():
     # every column is free: the kernel is the identity, and T = 0 is
     # checked exactly (a block wholly in the radical ends here)
     assert _rank_exact_certified([Fraction(0)],
-                                 np.zeros((3, 3), dtype=np.int64),
+                                 [np.zeros((1, 3, 3), dtype=np.int64)],
                                  primes_for_modular(2)) \
         == (0, "modular-certified-kernel")
 
@@ -431,9 +455,10 @@ GENERIC = {2: [Fraction(-617, 113), Fraction(389, 271)],
 
 def _unsplit_radical(table, field, deltas):
     """N minus the rank of the whole trace form, flattened and certified
-    in one piece: the reference for radical_dimension's block ranks."""
+    in one piece (the trivial group's one block): the reference for
+    radical_dimension's block ranks."""
     values, index = trace_matrix(table, field, deltas)
-    flat, big, deg = _to_rational_blocks(field, values, index)
+    flat, big, deg = _to_rational_blocks(field, values, [index[None]])
     rank, _ = _rank_exact_certified(flat, big, primes_for_modular(field.m))
     return table.size - rank // deg
 
@@ -543,7 +568,7 @@ def test_block_radical_matches_the_unsplit_one_on_the_concordance_grid():
 def test_block_radical_matches_the_unsplit_one_at_reach_points(m, n,
                                                                radicals):
     F = CyclotomicField(m)
-    t = StructureTable(m, n, cap=basis_size(m, n))
+    t = _table(m, n)
     for deltas, want in zip(([F.zero] * m, [F.embed(d) for d in GENERIC[m]]),
                             radicals):
         assert radical_dimension(t, F, deltas) == want
@@ -553,6 +578,17 @@ def test_block_radical_matches_the_unsplit_one_at_reach_points(m, n,
 _TABLES = {}
 
 
+def _table(m, n):
+    """One structure table per (m, n), shared by the tests below."""
+    if (m, n) not in _TABLES:
+        _TABLES[m, n] = StructureTable(m, n, cap=basis_size(m, n))
+    return _TABLES[m, n]
+
+
+_COORDINATE = st.one_of(st.integers(-6, 6).map(Fraction),
+                        st.fractions(-9, 9, max_denominator=12))
+
+
 @settings(max_examples=40, deadline=None)
 @given(m=st.integers(1, 4), n=st.integers(1, 3), data=st.data())
 def test_block_radical_matches_the_unsplit_one_on_the_admissible_locus(
@@ -560,17 +596,59 @@ def test_block_radical_matches_the_unsplit_one_on_the_admissible_locus(
     # small integers put many points on the variants' hyperplanes, where
     # some blocks lose rank
     F = CyclotomicField(m)
-    if (m, n) not in _TABLES:
-        _TABLES[m, n] = StructureTable(m, n, cap=basis_size(m, n))
-    t = _TABLES[m, n]
-    coordinate = st.one_of(st.integers(-6, 6).map(Fraction),
-                           st.fractions(-9, 9, max_denominator=12))
-    free = [data.draw(coordinate) for _ in range(m // 2 + 1)]
+    t = _table(m, n)
+    free = [data.draw(_COORDINATE) for _ in range(m // 2 + 1)]
     deltas = [F.embed(free[min(j, m - j)]) for j in range(m)]
     values, _ = trace_matrix(t, F, deltas)
     assert all(values[v] == values[w]
                for _, pairs in t.symmetries for v, w in pairs)
     assert radical_dimension(t, F, deltas) == _unsplit_radical(t, F, deltas)
+
+
+# B_{2,n}(d0, d1) = B_{2,n}(d0, -d1) by t_i -> -t_i, and the radical
+# commutes with zeta -> zeta^k: both are theorems the oracle was not
+# fitted to
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 3), d0=_COORDINATE, d1=_COORDINATE)
+def test_radical_is_invariant_under_the_m2_sign_isomorphism(n, d0, d1):
+    F = CyclotomicField(2)
+    t = _table(2, n)
+    assert radical_dimension(t, F, [F.embed(d0), F.embed(d1)]) \
+        == radical_dimension(t, F, [F.embed(d0), F.embed(-d1)])
+
+
+def test_radical_is_invariant_under_the_m2_sign_isomorphism_at_2_4():
+    # the criterion variants misjudge the first three points on one side
+    # or both; the oracle has radical 23 on both sides of the last
+    F = CyclotomicField(2)
+    t = _table(2, 4)
+    for (d0, d1), want in [(("7/2", "11/2"), 0), (("5/2", "17/2"), 0),
+                           ((-1, 9), 0), (("-59/58", "405/58"), 23)]:
+        for sign in (1, -1):
+            deltas = [F.embed(Fraction(d0)), F.embed(sign * Fraction(d1))]
+            assert radical_dimension(t, F, deltas) == want, (d0, d1, sign)
+
+
+@pytest.mark.parametrize("m,n,point,want", [
+    (3, 3, lambda z: [3 - 2 * z, z, z], 32),
+    (3, 2, lambda z: [z, z, z], 8),
+    # bar_0 = delta_0 + 2 delta_1 + 2 delta_2 = 0
+    (5, 2, lambda z: [-2 * z - 2, z, 1, 1, z], 9),
+], ids=["3-3", "3-2", "5-2"])
+def test_radical_is_invariant_under_galois_conjugation(m, n, point, want):
+    # admissible points whose trace form is irrational: each is ranked on
+    # flattened symmetry blocks, through a kernel certificate
+    F = CyclotomicField(m)
+    t = _table(m, n)
+    for k in range(1, m):
+        if gcd(k, m) == 1:
+            deltas = point(F.zeta ** k)
+            assert deltas_admissible(deltas)
+            values, _ = trace_matrix(t, F, deltas)
+            assert any(any(x.coeffs[1:]) for x in values)
+            assert radical_dimension(t, F, deltas) == want, k
 
 
 def test_a_symmetry_that_fails_at_a_point_is_dropped():
@@ -626,9 +704,9 @@ def test_radical_with_irrational_trace_form(m, n, deltas):
     values, index = trace_matrix(t, F, deltas)
     T = _expand(values, index)
     assert any(any(x.coeffs[1:]) for x in values)
-    flat, big, deg = _to_rational_blocks(F, values, index)
-    assert deg == F.degree and big.shape == (t.size * deg, t.size * deg)
-    assert _expand(flat, big) == _reference_blocks(F, T)
+    flat, (big,), deg = _to_rational_blocks(F, values, [index[None]])
+    assert deg == F.degree and big.shape == (1, t.size * deg, t.size * deg)
+    assert _expand(flat, big[0]) == _reference_blocks(F, T)
     assert radical_dimension(t, F, deltas) == t.size - gauss_rank(T)
 
 
@@ -637,8 +715,9 @@ def test_rational_trace_form_keeps_its_index():
     t = StructureTable(3, 2)
     values, index = trace_matrix(t, F, [F.embed(Fraction(7, 3))]
                                  + [F.embed(Fraction(-5, 4))] * 2)
-    flat, same, deg = _to_rational_blocks(F, values, index)
-    assert deg == 1 and same is index
+    blocks = [index[None]]
+    flat, same, deg = _to_rational_blocks(F, values, blocks)
+    assert deg == 1 and same is blocks
     assert flat == [x.coeffs[0] for x in values]
 
 
@@ -651,9 +730,9 @@ def test_group_algebra_semisimple_maschke():
         e = identity(m, 2)
         index = np.array([[int(compose(g, h) == e) for h in group]
                           for g in group])
-        values, index, deg = _to_rational_blocks(F, [F.zero, F.embed(N)],
-                                                 index)
-        rank, method = _rank_exact_certified(values, index,
+        values, blocks, deg = _to_rational_blocks(F, [F.zero, F.embed(N)],
+                                                  [index[None]])
+        rank, method = _rank_exact_certified(values, blocks,
                                              primes_for_modular(m)[:3])
         assert rank == N * deg, (m, rank, method)
 
