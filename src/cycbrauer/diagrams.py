@@ -8,15 +8,23 @@ matching with a Z/m label per arc.  Label conventions (normal form):
   endpoint.
 
 Multiplication stacks x on top of y and traces composite strands, summing
-arc labels under the one sign rule stated in compose_strands; a closed loop
-of net label a is removed against a factor delta_a.  This pins the rules
-so that e_i t_i^a e_i = delta_a e_i and e_i t_i t_{i+1} = e_i hold, which
-the relation suite verifies exhaustively.
+arc labels under one sign rule: traversed p -> q (p < q in its factor) an
+arc counts +label, except an arc in its factor's bottom row, which counts
+-label, and the reverse traversal counts the negation.  A strand from the
+top row stores the label walked from its smaller end, one between bottom
+points the label walked from its larger end, and a closed loop, walked
+from its smallest middle point into y first, is removed against a factor
+delta_a of its net label a.  This pins the rules so that
+e_i t_i^a e_i = delta_a e_i and e_i t_i t_{i+1} = e_i hold, which the
+relation suite verifies exhaustively.
 
-All-pairs products.  multiply_all traces each pair of skeletons (unlabelled
-arcs) once, by compose_strands on unit-vector labels, which gives every
-output arc and loop label as a signed linear form in the 2n input labels;
-one integer product mod m per skeleton of the left list labels all pairs.
+All-pairs products.  multiply_all composes every pair of skeletons
+(unlabelled arcs) at once by array gathers (_compose_skeletons), which
+places each input arc on one output arc or loop with a sign.  Each label
+of a product is then an x part plus a y part, each reduced mod m; packed so
+that the two add without carries, lookups in small tables, a group of
+digits at a time, give its index and its loops.  multiply_diagrams is the
+one-pair call.
 
 Involutions.  star flips a diagram top to bottom and keeps every label;
 iota = star o (negate every label), see iota_diagram.  The Gram forms in
@@ -150,73 +158,11 @@ def multiply_diagrams(x, y):
 
     The product of basis diagrams is always a single basis diagram times
     prod_a delta_{loop label a}; the second return value lists the loop
-    labels (sorted).
+    labels (sorted).  The one-pair call of multiply_all.
     """
-    if (x.m, x.n) != (y.m, y.n):
-        raise ValueError("mismatched (m, n)")
-    m = x.m
-    arcs, loops = compose_strands(x.n, x.arc_items(), y.arc_items())
-    # compose_strands emits each arc once as (p, q), p < q, in increasing p:
-    # already the normal form, so make_diagram's checks are skipped
-    return (Diagram(m, x.n, tuple(pq for pq, _ in arcs),
-                    tuple(lab % m for _, lab in arcs)),
-            tuple(sorted(acc % m for acc in loops)))
-
-
-def compose_strands(n, x_items, y_items):
-    """Stack x on top of y and trace every composite strand.
-
-    Points: x's top row is 1..n, the middle row n+1..2n is x's bottom and
-    y's top, and y's bottom row is 2n+1..3n.  ``x_items``/``y_items`` are
-    the ((p, q), label) arcs of the two factors, p < q in the factor's own
-    numbering.  The one sign rule: traversed p -> q an arc counts +label,
-    except an arc in its factor's bottom row (p > n), which counts -label;
-    the reverse traversal counts the negation.  Labels only need ``+`` and
-    unary ``-``: integers give the product of two diagrams, and vectors of
-    coefficients give each output label as a signed linear form in the
-    input labels (never updated in place, so array labels may be shared).
-
-    Returns (arcs, loops), all labels before reduction mod m: the output
-    arcs as ((p, q), label) in the 1..2n numbering of the product, and the
-    closed-loop labels.  A strand from the top row counts from its smaller
-    endpoint, one between bottom points stores the label of its
-    right-to-left traversal, and a loop starts at its smallest middle point
-    and enters y first.
-    """
-    x, y = {}, {}  # per factor: point -> (next point, signed label)
-    for step, items, off in ((x, x_items, 0), (y, y_items, n)):
-        for (p, q), lab in items:
-            fwd, back = (-lab, lab) if p > n else (lab, -lab)
-            step[p + off] = (q + off, fwd)
-            step[q + off] = (p + off, back)
-    last = 2 * n  # the middle row is n + 1..last
-    seen = set()
-
-    def walk(start, step, other):
-        """Follow the strand leaving ``start`` through the factor whose map
-        is ``step`` until it leaves the middle row or closes: (end, label)."""
-        p, acc = step[start]
-        seen.add(start)
-        seen.add(p)
-        while n < p <= last and p != start:
-            step, other = other, step
-            p, lab = step[p]
-            acc = acc + lab
-            seen.add(p)
-        return p, acc
-
-    arcs = []
-    for start in range(1, n + 1):
-        if start not in seen:
-            end, acc = walk(start, x, y)
-            arcs.append(((start, end if end <= n else end - n), acc))
-    for start in range(last + 1, last + n + 1):
-        if start not in seen:
-            end, acc = walk(start, y, x)
-            arcs.append(((start - n, end - n), -acc))
-    loops = [walk(start, y, x)[1] for start in range(n + 1, last + 1)
-             if start not in seen]
-    return arcs, loops
+    out, loops = multiply_all([x], [y])
+    k, u = out[0, 0].tolist()
+    return basis_diagram(x.m, x.n, k), loops[u]
 
 
 def basis_index(d):
@@ -231,53 +177,269 @@ def basis_index(d):
     return functools.reduce(lambda k, lab: k * d.m + lab, d.labels, k)
 
 
+def basis_diagram(m, n, k):
+    """The diagram at position k of enumerate_basis(m, n): basis_index
+    inverted."""
+    k, number = divmod(k, m ** n)
+    labels = []
+    for _ in range(n):
+        number, lab = divmod(number, m)
+        labels.append(lab)
+    return Diagram(m, n, _skeleton_arcs(n, k), tuple(reversed(labels)))
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _skeleton_arcs(n, k):
+    """The arcs of the k-th skeleton of enumerate_basis at n."""
+    digits = []
+    for size in range(1, 2 * n, 2):  # the last arc's digit first
+        k, q = divmod(k, size)
+        digits.append(q)
+    points, arcs = list(range(1, 2 * n + 1)), []
+    for q in reversed(digits):
+        arcs.append((points.pop(0), points.pop(q)))
+    return tuple(arcs)
+
+
+_BLOCK = 1 << 16  # array entries per pass: bounds the kernel's temporaries
+_TABLE = 1 << 12  # entries per label lookup table where the digits allow
+
+
+@functools.cache
+def _walk(n):
+    """Constants of _compose_skeletons at n: per factor (x, then y) the
+    departure node of each of its points and the node that arriving there
+    leads to; the pointer-doubling rounds (2^rounds >= 2n, the most arcs on
+    one strand); the mixed radix of the skeleton numbers, the constant and
+    the inversion weights of basis_index; the strictly triangular blocks
+    that rank the output arcs and the loops."""
+    two, four = 2 * n, 4 * n
+    a = np.arange(two)
+    middle = four + 2 * (a - n)  # departing from middle point a - n into y
+    below = np.arange(n) < np.arange(n)[:, None]  # r' < r at [r, r']
+    radix = np.array([double_factorial(two - 2 * r - 3) for r in range(n)],
+                     dtype=np.int64)
+    before = np.zeros((3 * n, 3 * n), dtype=np.int64)
+    before[:two, :two] = np.triu(np.ones((two, two)), 1)
+    before[two:, two:] = np.triu(np.ones((n, n)), 1)
+    return (np.array([np.where(a < n, two + a, middle + 1),
+                      np.where(a < n, four + 2 * a, two + a)]),
+            np.array([np.where(a < n, a, middle),
+                      np.where(a < n, four + 2 * a + 1, a)]),
+            max(1, (two - 1).bit_length()), radix,
+            int(radix @ (1 + np.arange(n))), (below * radix[:, None]).ravel(),
+            before, np.repeat([0, n], [two, n]))
+
+
+@functools.cache
+def _packing(m, n):
+    """Constants of multiply_all's packed labels at (m, n).  The digits are
+    the n // 2 loop slots in base 2m, lowest, 2m - 1 marking an unused
+    slot, then the n arcs in base 2m - 1, the last arc lowest.  Returns v
+    mod m at v + nm for |v| < nm, as floats; the place of each digit (the
+    arcs first), as a float; by loop count, the padding of the unused slots;
+    the low table, which gives for each value of the loop slots and the
+    lowest arc digits the basis-index part of those arc labels (read as
+    base-m digits) and the number of the loop multiset; per group of the
+    other arc digits, highest first, its place and the basis-index part of
+    each of its values; and the loop multisets (sorted labels) in
+    increasing order of their code, n // 2 base-(m + 1) digits: zeros, then
+    the sorted labels plus one."""
+    slots, base = n // 2, 2 * m - 1
+    loops = (base + 1) ** slots  # values of the loop slots
+    low = 0  # arc digits in the low table
+    while low < n and loops * base ** (low + 1) <= _TABLE:
+        low += 1
+    width = 1  # arc digits per group above them
+    while low + width < n and base ** (width + 1) <= _TABLE:
+        width += 1
+    place = [loops * base ** (n - 1 - c) for c in range(n)]
+    place += [(base + 1) ** s for s in range(slots)]
+    pad = [base * sum(place[n + k:]) for k in range(slots + 1)]
+    label = np.zeros(1, dtype=np.int32)  # of the lowest arc digits
+    for k in range(max(low, width)):
+        label = np.add.outer(np.arange(base, dtype=np.int32) % m * m ** k,
+                             label).ravel()
+    value = np.arange(loops)[:, None]
+    digit = value // (base + 1) ** np.arange(slots) % (base + 1)
+    shifted = np.sort(np.where(digit == base, 0, digit % m + 1), axis=1)
+    codes, number = np.unique(shifted @ (m + 1) ** np.arange(slots),
+                              return_inverse=True)
+    shifted = codes[:, None] // (m + 1) ** np.arange(slots) % (m + 1)
+    return (np.arange(2 * n * m) % m * 1.0, np.array(place, dtype=float),
+            np.array(pad),
+            np.stack(np.broadcast_arrays(label[:base ** low, None],
+                                         number.astype(np.int32)),
+                     axis=2).reshape(-1, 2),
+            [(loops * base ** k, label[:base ** min(width, n - k)] * m ** k)
+             for k in range(low, n, width)][::-1],
+            [tuple(d - 1 for d in row if d) for row in shifted.tolist()])
+
+
+def _side(ds, n, y):
+    """One factor list as arrays: the skeleton of each diagram (numbered in
+    order of appearance) and its place among the diagrams of that
+    skeleton; per skeleton the successor of each node it departs from (x's,
+    y = 0, hold the sinks too, each its own successor) and, at the columns
+    of this factor's arcs (x's first, zero at the others), the departure
+    nodes of each arc's two ends in the order that counts +label: p -> q,
+    or q -> p for an arc in its factor's bottom row; and the labels of its
+    diagrams by place (zero rows pad the shorter lists)."""
+    skeletons, of, place, count = {}, [], [], []
+    for d in ds:
+        s = skeletons.setdefault(d.arcs, len(skeletons))
+        if s == len(count):
+            count.append(0)
+        of.append(s)
+        place.append(count[s])
+        count[s] += 1
+    arcs = np.array(list(skeletons), dtype=np.intp).reshape(
+        len(skeletons), n, 2) - 1
+    depart, arrive = _walk(n)[0][y], _walk(n)[1][y]
+    succ = np.zeros((len(arcs), 6 * n), dtype=np.intp)
+    if not y:
+        succ[:, :2 * n] = np.arange(2 * n)
+    succ[np.arange(len(arcs))[:, None, None], depart[arcs]] = \
+        arrive[arcs[:, :, ::-1]]
+    ends = np.zeros((len(arcs), 2, 2 * n), dtype=np.intp)
+    ends[:, :, y * n:(y + 1) * n] = depart[np.where(
+        arcs[:, :, :1] < n, arcs, arcs[:, :, ::-1])].swapaxes(1, 2)
+    labels = np.zeros((len(arcs), max(count), n))
+    labels[of, place] = [d.labels for d in ds]
+    return np.array(of), np.array(place), succ, ends, labels
+
+
+def _compose_skeletons(n, x_succ, y_succ, x_ends, y_ends):
+    """Compose every pair of an x and a y skeleton (tables of _side) at
+    once.  Returns (x_forms, y_forms, first, loops): x_forms[a, c, b, d] is
+    the sign with which x's arc c enters output digit d of the product of
+    skeletons a and b, y_forms[b, c, a, d] that of y's arc c, the digits
+    being the n output arcs in normal-form order and then the loops; first
+    holds the number of the product's skeleton, and loops its loop count.
+
+    Each pair is 6n nodes: node b is the sink where a strand arrives at
+    product point b (x's top points, then y's bottom ones), 2n + b departs
+    from b, and 4n + 2k and 4n + 2k + 1 depart from middle point k into y
+    and into x.  A departure crosses the arc at its point; its successor
+    departs from the middle point reached into the other factor, or is the
+    sink there.  Pointer doubling gives every node the end of its strand
+    and the smallest node on the way there: a sink on a strand; on a loop,
+    the smallest node of its orbit, which departs from the loop's smallest
+    middle point into y (even) for the orbit that stores the loop's label,
+    into x (odd) for the reverse one.  A strand from the top row stores the
+    label walked from its smaller end, one between bottom points the label
+    walked from its larger end.
+    """
+    _, _, rounds, radix, shift, inversions, before, rank_shift = _walk(n)
+    two, four, six, digits = 2 * n, 4 * n, 6 * n, n + n // 2
+    sx, sy = len(x_succ), len(y_succ)
+    pairs = sx * sy
+    offset = six * np.arange(pairs).reshape(sx, sy, 1)
+    succ = (x_succ[:, None] + y_succ + offset).ravel()
+    low = np.arange(pairs * six)
+    for _ in range(rounds):
+        np.minimum(low, low[succ], out=low)
+        succ = succ[succ]
+    offset = offset.reshape(pairs, 1)
+    end = succ.reshape(pairs, six) - offset
+    low = low.reshape(pairs, six) - offset
+    partner = end[:, two:four]  # of each product point
+    smaller = partner > np.arange(two)
+    q = partner[smaller].reshape(pairs, n)  # larger ends, normal-form order
+    later = (q[:, None] < q[:, :, None]).reshape(pairs, n * n)
+    first = q @ radix - shift - later @ inversions
+    start = low[:, four::2] == np.arange(four, six, 2)  # a loop's smallest
+    rank = np.concatenate([smaller, start], axis=1) @ before + rank_shift
+    nodes = (x_ends[:, None] + y_ends + offset.reshape(sx, sy, 1, 1))
+    nodes = nodes.reshape(pairs, 2, two)
+    far = end.ravel()[nodes]  # where the strand ahead of either end ends
+    path = far[:, 0] < two
+    near = np.minimum(far[:, 0], far[:, 1])
+    orbit = low.ravel()[nodes[:, 0]]
+    forward = np.where(path, (far[:, 1] < far[:, 0]) == (near < n),
+                       orbit % 2 == 0)
+    slot = np.where(path, near, orbit // 2)
+    digit = rank.ravel()[slot + 3 * n * np.arange(pairs)[:, None]]
+    forms = np.where(digit[:, :, None] == np.arange(digits),
+                     np.where(forward, 1.0, -1.0)[:, :, None], 0.0)
+    forms = forms.reshape(sx, sy, two, digits)
+    return (forms[:, :, :n].transpose(0, 2, 1, 3).reshape(sx, n, sy * digits),
+            forms[:, :, n:].transpose(1, 2, 0, 3).reshape(sy, n, sx * digits),
+            first.reshape(sx, sy), start.sum(axis=1).reshape(sx, sy))
+
+
 def multiply_all(xs, ys):
     """Every product x * y of two non-empty lists of basis diagrams of one
     (m, n), as (out, loops): out, int32 of shape (len(xs), len(ys), 2),
     holds at (i, j) the basis_index of the product diagram of xs[i] * ys[j]
-    and the index in loops of the tuple of its sorted loop labels."""
+    and the index in loops of the tuple of its sorted loop labels; loops
+    lists the loop multisets that occur in increasing order of their code,
+    n // 2 base-(m + 1) digits: zeros, then the sorted labels plus one.
+
+    _compose_skeletons composes the skeleton pairs, a block of x's
+    skeletons at a time.  Each output digit (arc or loop label) of x * y is
+    the x part, the signed sum of x's labels on it, plus the y part, each
+    reduced mod m: per skeleton of x, one matrix product of the labels of
+    its diagrams with its forms gives the x parts against every skeleton of
+    y, and likewise for y.  Packed in base 2m per loop slot and 2m - 1 per
+    arc (exact in float64 whenever the basis indices fit int32), the parts
+    of every product add without carries.  Lookups then give the product's
+    index and loop multiset: one in the low table for the loop slots and
+    the lowest arc digits, one per group of the other arc digits, each
+    table of at most _TABLE entries unless the loop slots alone take more
+    values, (2m)^(n // 2).
+    """
     (m, n), = {(d.m, d.n) for d in itertools.chain(xs, ys)}  # else ValueError
     if basis_size(m, n) >= 2 ** 31:
         raise ValueError("basis indices exceed int32")
-    x_arcs, y_arcs = {}, {}  # distinct skeletons, numbered
-    x_of, y_of = (np.array([arcs.setdefault(d.arcs, len(arcs)) for d in ds])
-                  for arcs, ds in ((x_arcs, xs), (y_arcs, ys)))
-    x_labels, y_labels = (np.array([d.labels for d in ds], dtype=float)
-                          .reshape(len(ds), n) for ds in (xs, ys))
-    unit = np.eye(2 * n)  # float64, so that the label products run in BLAS
-    slots = n // 2  # a loop uses at least two middle points
-    place, code_of = m ** np.arange(n - 1, -1, -1), (m + 1) ** np.arange(slots)
-    residue = np.arange(-2 * n * m, 2 * n * m) % m
+    residue, place, pad, low_table, groups, multisets = _packing(m, n)
+    x_of, x_place, x_succ, x_ends, x_labels = _side(xs, n, 0)
+    y_of, y_place, y_succ, y_ends, y_labels = _side(ys, n, 1)
+    sy, digits = len(y_succ), len(place)
+    gx, gy = x_labels.shape[1], y_labels.shape[1]
+    step = max(1, _BLOCK // (sy * (6 * n + (gx + gy) * digits + 1)))
+    x_part, y_part, first = [], [], []
+    for s in range(0, len(x_succ), step):
+        block = slice(s, s + step)
+        x_forms, y_forms, skeleton, loops = _compose_skeletons(
+            n, x_succ[block], y_succ, x_ends[block], y_ends)
+        sx = len(skeleton)
+        cut = sx * gx * sy
+        value = np.empty((cut + sy * gy * sx, digits))
+        np.matmul(x_labels[block], x_forms,
+                  out=value[:cut].reshape(sx, gx, sy * digits))
+        np.matmul(y_labels, y_forms,
+                  out=value[cut:].reshape(sy, gy, sx * digits))
+        value += n * m
+        packed = (residue[value.astype(np.intp)] @ place).astype(np.int64)
+        x_part.append(packed[:cut].reshape(sx, gx, sy))
+        y_part.append(packed[cut:].reshape(sy, gy, sx)
+                      + pad[loops.T][:, None])
+        first.append(skeleton * m ** n)
+    # x part per (x diagram, y skeleton), y part per (x skeleton, y diagram)
+    x_part = np.concatenate(x_part)[x_of, x_place]
+    y_part = np.ascontiguousarray(
+        np.concatenate(y_part, axis=2)[y_of, y_place].T)
+    first = np.concatenate(first).astype(np.int32)[x_of]
     out = np.empty((len(xs), len(ys), 2), dtype=np.int32)
-
-    @functools.cache
-    def first(skeleton):  # basis_index of its zero labelling
-        return basis_index(Diagram(m, n, skeleton, (0,) * n))
-
-    for sx, ax in enumerate(x_arcs):
-        # per skeleton of ys: n output-arc forms, then the loop forms (never
-        # zero: a loop runs through an arc at most once) padded with zeros
-        forms = np.zeros((len(y_arcs), n + slots, 2 * n))
-        base = np.empty(len(y_arcs), dtype=np.int64)
-        for sy, ay in enumerate(y_arcs):
-            arcs, closed = compose_strands(n, zip(ax, unit[:n]),
-                                           zip(ay, unit[n:]))
-            base[sy] = first(tuple(pq for pq, _ in arcs))
-            forms[sy, :n + len(closed)] = [form for _, form in arcs] + closed
-        rows = np.flatnonzero(x_of == sx)
-        f = forms[y_of]  # (len(ys), n + slots, 2n)
-        values = residue[2 * n * m + (  # v mod m, |v| < 2nm
-            np.tensordot(x_labels[rows], f[:, :, :n], axes=(1, 2))
-            + np.einsum("jkc,jc->jk", f[:, :, n:], y_labels)).astype(np.int64)]
-        shifted = np.where(f[:, n:].any(axis=2), values[:, :, n:] + 1, 0)
-        out[rows, :, 0] = base[y_of] + values[:, :, :n] @ place
-        out[rows, :, 1] = np.sort(shifted, axis=2) @ code_of
-    # number the loop codes that occur, in increasing order
-    seen = np.zeros((m + 1) ** slots, dtype=bool)
-    seen[out[..., 1]] = True
-    out[..., 1] = (np.cumsum(seen, dtype=np.int32) - 1)[out[..., 1]]
-    digits = np.flatnonzero(seen)[:, None] // code_of % (m + 1)
-    return out, [tuple(d - 1 for d in row if d) for row in digits.tolist()]
+    hit = np.zeros(len(low_table), dtype=bool)
+    rows = max(1, _BLOCK // len(ys))
+    for r in range(0, len(xs), rows):
+        block = slice(r, r + rows)
+        rest = np.take(x_part[block], y_of, axis=1) + y_part[x_of[block]]
+        index = np.take(first[block], y_of, axis=1)
+        for unit, table in groups:  # the higher arc digits, highest first
+            key = rest // unit
+            rest -= key * unit
+            index += np.take(table, key)
+        np.take(low_table, rest, axis=0, out=out[block])
+        out[block, :, 0] += index
+        hit[rest] = True
+    seen = np.zeros(len(multisets), dtype=bool)
+    seen[low_table[hit, 1]] = True
+    if not seen.all():  # number only the loop multisets that occur
+        out[:, :, 1] = (np.cumsum(seen, dtype=np.int32) - 1)[out[:, :, 1]]
+    return out, list(itertools.compress(multisets, seen))
 
 
 def star_diagram(d):
@@ -390,13 +552,17 @@ class AlgebraElement(LinearCombination):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        params = self.ring.params
+        if not (self.terms and o.terms):
+            return self._collect(())
+        params, (m, n) = self.ring.params, (self.ring.m, self.ring.n)
+        out, loops = multiply_all(list(self.terms), list(o.terms))
+        out = out.tolist()
+        diagrams = {k: basis_diagram(m, n, k) for row in out for k, _ in row}
 
         def products():
-            for d1, c1 in self.terms.items():
-                for d2, c2 in o.terms.items():
-                    d, loops = multiply_diagrams(d1, d2)
-                    yield d, times_loops(params, c1 * c2, loops)
+            for c1, row in zip(self.terms.values(), out):
+                for c2, (k, u) in zip(o.terms.values(), row):
+                    yield diagrams[k], times_loops(params, c1 * c2, loops[u])
 
         return self._collect(products())
 
@@ -514,64 +680,114 @@ def verify_prop_eta(m):
 
 def verify_relations(m, n):
     """Evaluate every instance of the 17 defining relations; returns a list
-    of {"relation", "indices", "ok"} dicts (failures included, never raised)."""
-    alg = symbolic_algebra(m, n)
-    one = alg.one
-    d0 = alg.params.delta(0)
-    results = []
+    of {"relation", "indices", "ok"} dicts (failures included, never raised).
+    Each side is a word in the generators, the right one times a scalar,
+    and all words are multiplied out together (_word_products)."""
+    params = SymbolicParams(m)
+    alg = DiagramAlgebra(m, n, params)
 
-    def check(relid, indices, lhs, rhs):
-        results.append({"relation": relid, "indices": indices, "ok": lhs == rhs})
+    def letter(name):
+        return lambda i: [generator(m, n, name, i)]
+
+    s, e, t = letter("s"), letter("e"), letter("t")
+    one, d0, cases = [identity_diagram(m, n)], params.delta(0), []
+
+    def check(relid, indices, lhs, rhs, scalar=params.one):
+        cases.append((relid, indices, lhs, rhs, scalar))
 
     for i in range(1, n):
-        check(1, (i,), alg.s(i) * alg.s(i), one)
+        check(1, (i,), s(i) + s(i), one)
     for i in range(1, n):
         for j in range(1, n):
             if abs(i - j) > 1:
-                check(2, (i, j), alg.s(i) * alg.s(j), alg.s(j) * alg.s(i))
+                check(2, (i, j), s(i) + s(j), s(j) + s(i))
     for i in range(1, n - 1):
-        check(3, (i,), alg.s(i) * alg.s(i + 1) * alg.s(i),
-              alg.s(i + 1) * alg.s(i) * alg.s(i + 1))
+        check(3, (i,), s(i) + s(i + 1) + s(i), s(i + 1) + s(i) + s(i + 1))
     for i in range(1, n):
         for j in range(1, n + 1):
             if j not in (i, i + 1):
-                check(4, (i, j), alg.s(i) * alg.t(j), alg.t(j) * alg.s(i))
+                check(4, (i, j), s(i) + t(j), t(j) + s(i))
     for i in range(1, n):
-        check(5, (i,), alg.e(i) * alg.e(i), alg.e(i).scale(d0))
+        check(5, (i,), e(i) + e(i), e(i), d0)
     for i in range(1, n):
         for j in range(1, n):
             if abs(i - j) > 1:
-                check(6, (i, j), alg.s(i) * alg.e(j), alg.e(j) * alg.s(i))
-                check(7, (i, j), alg.e(i) * alg.e(j), alg.e(j) * alg.e(i))
+                check(6, (i, j), s(i) + e(j), e(j) + s(i))
+                check(7, (i, j), e(i) + e(j), e(j) + e(i))
     for i in range(1, n):
         for j in range(1, n + 1):
             if j not in (i, i + 1):
-                check(8, (i, j), alg.e(i) * alg.t(j), alg.t(j) * alg.e(i))
+                check(8, (i, j), e(i) + t(j), t(j) + e(i))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            check(9, (i, j), alg.t(i) * alg.t(j), alg.t(j) * alg.t(i))
+            check(9, (i, j), t(i) + t(j), t(j) + t(i))
     for i in range(1, n):
-        check(10, (i,), alg.s(i) * alg.t(i), alg.t(i + 1) * alg.s(i))
+        check(10, (i,), s(i) + t(i), t(i + 1) + s(i))
     for i in range(1, n):
-        check(11, (i,), alg.e(i) * alg.s(i), alg.e(i))
-        check(11, (i,), alg.s(i) * alg.e(i), alg.e(i))
+        check(11, (i,), e(i) + s(i), e(i))
+        check(11, (i,), s(i) + e(i), e(i))
     for i in range(1, n - 1):
-        check(12, (i,), alg.s(i) * alg.e(i + 1) * alg.e(i), alg.s(i + 1) * alg.e(i))
-        check(13, (i,), alg.e(i + 1) * alg.e(i) * alg.s(i + 1), alg.e(i + 1) * alg.s(i))
+        check(12, (i,), s(i) + e(i + 1) + e(i), s(i + 1) + e(i))
+        check(13, (i,), e(i + 1) + e(i) + s(i + 1), e(i + 1) + s(i))
     for i in range(1, n):
         for j in range(1, n):
             if abs(i - j) == 1:
-                check(14, (i, j), alg.e(i) * alg.e(j) * alg.e(i), alg.e(i))
+                check(14, (i, j), e(i) + e(j) + e(i), e(i))
     for i in range(1, n):
-        check(15, (i,), alg.e(i) * alg.t(i) * alg.t(i + 1), alg.e(i))
-        check(15, (i,), alg.t(i) * alg.t(i + 1) * alg.e(i), alg.e(i))
+        check(15, (i,), e(i) + t(i) + t(i + 1), e(i))
+        check(15, (i,), t(i) + t(i + 1) + e(i), e(i))
     for i in range(1, n):
         for a in range(1, m):
-            check(16, (i, a), alg.e(i) * alg.t(i) ** a * alg.e(i),
-                  alg.e(i).scale(alg.params.delta(a)))
+            check(16, (i, a), e(i) + t(i) * a + e(i), e(i), params.delta(a))
     for i in range(1, n + 1):
-        check(17, (i,), alg.t(i) ** m, one)
-    return results
+        check(17, (i,), t(i) * m, one)
+    products = _word_products([w for case in cases for w in case[2:4]])
+
+    def value(d, loops, scalar):
+        return alg.element(d, times_loops(params, scalar, loops))
+
+    return [{"relation": relid, "indices": indices,
+             "ok": value(*lhs, params.one) == value(*rhs, scalar)}
+            for (relid, indices, _, _, scalar), lhs, rhs
+            in zip(cases, products[::2], products[1::2])]
+
+
+def _word_products(words):
+    """The product of each non-empty word (a list of basis diagrams) as
+    (diagram, loop labels): every word longer than k takes its letter k in
+    round k, all words at once (_paired_products)."""
+    products = [(w[0], ()) for w in words]
+    for k in range(1, max(map(len, words), default=1)):
+        live = [j for j, w in enumerate(words) if len(w) > k]
+        for j, (d, loops) in zip(live, _paired_products(
+                [(products[j][0], words[j][k]) for j in live])):
+            products[j] = d, products[j][1] + loops
+    return products
+
+
+def _paired_products(pairs):
+    """x * y for each pair (x, y), as (diagram, loop labels).  The pairs go
+    in order of x's skeleton, in runs of at most 64 whose x and y skeletons
+    make at most 64 skeleton pairs; the products of a run are the diagonal
+    of one multiply_all call on it."""
+    out = [None] * len(pairs)
+    order = sorted(range(len(pairs)), key=lambda k: pairs[k][0].arcs)
+    start = 0
+    while start < len(order):
+        x_arcs, y_arcs, run = set(), set(), []
+        for k in order[start:start + 64]:
+            x_arcs.add(pairs[k][0].arcs)
+            y_arcs.add(pairs[k][1].arcs)
+            if run and len(x_arcs) * len(y_arcs) > 64:
+                break
+            run.append(k)
+        start += len(run)
+        xs, ys = zip(*(pairs[k] for k in run))
+        products, loops = multiply_all(list(xs), list(ys))
+        i = np.arange(len(run))
+        for k, (p, u) in zip(run, products[i, i].tolist()):
+            out[k] = basis_diagram(xs[0].m, xs[0].n, p), loops[u]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +816,9 @@ def associativity_check(m, n, params=None, trials=1000, seed=0):
     """Sample random basis-diagram triples and compare (ab)c with a(bc).
 
     Default parameters are symmetric symbolic ones (generic admissible
-    point).  Returns a report dict; failures list the offending triples."""
+    point).  Each of the four products is taken for all triples at once
+    (_paired_products).  Returns a report dict; failures list the
+    offending triples."""
     import random
 
     if params is None:
@@ -608,13 +826,19 @@ def associativity_check(m, n, params=None, trials=1000, seed=0):
     alg = DiagramAlgebra(m, n, params)
     basis = enumerate_basis(m, n)
     rng = random.Random(seed)
-    failures = []
-    for _ in range(trials):
-        a, b, c = (rng.choice(basis) for _ in range(3))
-        x, y = alg.element(a), alg.element(b)
-        z = alg.element(c)
-        if (x * y) * z != x * (y * z):
-            failures.append((a, b, c))
+    triples = [tuple(rng.choice(basis) for _ in range(3))
+               for _ in range(trials)]
+    ab = _paired_products([(a, b) for a, b, _ in triples])
+    bc = _paired_products([(b, c) for _, b, c in triples])
+    ab_c = _paired_products([(d, c) for (d, _), (_, _, c) in zip(ab, triples)])
+    a_bc = _paired_products([(a, d) for (a, _, _), (d, _) in zip(triples, bc)])
+
+    def value(d, loops):
+        return alg.element(d, times_loops(params, params.one, loops))
+
+    failures = [t for t, (_, u), (left, v), (_, w), (right, z)
+                in zip(triples, ab, ab_c, bc, a_bc)
+                if value(left, u + v) != value(right, w + z)]
     return {"m": m, "n": n, "trials": trials, "seed": seed,
             "admissible": is_admissible(params),
             "failures": len(failures), "ok": not failures,

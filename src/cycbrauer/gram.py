@@ -114,10 +114,11 @@ def equivariance_check(m, n, params, cap=5000, gram=None):
     """Check that the iota-form endomorphism commutes with the left
     W_{m,n} action and the right W_{m,n-2} action, generator by generator.
 
-    Both actions permute the basis of V and are diagram products: the left
-    one g * b, the right one b * (y (+) 1_2), which is w |-> w y on the
-    middle factor.  The generators y (+) 1_2 are t_1 and s_i, i < n - 2, of
-    W_{m,n}.  A product with a group element closes no loop.
+    Both actions permute the basis of V and are diagram products, one
+    multiply_all call per side for all its generators: the left one g * b,
+    the right one b * (y (+) 1_2), which is w |-> w y on the middle factor.
+    The generators y (+) 1_2 are t_1 and s_i, i < n - 2, of W_{m,n}.  A
+    product with a group element closes no loop.
 
     The commutation identities only hold on the admissible parameter locus
     delta_a = delta_{m-a} (automatic for m <= 2); the report records the
@@ -129,30 +130,28 @@ def equivariance_check(m, n, params, cap=5000, gram=None):
     position = {basis_index(b): k for k, b in enumerate(basis)}
     # equal values (delta_a, delta_{m-a} if symmetric) share a code
     G = np.array([gm.values.index(x) for x in gm.values])[gm.index]
+    left = [("s", i) for i in range(1, n)] + [("t", 1)]
+    right = [("t", 1)] * (n - 2 >= 1) + [("s", i) for i in range(1, n - 2)]
     failures, checked = [], []
-
-    def commutes(side, name, i):
-        # P*G == G*P with P[perm[j], j] = 1, perm the basis permutation by
-        # the generator g on this side: (P G)[i][j] = G[perm^{-1}(i)][j]
-        # and (G P)[i][j] = G[i][perm[j]]
-        g = [generator(m, n, name, i)]
+    for side, gens in (("left", left), ("right", right)):
+        g = [generator(m, n, name, i) for name, i in gens]
+        if not g:
+            continue
         out = multiply_all(*([g, basis] if side == "left" else [basis, g]))[0]
-        perm = [position[k] for k in out[..., 0].ravel().tolist()]
-        bad = np.flatnonzero(G[np.argsort(perm)] != G[:, perm])
-        tag = "%s-%s%d" % (side, name, i)
-        if len(bad):
-            row, col = divmod(int(bad[0]), f)
-            failures.append({"generator": tag, "i": row, "j": col})
-        else:
-            checked.append(tag)
-
-    for i in range(1, n):
-        commutes("left", "s", i)
-    commutes("left", "t", 1)
-    if n - 2 >= 1:
-        commutes("right", "t", 1)
-    for i in range(1, n - 2):
-        commutes("right", "s", i)
+        if side == "right":
+            out = out.swapaxes(0, 1)
+        for (name, i), row in zip(gens, out[..., 0].tolist()):
+            # P*G == G*P with P[perm[j], j] = 1, perm the basis permutation
+            # by the generator g on this side: (P G)[i][j] =
+            # G[perm^{-1}(i)][j] and (G P)[i][j] = G[i][perm[j]]
+            perm = [position[k] for k in row]
+            bad = np.flatnonzero(G[np.argsort(perm)] != G[:, perm])
+            tag = "%s-%s%d" % (side, name, i)
+            if len(bad):
+                r, c = divmod(int(bad[0]), f)
+                failures.append({"generator": tag, "i": r, "j": c})
+            else:
+                checked.append(tag)
     return {"m": m, "n": n, "ok": not failures, "checked": checked,
             "failures": failures, "admissible": is_admissible(params)}
 

@@ -6,8 +6,9 @@ measures its radical, which in characteristic 0 equals the Jacobson radical
 of the algebra.  Characteristic p is refused rather than risked.
 
 Structure table: diagrams.multiply_all of the basis with itself, which
-traces each pair of skeletons once, stored as an int32 array of (product
-index, loop monomial index) rows.
+composes every pair of skeletons at once by array gathers and reads each
+product's index and loops from packed labels through small lookup tables,
+stored as an int32 array of (product index, loop monomial index) rows.
 
 Trace form: T travels from the table to the certificate as one pair
 (values, index).  values lists the distinct entries, each computed once in

@@ -132,23 +132,25 @@ def test_decide_m1_delta_zero_follows_rui():
 
 
 def test_decide_m1_delta_zero_matches_oracle():
-    # radicals 1, 0 and 36 at n = 2, 3, 4 (the n = 5 table takes ~9 s)
-    for n in (2, 3, 4):
-        rad = semisimple_verdict(1, n, Q, [Q.zero])["radical"]
+    # radicals 1, 0, 36 and 0 at n = 2, 3, 4, 5
+    for n in (2, 3, 4, 5):
+        rad = semisimple_verdict(1, n, Q, [Q.zero], cap=945)["radical"]
         assert decide(1, n, Q, [Q.zero]).semisimple == (rad == 0), (n, rad)
 
 
 @pytest.mark.parametrize("n,locus", [(2, []), (3, [-2, 1]),
-                                     (4, [-4, -2, 1, 2])])
+                                     (4, [-4, -2, 1, 2]),
+                                     (5, [-6, -4, -2, -1, 1, 2, 3])])
 def test_decide_m1_matches_oracle_at_integer_deltas(n, locus):
-    # every integer delta != 0 in [-2n-1, 2n+1], on one table per n; the
-    # oracle's non-semisimple values are Rui's Z(n) = [4-2n, n-2] less the
-    # odd i in (4-2n, 3-n], without 0
-    table = StructureTable(1, n)
+    # every integer delta != 0 in [-2n-1, 2n+1], on one table per n (945
+    # basis diagrams at n = 5); the oracle's non-semisimple values are
+    # Rui's Z(n) = [4-2n, n-2] less the odd i in (4-2n, 3-n], without 0
+    table = StructureTable(1, n, cap=945)
     found = []
     for d in range(-2 * n - 1, 2 * n + 2):
         if d:
-            rad = semisimple_verdict(1, n, Q, [d], table=table)["radical"]
+            rad = semisimple_verdict(1, n, Q, [d], table=table,
+                                     cap=945)["radical"]
             assert decide(1, n, Q, [d]).semisimple == (rad == 0), (n, d, rad)
             found += [d] if rad else []
     assert found == locus

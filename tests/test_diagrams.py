@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from cycbrauer.diagrams import (Diagram, DiagramAlgebra, NumericParams,
                                 SymbolicParams, associativity_check,
-                                associativity_witness, basis_index,
-                                basis_involutions, basis_size,
-                                compose_strands, enumerate_basis,
+                                associativity_witness, basis_diagram,
+                                basis_index, basis_involutions, basis_size,
+                                enumerate_basis,
                                 from_awb, generator, identity_diagram,
                                 iota_diagram, is_admissible,
                                 make_diagram, multiply_all,
@@ -23,6 +23,7 @@ from cycbrauer.diagrams import (Diagram, DiagramAlgebra, NumericParams,
                                 wreath_to_diagram)
 from cycbrauer.scalars import CyclotomicField
 from cycbrauer.wreath import WreathElement, enumerate_group, inverse
+from strands import compose_strands, reference_product
 
 Q = CyclotomicField(1)
 
@@ -125,25 +126,65 @@ def random_diagram(rng, m, n):
 
 
 def test_multiply_builds_the_normal_form_directly():
-    # multiply_diagrams skips make_diagram: its product must equal the one
-    # make_diagram canonicalizes and validates from the same composed arcs,
-    # on every pair with N <= 405 and on random pairs at n = 4..6
-    def check(x, y):
-        arcs, _ = compose_strands(x.n, x.arc_items(), y.arc_items())
-        assert multiply_diagrams(x, y)[0] == make_diagram(x.m, x.n, arcs)
+    # the product diagrams come from basis_diagram, not make_diagram: each
+    # must equal the one make_diagram canonicalizes and validates from the
+    # walker's composed arcs, on every pair with N <= 405 (one multiply_all
+    # per (m, n)) and on random pairs at n = 4..6
+    def check(xs, ys, out):
+        for x, y, (k, _) in zip(xs, ys, out):
+            arcs, _ = compose_strands(x.n, x.arc_items(), y.arc_items())
+            assert basis_diagram(x.m, x.n, k) == make_diagram(x.m, x.n, arcs)
 
     for m in range(1, 6):
         for n in range(5):
             if basis_size(m, n) <= 405:
                 basis = enumerate_basis(m, n)
-                for x in basis:
-                    for y in basis:
-                        check(x, y)
+                out = multiply_all(basis, basis)[0].tolist()
+                for x, row in zip(basis, out):
+                    check([x] * len(basis), basis, row)
     rng = random.Random(5)
     for m in range(1, 5):
         for n in range(4, 7):
-            for _ in range(300):
-                check(random_diagram(rng, m, n), random_diagram(rng, m, n))
+            xs = [random_diagram(rng, m, n) for _ in range(300)]
+            ys = [random_diagram(rng, m, n) for _ in range(300)]
+            out = multiply_all(xs, ys)[0]
+            check(xs, ys, out[np.arange(300), np.arange(300)].tolist())
+
+
+def test_products_where_the_packed_labels_outgrow_int32():
+    # the arc labels are read a group of digits at a time and the loop
+    # slots apart, so no lookup table grows with the product of the label
+    # ranges: lists multiply wherever the basis indices fit int32, here with
+    # a diagram capped at 2k - 1, 2k in both rows in each list (n // 2 loops
+    # against itself)
+    rng = random.Random(11)
+    for m, n in [(6, 6), (7, 6), (12, 5), (20, 4), (130, 3), (5000, 2)]:
+        caps = [((k, k + 1), rng.randrange(m)) for k in range(1, n, 2)]
+        caps += [((n + p, n + q), lab) for (p, q), lab in caps]
+        caps += [((n, 2 * n), 0)] if n % 2 else []
+        xs = [random_diagram(rng, m, n) for _ in range(4)]
+        ys = [random_diagram(rng, m, n) for _ in range(4)]
+        xs.append(make_diagram(m, n, caps))
+        ys.append(make_diagram(m, n, caps))
+        out, loops = multiply_all(xs, ys)
+        for x, row in zip(xs, out.tolist()):
+            for y, (k, u) in zip(ys, row):
+                assert (basis_diagram(m, n, k), loops[u]) == \
+                    reference_product(x, y), (m, n)
+        assert len(loops[out[-1, -1, 1]]) == n // 2
+        assert multiply_diagrams(xs[0], ys[0]) == \
+            reference_product(xs[0], ys[0])
+
+
+def test_basis_diagram_inverts_basis_index():
+    for m in range(1, 5):
+        for n in range(5):
+            if basis_size(m, n) <= 1680:
+                basis = enumerate_basis(m, n)
+                assert [basis_diagram(m, n, k) for k in range(len(basis))] \
+                    == basis, (m, n)
+                assert all(type(x) is int for k in (0, len(basis) - 1)
+                           for x in basis_diagram(m, n, k).labels)
 
 
 def test_basis_index_is_the_enumeration_position():
@@ -214,6 +255,66 @@ def test_multiply_all_matches_multiply_diagrams(lists):
             prod, labels = multiply_diagrams(x, y)
             assert out[i, j, 0] == basis_index(prod), (i, j)
             assert loops[out[i, j, 1]] == labels, (i, j)
+
+
+@st.composite
+def walker_lists(draw):
+    """Two non-empty lists of basis diagrams of one (m, n), m, n in 1..5,
+    of their own lengths and with repeats: a few random skeletons, their
+    flips (a flip times its skeleton closes a loop per top arc) and the
+    skeleton capping points 2k - 1, 2k in both rows (n // 2 loops against
+    itself, two from n = 4), each list holding a capped diagram, all under
+    random labels: a loop through a crossing then reads a or m - a by its
+    orientation alone."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    caps = [p for k in range(0, n - 1, 2)
+            for p in (k + 1, k + 2, n + k + 1, n + k + 2)]
+    caps += [n, 2 * n] if n % 2 else []
+    skeletons = draw(st.lists(st.permutations(range(1, 2 * n + 1)),
+                              min_size=1, max_size=3))
+    skeletons += [[p + n if p <= n else p - n for p in s] for s in skeletons]
+    labels = st.lists(st.integers(0, m - 1), min_size=n, max_size=n)
+
+    def diagram(p, labels):
+        return make_diagram(m, n, [((p[2 * k], p[2 * k + 1]), lab)
+                                   for k, lab in enumerate(labels)])
+
+    def diagrams():
+        pool = [diagram(p, lab) for p, lab in draw(st.lists(
+            st.tuples(st.sampled_from(skeletons + [caps]), labels),
+            min_size=1, max_size=6))]
+        picked = draw(st.lists(st.sampled_from(pool), max_size=7))
+        return draw(st.permutations(picked + [diagram(caps, draw(labels))]))
+
+    return diagrams(), diagrams()
+
+
+def _loop_code(m, n, loops):
+    """The code multiply_all orders its loop multisets by."""
+    digits = [0] * (n // 2 - len(loops)) + [a + 1 for a in sorted(loops)]
+    return sum(d * (m + 1) ** s for s, d in enumerate(digits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(walker_lists())
+def test_multiply_all_matches_the_strand_walker(lists):
+    xs, ys = lists
+    m, n = xs[0].m, xs[0].n
+    out, loops = multiply_all(xs, ys)
+    assert out.dtype == np.int32 and out.shape == (len(xs), len(ys), 2)
+    found = set()
+    for x, row in zip(xs, out.tolist()):
+        for y, (k, u) in zip(ys, row):
+            prod, labels = reference_product(x, y)
+            assert (basis_diagram(m, n, k), loops[u]) == (prod, labels), \
+                (x, y)
+            found.add(labels)
+    # the loop multisets that occur, each once, in increasing code order
+    assert set(loops) == found
+    codes = [_loop_code(m, n, labels) for labels in loops]
+    assert codes == sorted(set(codes))
+    if n >= 4:
+        assert any(len(labels) == 2 for labels in loops)
 
 
 def test_multiply_all_refuses_mixed_sizes():

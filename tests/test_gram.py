@@ -24,6 +24,7 @@ from cycbrauer.oracle import _hyperplane_point
 from cycbrauer.scalars import CyclotomicField, field_with_root
 from cycbrauer.wreath import (WreathElement, compose, enumerate_group, gen_s,
                               gen_t)
+from strands import reference_product
 
 Q = CyclotomicField(1)
 
@@ -132,13 +133,12 @@ def test_equivariance_fails_off_locus():
 
 
 def _reference_gram_big(m, n, params):
-    """gram_big's entries by one multiply_diagrams call per entry, as
-    gram_big computed them before multiply_all."""
+    """gram_big's entries by one strand-walker product per entry."""
     basis = v_basis(m, n)
     e = generator(m, n, "e", n - 1)
 
     def entry(x, y):
-        prod, loops = multiply_diagrams(iota_diagram(x), y)
+        prod, loops = reference_product(iota_diagram(x), y)
         return times_loops(params, params.one, loops) if prod == e \
             else params.zero
 
@@ -146,8 +146,8 @@ def _reference_gram_big(m, n, params):
 
 
 def _reference_equivariance(m, n, params, gm):
-    """equivariance_check's report by the double loop it used before, with
-    the basis permutations from multiply_diagrams."""
+    """equivariance_check's report by a double loop per generator, with the
+    basis permutations from the strand walker."""
     basis, G, f = gm.basis, gm.entries, gm.size
     index = {b: k for k, b in enumerate(basis)}
     failures, checked = [], []
@@ -165,11 +165,11 @@ def _reference_equivariance(m, n, params, gm):
 
     def left(name, i):
         g = generator(m, n, name, i)
-        return [index[multiply_diagrams(g, b)[0]] for b in basis]
+        return [index[reference_product(g, b)[0]] for b in basis]
 
     def right(name, i):
         y = generator(m, n, name, i)
-        return [index[multiply_diagrams(b, y)[0]] for b in basis]
+        return [index[reference_product(b, y)[0]] for b in basis]
 
     for i in range(1, n):
         commutes(left("s", i), "left-s%d" % i)

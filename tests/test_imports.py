@@ -158,6 +158,9 @@ NO_SRC_CALLER = {
     # the dense Gaussian determinant: the benchmark traces it and the
     # determinant tests compare the label-Fourier blocks against it
     "gauss_det",
+    # the one-pair call of multiply_all: the benchmark traces it, the README
+    # shows it and the tests call it
+    "multiply_diagrams",
 }
 
 

@@ -23,7 +23,7 @@ from cycbrauer.criterion import z_set
 from cycbrauer.diagrams import (Diagram, NumericParams,
                                 basis_involutions, basis_size,
                                 enumerate_basis, generator, identity_diagram,
-                                multiply_diagrams, star_diagram)
+                                star_diagram)
 from cycbrauer.gram import cell_gram
 from cycbrauer.oracle import (StructureTable, _cell_det_values,
                               _character_blocks, _code_pairs,
@@ -37,6 +37,7 @@ from cycbrauer.oracle import (StructureTable, _cell_det_values,
 from cycbrauer.linalg import gauss_rank, primes_for_modular
 from cycbrauer.scalars import CyclotomicField, FiniteField
 from cycbrauer.wreath import compose, enumerate_group, identity
+from strands import reference_product
 
 
 def test_structure_table_closure():
@@ -50,9 +51,9 @@ def test_structure_table_closure():
 
 
 def _product_row(table, index, i, j):
-    """Product index and loop exponents of b_i * b_j computed by
-    multiply_diagrams."""
-    prod, loops = multiply_diagrams(table.basis[i], table.basis[j])
+    """Product index and loop exponents of b_i * b_j computed by the strand
+    walker."""
+    prod, loops = reference_product(table.basis[i], table.basis[j])
     return [index[prod]] + [loops.count(a) for a in range(table.m)]
 
 
@@ -63,9 +64,9 @@ def _decoded(table):
 
 
 # sha256 of the decoded table as C-contiguous int64, which does not depend
-# on how the monomials are numbered.  StructureTable and multiply_diagrams
-# trace strands with the same compose_strands, so comparing them cannot
-# catch a sign error in it; these fixed values can.
+# on how the monomials are numbered.  StructureTable composes by array
+# gathers and _product_row by the strand walker; these fixed values also
+# catch a sign rule changed in both.
 PINNED_TABLES = {
     (1, 1): "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
     (1, 2): "fce827ad2aed119c1693b8b0947eba3cdf058fab2885416815e32ff55ac07af0",
@@ -118,8 +119,8 @@ def test_structure_table_sampled_at_reach_points(m, n):
 
 
 def _reference_table(m, n):
-    """StructureTable(m, n)'s products, monomials and trace plan, from
-    multiply_diagrams and plain Python.  Loop monomials are numbered in
+    """StructureTable(m, n)'s products, monomials and trace plan, from the
+    strand walker and plain Python.  Loop monomials are numbered in
     increasing order of their code, n // 2 base-(m + 1) digits: zeros, then
     the sorted loop labels plus one; trace classes and entries of T in
     sorted order."""
@@ -129,7 +130,7 @@ def _reference_table(m, n):
     rows = []
     for x in basis:
         for y in basis:
-            prod, loops = multiply_diagrams(x, y)
+            prod, loops = reference_product(x, y)
             digits = [0] * (n // 2 - len(loops)) + [a + 1 for a in loops]
             code = sum(d * (m + 1) ** s for s, d in enumerate(digits))
             rows.append((position[prod], code, loops))
@@ -182,7 +183,7 @@ def _expand(values, index):
 
 
 def _reference_trace_matrix(table, field, deltas):
-    """The product-by-product trace form, straight from multiply_diagrams:
+    """The product-by-product trace form, straight from the strand walker:
     the slow reference for trace_matrix."""
     N = table.size
     deltas = [d if not isinstance(d, (int, Fraction)) else field.embed(d)
@@ -465,7 +466,7 @@ def _unsplit_radical(table, field, deltas):
 
 def _reference_involutions(table):
     """_involutions from the diagrams themselves: star_diagram, labels
-    negated one by one, and g b g^-1 by multiply_diagrams, with the same
+    negated one by one, and g b g^-1 by the strand walker, with the same
     rule for leaving a candidate out."""
     m, n, basis = table.m, table.n, table.basis
     where = {d: k for k, d in enumerate(basis)}
@@ -483,8 +484,8 @@ def _reference_involutions(table):
     for g in elements:
         row = []
         for d in basis:
-            gd, loops = multiply_diagrams(g, d)
-            gdg, more = multiply_diagrams(gd, g)
+            gd, loops = reference_product(g, d)
+            gdg, more = reference_product(gd, g)
             assert loops == more == ()
             row.append(where[gdg])
         candidates.append(row)
@@ -907,14 +908,17 @@ def test_cell_det_values_match_cell_gram(m, n):
 
 @pytest.fixture
 def strand_calls(monkeypatch):
-    """Calls of multiply_diagrams and compose_strands, through every
-    binding of them in the package."""
+    """Calls of multiply_diagrams and the skeleton pairs composed by
+    _compose_skeletons, through every binding of them in the package."""
     calls = Counter()
-    for name in ("multiply_diagrams", "compose_strands"):
+    for name, count in (("multiply_diagrams", lambda x, y: 1),
+                        ("_compose_skeletons",
+                         lambda n, x_succ, y_succ, *rest:
+                             len(x_succ) * len(y_succ))):
         orig = getattr(diagrams, name)
 
-        def counted(*args, name=name, orig=orig):
-            calls[name] += 1
+        def counted(*args, name=name, orig=orig, count=count):
+            calls[name] += count(*args)
             return orig(*args)
         for mod in [mod for key, mod in sys.modules.items()
                     if key.split(".")[0] == "cycbrauer"]:
@@ -927,16 +931,16 @@ def strand_calls(monkeypatch):
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3)])
 def test_sweep_item_pairs_the_half_diagrams_once(strand_calls, m, n):
     # one table and one cell pairing per item, however many points the
-    # item has: the pairing traces b^2 skeleton pairs, b = 1 arc at n = 2
+    # item has: the pairing composes b^2 skeleton pairs, b = 1 arc at n = 2
     # and 3 at n = 3, and no product goes through multiply_diagrams
     StructureTable(m, n)
-    table = strand_calls["compose_strands"]
+    table = strand_calls["_compose_skeletons"]
     assert table == (basis_size(m, n) // m ** n) ** 2
     (item,) = sweep_points([(m, n)], seed=3, generic_points=3)
     for k in (1, len(item[2])):
         strand_calls.clear()
         sweep_item((m, n, item[2][:k]))
-        assert strand_calls == {"compose_strands":
+        assert strand_calls == {"_compose_skeletons":
                                 table + (1 if n == 2 else 3) ** 2}, k
 
 
@@ -952,8 +956,8 @@ def test_refused_delta_builds_no_table(monkeypatch):
 
 
 def test_fresh_verdicts_share_no_structure(strand_calls):
-    # no cache outlives a table: the tenth cold verdict traces as many
-    # strands as the first
+    # no cache outlives a table: the tenth cold verdict composes as many
+    # skeleton pairs as the first
     F = CyclotomicField(2)
     counts = []
     for _ in range(10):
@@ -962,4 +966,4 @@ def test_fresh_verdicts_share_no_structure(strand_calls):
         counts.append(dict(strand_calls))
     assert counts == [counts[0]] * 10
     # 15 skeletons in the table, 3 in the cell pairing
-    assert counts[0] == {"compose_strands": 15 ** 2 + 3 ** 2}
+    assert counts[0] == {"_compose_skeletons": 15 ** 2 + 3 ** 2}
