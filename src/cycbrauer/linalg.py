@@ -7,23 +7,20 @@ avoids ring division entirely; the cell Gram determinants call it on their
 label-Fourier blocks, at most 6 x 6, whatever the entries.
 
 A fast modular path, rref_mod_p (row reduction mod p < 2^31), serves as a
-certified pre-pass for large trace-form matrices: rank mod p is always a
-lower bound for the exact rank, and an exactly verified kernel vector
-certifies the deficiency.  It runs in two passes.  The forward pass brings
-the matrix to row echelon form, touching only the rows at and below each new
-pivot row; it gives the rank and the pivots, and at full column rank (an
-empty kernel) nothing else is computed.  On a rank deficit, back-substitution
-over blocks of pivot rows reduces the free columns, the only ones the kernel
-basis reads.  Both passes do their bulk work in exact float64 BLAS products
-of at most 32 inner terms (_dot): one factor is split into 16-bit halves, so
-every sum stays below 2^53.
+certified pre-pass for the trace-form rank: rank mod p is always a lower
+bound for the exact rank, and an exactly verified kernel vector certifies
+the deficiency.  Its forward pass goes in panels of 32 columns, each
+applied to the columns right of it in one exact float64 BLAS product
+(_dot: one factor split into 16-bit halves keeps every sum below 2^53).
+Only on a rank deficit are the free columns reduced, one pivot at a time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import islice
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -109,39 +106,28 @@ def minor_det(matrix, zero, one):
 # modular fast path
 # ---------------------------------------------------------------------------
 
-_PANEL = 32  # columns per elimination panel, rows per back-substitution block
-_CHUNK = 256  # columns per float64 update, to bound its buffer
+_PANEL = 32  # columns per elimination panel
 
 
 @lru_cache(maxsize=None)
 def primes_for_modular(m):
     """The four largest primes p = 1 (mod m) below 2*10^9, as a tuple; they
     fit the int64 row operations of rref_mod_p."""
-    out = []
-    p = 2_000_000_000 - (2_000_000_000 - 1) % m  # p = 1 mod m
-    while len(out) < 4:
-        if p < 3:
-            raise ValueError("ran out of primes")
-        if is_prime(p):
-            out.append(p)
-        p -= m
-    return tuple(out)
+    top = 2_000_000_000 - (2_000_000_000 - 1) % m  # p = 1 mod m
+    primes = tuple(islice((p for p in range(top, 2, -m) if is_prime(p)), 4))
+    if len(primes) < 4:
+        raise ValueError("ran out of primes")
+    return primes
 
 
-def _reduce(t, p, q=None):
-    """t mod p in place, for an int64 array t with entries in [0, 2^63); q,
-    an int64 array of t's shape, if given, holds the quotients.  Floor
-    division and two passes beat numpy's % from about 1,000 entries up."""
-    if t.size < 1024:
-        t %= p
-        return t
-    q = np.floor_divide(t, p, out=q)
-    q *= p
-    t -= q
-    return t
+def modular_primes(m):
+    """primes_for_modular(m), then the primes p = 1 (mod m) below them."""
+    primes = primes_for_modular(m)
+    yield from primes
+    yield from (p for p in range(primes[-1] - m, 2, -m) if is_prime(p))
 
 
-def _dot(x, y, p, out=None):
+def _dot(x, y, p):
     """x @ y as float64, exact but not reduced mod p, for int64 arrays x and y
     with entries in [0, p), p < 2^31, and at most _PANEL inner terms.
 
@@ -151,7 +137,7 @@ def _dot(x, y, p, out=None):
     """
     halves = np.vstack([y & 0xFFFF, y >> 16]).astype(np.float64)
     wide = np.hstack([x, (x << 16) % p]).astype(np.float64)
-    return np.matmul(wide, halves, out=out)
+    return wide @ halves
 
 
 def _echelon(a, p):
@@ -162,16 +148,11 @@ def _echelon(a, p):
     The columns go in _PANEL-column panels.  Tracker columns beside a panel
     write each row as itself plus E times the panel's pivot rows as they came
     in (E = S^-1 for the pivot rows themselves); the columns to the right of
-    the panel gain E times those rows in one _dot, once the panel's row swaps
-    are applied to them.
+    the panel gain E times those rows in one _dot, once the panel's row
+    permutation is applied to them.
     """
     nrows, ncols = a.shape
     pivots = []
-    # the float64 products of an update right of a panel, then (in the
-    # same memory) the quotients of its reduction, _CHUNK columns at a time:
-    # fresh arrays for every panel would cost more in page faults than in
-    # arithmetic
-    work = np.empty(nrows * _CHUNK)
     for c0 in range(0, ncols, _PANEL):
         top = len(pivots)
         if top == nrows:
@@ -181,7 +162,6 @@ def _echelon(a, p):
         panel = np.zeros((h, 2 * w), np.int64)
         panel[:, :w] = a[top:, c0:c1]
         came_from = list(range(h))
-        moved = set()
         row = 0
         for col in range(w):
             nz = panel[row:, col].nonzero()[0]
@@ -191,7 +171,6 @@ def _echelon(a, p):
                 piv = row + int(nz[0])
                 panel[[row, piv]] = panel[[piv, row]]
                 came_from[row], came_from[piv] = came_from[piv], came_from[row]
-                moved.update((row, piv))
             end = w + row + 1  # the pivot row is zero outside col..end
             panel[row, end - 1] = 1  # its tracker cell
             prow = panel[row, col:end]  # a view: normalised in place
@@ -201,7 +180,7 @@ def _echelon(a, p):
                 below = nz[1:] + row  # the rows below with a nonzero in col
                 t = panel[below, col:end]
                 t += np.multiply.outer(t[:, 0], p - prow)
-                panel[below, col:end] = _reduce(t, p)
+                panel[below, col:end] = t % p
             pivots.append(c0 + col)
             row += 1
             if row == h:
@@ -210,56 +189,13 @@ def _echelon(a, p):
         if row == 0 or c1 == ncols:
             continue
         rest = a[top:, c1:]
-        moved = sorted(moved)
-        rest[moved] = rest[[came_from[j] for j in moved]]
+        ordered = rest[came_from]
         # pivot rows become E times the old ones, the others gain it
-        for part in np.split(rest, range(_CHUNK, rest.shape[1], _CHUNK),
-                             axis=1):
-            s = _dot(panel[:, w:w + row], part[:row], p,
-                     out=work[:part.size].reshape(part.shape))
-            s[row:] += part[row:]
-            part[...] = s
-            _reduce(part, p, s.view(np.int64))
+        s = _dot(panel[:, w:w + row], ordered[:row], p)
+        s[row:] += ordered[row:]
+        rest[...] = s
+        rest %= p
     return pivots
-
-
-def _back_substitute(u, pivots, free, p):
-    """The free columns of the reduced form of the echelon form u (int64,
-    pivots 1, rank x ncols): U_p^-1 U_f, with U_p the unit upper triangular
-    pivot columns of u and U_f its free columns.
-
-    U_p is taken in diagonal blocks of at most _PANEL pivot rows, as few
-    as that allows and of one size (the last padded).  The inverses of
-    all the blocks come from one row-by-row back-substitution run on all of
-    them at once; then each block, from the bottom up, is solved with its
-    inverse and eliminated from the rows above in one _dot each.
-    """
-    x = u[:, free]
-    rank = len(pivots)
-    size = -(-rank // -(-rank // _PANEL))  # the inverses take size - 1 steps
-    starts = range(0, rank, size)
-    # the diagonal blocks, the last one padded with the identity
-    blocks = np.tile(np.eye(size, dtype=np.int64), (len(starts), 1, 1))
-    for b, b0 in enumerate(starts):
-        cols = pivots[b0:b0 + size]
-        blocks[b, :len(cols), :len(cols)] = u[b0:b0 + size, cols]
-    inverses = np.tile(np.eye(size, dtype=np.int64), (len(starts), 1, 1))
-    for i in range(size - 1, 0, -1):
-        t = blocks[:, :i, i, None] * (p - inverses[:, i, None, :])
-        t += inverses[:, :i]
-        inverses[:, :i] = _reduce(t, p)
-    for b, b0 in reversed(list(enumerate(starts))):
-        cols = pivots[b0:b0 + size]
-        inv = inverses[b, :len(cols), :len(cols)]
-        xb = x[b0:b0 + size]
-        xb[...] = _dot(inv, xb, p)
-        _reduce(xb, p)
-        if b0:
-            s = _dot((p - u[:b0, cols]) % p, xb, p)
-            s += x[:b0]
-            x[:b0] = s
-            _reduce(x[:b0], p, s.view(np.int64))
-    return x
 
 
 def rref_mod_p(mat, p):
@@ -267,19 +203,22 @@ def rref_mod_p(mat, p):
 
     Returns (rank, pivot_cols, kernel_basis) where kernel_basis is an int64
     array whose rows (entries in [0, p)) span the right kernel mod p.  Needs
-    an integer or bool matrix (any other dtype is a TypeError, as a fraction
-    or float has no residue to take) and p < 2^31, so that the int64 row
-    update cannot overflow.
+    a 2-D integer or bool matrix (any other dtype is a TypeError, as a
+    fraction or float has no residue to take) and p < 2^31, so that the
+    int64 row update cannot overflow.
 
     The forward pass (_echelon) gives the rank and the pivots; at full
-    column rank the kernel is empty and nothing else is computed.  Otherwise
-    back-substitution (_back_substitute) reduces the free columns only.
-    Reduced echelon form is unique: the output is that of plain Gauss-Jordan
-    elimination.
+    column rank the kernel is empty and nothing else is computed.
+    Otherwise the free columns, the only ones the kernel reads, are reduced
+    from the bottom pivot row up, one pivot at a time.  Reduced echelon
+    form is unique: the output is that of plain Gauss-Jordan elimination.
     """
     if not 2 <= p < 2 ** 31:
         raise ValueError("rref_mod_p needs 2 <= p < 2**31, got %d" % p)
     a = np.asarray(mat)
+    if a.ndim != 2:
+        raise ValueError("rref_mod_p needs a 2-D matrix, got shape %s"
+                         % (a.shape,))
     if a.dtype.kind not in "biu":
         raise TypeError("rref_mod_p needs an integer matrix, got dtype %s"
                         % a.dtype)
@@ -296,9 +235,14 @@ def rref_mod_p(mat, p):
     free = np.ones(ncols, dtype=bool)
     free[pivots] = False
     kernel[:, free] = np.eye(ncols - rank, dtype=np.int64)
-    if rank:
-        kernel[:, pivots] = (p - _back_substitute(a[:rank], pivots, free,
-                                                  p).T) % p
+    # row i, reduced by the pivot rows below it, clears its pivot column
+    # from the rows above; it is zero in their other pivot columns
+    x = a[:rank, free]
+    for i in range(rank - 1, 0, -1):
+        above = a[:i, pivots[i]].nonzero()[0]  # the rows it changes
+        t = x[above] - np.multiply.outer(a[above, pivots[i]], x[i])
+        x[above] = t % p
+    kernel[:, pivots] = -x.T % p
     return rank, pivots, kernel
 
 
@@ -307,7 +251,7 @@ def rational_reconstruct(a, p):
     a %= p
     if a == 0:
         return Fraction(0)
-    bound = int((p // 2) ** 0.5)
+    bound = isqrt(p // 2)
     r0, r1 = p, a
     s0, s1 = 0, 1
     while r1 > bound:

@@ -73,6 +73,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import lcm, prod
 
 import numpy as np
@@ -84,7 +85,7 @@ from .diagrams import (OFF_LOCUS_NOTE, NumericParams, basis_index,
                        enumerate_basis, generator, identity_diagram,
                        multiply_all)
 from .gram import cell_form, cell_pairing
-from .linalg import gauss_rank, primes_for_modular, rational_reconstruct, rref_mod_p
+from .linalg import gauss_rank, modular_primes, rational_reconstruct, rref_mod_p
 from .scalars import CyclotomicField, power
 
 CONTENT_ASSUMPTION = ("box content c = col - row, 1-based, identical in every "
@@ -348,20 +349,20 @@ def _rank_exact_certified(values, blocks, primes):
     each an index stack S (k, b, b) that stands for the matrix
     sum_h values[S[h]]; their ranks add up.
 
-    Returns (rank, method), the method the most demanding any block
-    needed.  Full rank mod p is already exact (minors can only vanish
-    further mod p); a deficit is accepted only once the lifted kernel
-    vectors (_lift_kernel) are verified exactly: T is scaled to integers
-    and T v = 0 is checked in exact integer arithmetic.  Each distinct
-    entry is scaled, and reduced mod each prime tried, once for all the
-    blocks, and T stays int64 unless a scaled entry could reach 2^62.
+    Returns (rank, method), the method the most demanding any block needed;
+    the primes tried are the first four of primes that divide no denominator
+    of T.  Full rank mod p is already exact (minors can only vanish further
+    mod p); a deficit is accepted only once the lifted kernel vectors
+    (_lift_kernel) are verified exactly: T is scaled to integers and T v = 0
+    is checked in exact integer arithmetic.  Each distinct entry is scaled,
+    and reduced mod each prime tried, once for all the blocks, and T stays
+    int64 unless a scaled entry could reach 2^62.
     """
     den = lcm(*(x.denominator for x in values))
     ints = [x.numerator * (den // x.denominator) for x in values]
     big = max(map(len, blocks)) * max(map(abs, ints)) >= 2 ** 62
     scaled = np.array(ints, dtype=object if big else np.int64)
-    primes = [p for p in primes
-              if all(x.denominator % p for x in values)]
+    primes = list(islice((p for p in primes if den % p), 4))
     residues = {}  # per prime, on first use
     rank, worst = 0, 0
     for stack in blocks:
@@ -403,7 +404,7 @@ def radical_dimension(table, field, deltas):
     flat, blocks, deg = _to_rational_blocks(
         field, values + [-x for x in values], table.blocks(values))
     rank_q, method = _rank_exact_certified(flat, blocks,
-                                           primes_for_modular(field.m))
+                                           modular_primes(field.m))
     if rank_q % deg:
         raise AssertionError("rank over Q not divisible by the field degree")
     return table.size - rank_q // deg

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import cycbrauer.cli
 import cycbrauer.gram
 from cycbrauer.cli import main
+from cycbrauer.linalg import primes_for_modular
 
 REPORTS = Path(__file__).resolve().parent.parent / "reports"
 CONCORD_CONFIG = REPORTS / "concordance.config.json"
@@ -147,6 +149,14 @@ def test_oracle_omits_cross_check_below_n2(capsys):
                              "--delta", "0,0")
         assert code == 0 and obj["verdict"] == "semisimple"
         assert "cell_dets" not in obj and "cross_check_agrees" not in obj
+
+
+def test_oracle_replaces_every_prime_dividing_a_denominator(capsys):
+    # delta_0 = 1/q, q the product of the four primes tried first at m = 2
+    delta = "1/%d,3" % prod(primes_for_modular(2))
+    code, obj = run_json(capsys, "oracle", "--m", "2", "--n", "4", "--cap",
+                         "2000", "--delta", delta)
+    assert code == 0 and obj["radical"] == 0
 
 
 def test_concord_below_n2_has_no_cross_check_failures(tmp_path, capsys):

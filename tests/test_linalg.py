@@ -1,6 +1,7 @@
 """Modular row reduction against exact elimination."""
 
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from cycbrauer import oracle
 from cycbrauer.diagrams import basis_size
 from cycbrauer.linalg import (gauss_det, gauss_rank, minor_det,
-                              primes_for_modular, rref_mod_p)
+                              primes_for_modular, rational_reconstruct,
+                              rref_mod_p)
 from cycbrauer.scalars import CyclotomicField, is_prime
 
 P = primes_for_modular(1)[0]
@@ -61,8 +63,9 @@ def test_rref_mod_p_rank_matches_gauss_rank(mat):
 
 def _rref_reference(mat, p):
     """Column-by-column Gauss-Jordan mod p with one masked numpy row update
-    per column: the elimination the panel-blocked rref_mod_p replaced, and
-    the reference it must match bit for bit."""
+    per column, every row reduced at once: the reference the panel forward
+    pass and the bottom-up back-substitution of rref_mod_p must match bit
+    for bit."""
     a = np.array(mat, dtype=np.int64) % p
     nrows, ncols = a.shape
     pivots = []
@@ -179,8 +182,13 @@ def test_rref_mod_p_matches_reference(sample):
     _assert_same_rref(rref_mod_p(mat, p), _rref_reference(mat, p))
 
 
-@pytest.mark.parametrize("m,n", [(2, 3), (3, 3)])
-@pytest.mark.parametrize("point", ["zero", "generic"])
+@pytest.mark.parametrize("point,m,n", [
+    ("zero", 2, 3), ("generic", 2, 3), ("zero", 3, 3), ("generic", 3, 3),
+    # no symmetry holds off the locus: one 405-row block across 13 panels
+    ("off-locus", 3, 3),
+    # blocks of up to 272 rows, rank 200 in the largest
+    ("zero", 2, 4),
+])
 def test_rref_mod_p_matches_reference_on_trace_matrices(monkeypatch, m, n,
                                                         point):
     # every matrix the oracle reduces on the way to one radical dimension
@@ -194,9 +202,9 @@ def test_rref_mod_p_matches_reference_on_trace_matrices(monkeypatch, m, n,
 
     monkeypatch.setattr(oracle, "rref_mod_p", checked)
     F = CyclotomicField(m)
-    ds = ([0] * m if point == "zero"
-          else [Fraction(7, 3)] + [Fraction(-5, 4)] * (m - 1))
-    oracle.radical_dimension(oracle.StructureTable(m, n), F,
+    ds = {"zero": [0] * m, "off-locus": [1, 2, 3],
+          "generic": [Fraction(7, 3)] + [Fraction(-5, 4)] * (m - 1)}[point]
+    oracle.radical_dimension(oracle.StructureTable(m, n, cap=2000), F,
                              [F.embed(d) for d in ds])
     # one pass per symmetry block of T, and the blocks partition the basis
     assert sum(reduced) == basis_size(m, n)
@@ -229,6 +237,12 @@ def test_rref_mod_p_full_rank_has_an_empty_int64_kernel(n):
 ])
 def test_rref_mod_p_refuses_non_integer_matrices(mat):
     with pytest.raises(TypeError):
+        rref_mod_p(mat, P)
+
+
+@pytest.mark.parametrize("mat", [[1, 2], 3, np.zeros((2, 2, 2), np.int64)])
+def test_rref_mod_p_refuses_non_matrices(mat):
+    with pytest.raises(ValueError, match="2-D matrix, got shape"):
         rref_mod_p(mat, P)
 
 
@@ -270,3 +284,16 @@ def test_gauss_det_matches_minor_det(sample):
     det = gauss_det(rows, F.one)
     assert det == minor_det(rows, F.zero, F.one)
     assert (gauss_rank(rows) == len(rows)) == bool(det)
+
+
+def test_rational_reconstruct_bound_is_the_integer_square_root():
+    # at p = 2^61 - 1, sqrt(p / 2) lies just below 2^30, which a float
+    # square root rounds up to
+    p = 2 ** 61 - 1
+    bound = isqrt(p // 2)
+    assert bound == 2 ** 30 - 1
+    assert rational_reconstruct(pow(2 ** 30, -1, p), p) is None
+    for x in [Fraction(1, bound), Fraction(-bound, bound - 1),
+              Fraction(bound, 2)]:
+        residue = x.numerator * pow(x.denominator, -1, p) % p
+        assert rational_reconstruct(residue, p) == x

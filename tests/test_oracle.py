@@ -9,7 +9,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import numpy as np
@@ -426,6 +426,29 @@ def test_rank_skips_a_prime_dividing_a_denominator(monkeypatch):
     assert rank == gauss_rank(_expand(values, index))
 
 
+def test_radical_replaces_every_prime_dividing_a_denominator(monkeypatch):
+    # delta_0 = 1/q, q the product of the four primes tried first at m = 2:
+    # each one divides a denominator of T, so the next four primes
+    # p = 1 (mod 2) below them rank it, without the exact fallback
+    first = primes_for_modular(2)
+    used, methods = set(), []
+    rref, certified = oracle.rref_mod_p, oracle._rank_exact_certified
+
+    def recorded(*args):
+        rank, method = certified(*args)
+        methods.append(method)
+        return rank, method
+
+    monkeypatch.setattr(oracle, "rref_mod_p",
+                        lambda a, p: used.add(p) or rref(a, p))
+    monkeypatch.setattr(oracle, "_rank_exact_certified", recorded)
+    F = CyclotomicField(2)
+    deltas = [F.embed(Fraction(1, prod(first))), F.embed(3)]
+    assert radical_dimension(StructureTable(2, 3), F, deltas) == 0
+    assert methods == ["modular-full-rank"]
+    assert used and all(p < first[-1] and p % 2 == 1 for p in used)
+
+
 def test_rank_falls_back_to_exact_elimination():
     # with no prime to try, a small matrix is ranked by fraction elimination
     values = [Fraction(1, 3), Fraction(2, 3), Fraction(-5, 7)]
@@ -753,7 +776,8 @@ def test_radical_at_delta_zero():
     ([Fraction(-617, 113), Fraction(389, 271), Fraction(-733, 149),
       Fraction(389, 271)], 0)])
 def test_radical_at_4_3(deltas, radical):
-    # N = 960: about 30 elimination panels, with row swaps across them
+    # N = 960 in 16 symmetry blocks; the largest, of 180 rows, spans six
+    # elimination panels
     F = CyclotomicField(4)
     v = semisimple_verdict(4, 3, F, [F.embed(d) for d in deltas], cap=960)
     assert v["radical"] == radical and v["cross_check_agrees"]
