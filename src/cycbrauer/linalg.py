@@ -9,10 +9,15 @@ label-Fourier blocks, at most 6 x 6, whatever the entries.
 A fast modular path, rref_mod_p (row reduction mod p < 2^31), serves as a
 certified pre-pass for the trace-form rank: rank mod p is always a lower
 bound for the exact rank, and an exactly verified kernel vector certifies
-the deficiency.  Its forward pass goes in panels of 32 columns, each
-applied to the columns right of it in one exact float64 BLAS product
-(_dot: one factor split into 16-bit halves keeps every sum below 2^53).
-Only on a rank deficit are the free columns reduced, one pivot at a time.
+the deficiency.  It reduces one matrix or a (k, r, c) stack of them, a
+matrix being the stack of one: one loop over the columns serves every
+matrix of the stack.  Its forward pass goes in panels of 32 columns, each
+applied to the columns right of it in one exact float64 BLAS product per
+matrix (_dot: one factor split into 16-bit halves keeps every sum below
+2^53).  Besides the stack it holds the echelon rows, k x c x c, and one
+panel of the rows still to be reduced.  Only where a matrix has a rank
+deficit are the free columns reduced, one pivot column at a time for the
+whole stack.
 """
 
 from __future__ import annotations
@@ -129,121 +134,196 @@ def modular_primes(m):
 
 def _dot(x, y, p):
     """x @ y as float64, exact but not reduced mod p, for int64 arrays x and y
-    with entries in [0, p), p < 2^31, and at most _PANEL inner terms.
+    (matrices, or stacks of them) with entries in [0, p), p < 2^31, and at
+    most _PANEL inner terms.
 
     y is split into 16-bit halves and x stands beside 2^16 x mod p, so each
     sum, even with one more entry below p added to it, stays below
     32 * 2^31 * (2^16 + 2^15) + 2^31 < 2^53.
     """
-    halves = np.vstack([y & 0xFFFF, y >> 16]).astype(np.float64)
-    wide = np.hstack([x, (x << 16) % p]).astype(np.float64)
-    return wide @ halves
+    halves = np.concatenate([y & 0xFFFF, y >> 16], axis=-2)
+    wide = np.concatenate([x, (x << 16) % p], axis=-1)
+    return wide.astype(np.float64) @ halves.astype(np.float64)
 
 
 def _echelon(a, p):
-    """Reduce a (int64, entries in [0, p)) in place to row echelon form with
-    every pivot 1, and return the pivot columns.  Only rows at and below a
-    pivot row change when it is found.
+    """Row echelon form of each matrix of the stack a (k x r x c, int64,
+    entries in [0, p)), which it consumes.  Returns (rows, pivots): rows
+    (k x c x c) holds at [j, t] the echelon row of matrix j whose pivot, 1,
+    is in column t, or zeros if column t has none, and pivots (k x c, bool)
+    marks the pivot columns.
 
-    The columns go in _PANEL-column panels.  Tracker columns beside a panel
-    write each row as itself plus E times the panel's pivot rows as they came
-    in (E = S^-1 for the pivot rows themselves); the columns to the right of
-    the panel gain E times those rows in one _dot, once the panel's row
-    permutation is applied to them.
+    One loop over the columns serves the whole stack.  A pivot row leaves
+    the rows still to be reduced (it is reduced to zero with them), so the
+    matrices never need to agree on a row: a matrix with no pivot in a
+    column keeps a zero row there, which marks the column free.  Each
+    pivot changes only the rows with a nonzero in its column.
+
+    The columns go in _PANEL-column panels, the last one taking up to
+    _PANEL / 2 more columns (trackers widen each row update by about
+    _PANEL / 2 columns, more than they would save there).  Tracker columns
+    beside a panel with columns to its right write each row as itself plus
+    E times the panel's pivot rows as they came in (only E for the pivot
+    rows themselves); those columns gain E times the pivot rows in one _dot
+    per panel, and the rows that became pivots are dropped.
     """
-    nrows, ncols = a.shape
-    pivots = []
-    for c0 in range(0, ncols, _PANEL):
-        top = len(pivots)
-        if top == nrows:
-            break
-        c1 = min(c0 + _PANEL, ncols)
-        w, h = c1 - c0, nrows - top
-        panel = np.zeros((h, 2 * w), np.int64)
-        panel[:, :w] = a[top:, c0:c1]
-        came_from = list(range(h))
-        row = 0
+    k, h, ncols = a.shape
+    a = a.reshape(k * h, ncols)  # matrix j's rows at j*h..(j+1)*h - 1
+    rows = np.zeros((k, ncols, ncols), np.int64)
+    pivots = np.zeros((k, ncols), bool)
+    c0 = 0
+    while c0 < ncols and h:
+        last = ncols - c0 <= _PANEL + _PANEL // 2
+        c1 = ncols if last else c0 + _PANEL
+        w = c1 - c0
+        panel = np.zeros((k * h, w if last else 2 * w), np.int64)
+        panel[:, :w] = a[:, :w]
+        found = np.zeros((k, w, panel.shape[1]), np.int64)  # pivot rows
+        first = np.arange(0, k * h, h)  # each matrix's first row
+        came_from = np.zeros((w, k), np.intp)  # row 0 where no pivot
         for col in range(w):
-            nz = panel[row:, col].nonzero()[0]
+            nz = panel[:, col].nonzero()[0]
             if len(nz) == 0:
                 continue
-            if nz[0]:
-                piv = row + int(nz[0])
-                panel[[row, piv]] = panel[[piv, row]]
-                came_from[row], came_from[piv] = came_from[piv], came_from[row]
-            end = w + row + 1  # the pivot row is zero outside col..end
-            panel[row, end - 1] = 1  # its tracker cell
-            prow = panel[row, col:end]  # a view: normalised in place
-            prow *= pow(int(prow[0]), -1, p)
+            if k == 1:
+                piv = int(nz[0])
+                inv = pow(int(panel[piv, col]), -1, p)
+            else:  # the first nonzero row of each matrix, else its first
+                piv = (panel[:, col].reshape(k, h) != 0).argmax(1) + first
+                inv = np.array([pow(x, -1, p) if x else 0
+                                for x in panel[piv, col].tolist()])[:, None]
+            end = w if last else w + col + 1  # the row is zero after end
+            prow = panel[piv, col:end]  # a view if k == 1, else a copy
+            if not last:
+                came_from[col] = piv
+                prow[..., -1] = 1  # its tracker cell
+            prow *= inv
             prow %= p
-            if len(nz) > 1:
-                below = nz[1:] + row  # the rows below with a nonzero in col
-                t = panel[below, col:end]
-                t += np.multiply.outer(t[:, 0], p - prow)
-                panel[below, col:end] = t % p
-            pivots.append(c0 + col)
-            row += 1
-            if row == h:
-                break
-        a[top:, c0:c1] = panel[:, :w]
-        if row == 0 or c1 == ncols:
+            found[:, col, col:end] = prow
+            t = panel[nz, col:end]  # the pivot rows too, which become zero
+            t -= t[:, :1] * (prow if k == 1 else prow[nz // h])
+            t %= p
+            panel[nz, col:end] = t
+        # the diagonal of the panel's columns: the pivots found
+        has = found.reshape(k, -1)[:, ::found.shape[2] + 1] != 0
+        pivots[:, c0:c1] = has
+        rows[:, c0:c1, c0:c1] = found[:, :, :w]
+        if last:
+            break
+        rest = a[:, w:]
+        c0 = c1
+        if not has.any():
+            a = rest
             continue
-        rest = a[top:, c1:]
-        ordered = rest[came_from]
-        # pivot rows become E times the old ones, the others gain it
-        s = _dot(panel[:, w:w + row], ordered[:row], p)
-        s[row:] += ordered[row:]
-        rest[...] = s
-        rest %= p
-    return pivots
+        came_from = came_from.T
+        used = np.zeros(k * h, bool)
+        used[came_from[has]] = True
+        used = used.reshape(k, h)
+        h -= int(used.sum(1).min())
+        kept = (np.argsort(used, axis=1, kind="stable")[:, :h]
+                + first[:, None]).ravel()
+        tracker = np.concatenate([found[:, :, w:],
+                                  panel[kept, w:].reshape(k, h, w)], axis=1)
+        s = _dot(tracker, rest[came_from], p)
+        rows[:, c1 - w:c1, c1:] = s[:, :w] % p
+        s = s[:, w:].reshape(k * h, ncols - c1)
+        s += rest[kept]
+        a = s.astype(np.int64)
+        a %= p
+    return rows, pivots
+
+
+def _kernels(rows, pivots, p):
+    """Kernel bases mod p from _echelon's (rows, pivots) of a stack of
+    matrices with c columns: a (k x f x c) int64 array
+    whose row i of matrix j is, when the i-th column free in any matrix of
+    the stack is free in j, the kernel vector of j that is 1 there and 0 in
+    j's other free columns, and zero otherwise.
+
+    That vector is e_i minus column i of j's reduced echelon form.  The
+    pivot rows are reduced from the bottom up, one pivot column at a time
+    for the whole stack, in the free columns only (the pivot columns would
+    become unit vectors); each pivot changes only the rows above it with a
+    nonzero in its column, and a matrix in which the column is free has a
+    zero row there, which changes nothing.
+    """
+    k, ncols = pivots.shape
+    if pivots.all():
+        return np.zeros((k, 0, ncols), np.int64)
+    count = pivots.sum(0)  # the matrices with a pivot in each column
+    free = (count < k).nonzero()[0]
+    nf = len(free)
+    short = (pivots.sum(1) < ncols).nonzero()[0] if k > 1 else [0]
+    n = len(short)
+    if n < k:  # the matrices of full rank have no kernel
+        rows, pivots = rows.take(short, 0), pivots.take(short, 0)
+        count = pivots.sum(0)
+    cols = count.nonzero()[0]  # a pivot column of some matrix
+    r = len(cols)
+    echelon = rows.take(cols, 1)
+    x = echelon.take(free, 2).reshape(n * r, nf)
+    factors = echelon.take(cols, 2).reshape(n, r * r)
+    factors[:, ::r + 1] = 0  # the diagonal: a row clears those above
+    factors = factors.reshape(n * r, r)
+    if n > 1:
+        first = np.repeat(np.arange(n) * r, r)  # row 0 of its matrix
+    for i in range(r - 1, 0, -1):
+        above = factors[:, i].nonzero()[0]
+        if len(above):
+            src = i if n == 1 else first[above] + i
+            t = x[above] - factors[above, i, None] * x[src]
+            x[above] = t % p
+    out = np.zeros((n, nf, ncols), np.int64)
+    out[:, :, cols] = (-x % p).reshape(n, r, nf).swapaxes(1, 2)
+    # 1 where the free column is the matrix's own
+    out.reshape(n, -1)[:, np.arange(nf) * ncols + free] = \
+        ~pivots.take(free, 1)
+    if n == k:
+        return out
+    kernels = np.zeros((k, nf, ncols), np.int64)
+    kernels[short] = out
+    return kernels
 
 
 def rref_mod_p(mat, p):
-    """Reduced row echelon form mod p of an integer matrix.
+    """Rank, pivots and kernel mod p of an integer matrix, or of each matrix
+    of a (k, r, c) stack at once.
 
-    Returns (rank, pivot_cols, kernel_basis) where kernel_basis is an int64
-    array whose rows (entries in [0, p)) span the right kernel mod p.  Needs
-    a 2-D integer or bool matrix (any other dtype is a TypeError, as a
-    fraction or float has no residue to take) and p < 2^31, so that the
-    int64 row update cannot overflow.
+    Returns (rank, pivot_cols, kernel_basis) for a matrix: kernel_basis is
+    an int64 array whose rows (entries in [0, p)) span the right kernel mod
+    p, one per free column f, 1 at f and 0 at the other free columns.  For
+    a stack it returns (ranks, pivots, kernels): ranks an int array (k,),
+    pivots a (k, c) bool array marking each matrix's pivot columns, and
+    kernels as _kernels lays them out, so a stack of one matrix gives
+    kernels[0] == kernel_basis.  Needs integer or bool entries (any other
+    dtype is a TypeError, as a fraction or float has no residue to take)
+    and p < 2^31, so that the int64 row update cannot overflow.
 
-    The forward pass (_echelon) gives the rank and the pivots; at full
-    column rank the kernel is empty and nothing else is computed.
-    Otherwise the free columns, the only ones the kernel reads, are reduced
-    from the bottom pivot row up, one pivot at a time.  Reduced echelon
-    form is unique: the output is that of plain Gauss-Jordan elimination.
+    The forward pass (_echelon) gives the ranks and the pivots; when every
+    matrix has full column rank nothing else is computed.  Otherwise the
+    matrices with free columns are reduced further (_kernels).  Reduced
+    echelon form is unique: the output is that of plain Gauss-Jordan
+    elimination on each matrix.
     """
     if not 2 <= p < 2 ** 31:
         raise ValueError("rref_mod_p needs 2 <= p < 2**31, got %d" % p)
     a = np.asarray(mat)
-    if a.ndim != 2:
-        raise ValueError("rref_mod_p needs a 2-D matrix, got shape %s"
-                         % (a.shape,))
+    if a.ndim not in (2, 3):
+        raise ValueError("rref_mod_p needs a matrix or a stack of them, "
+                         "got shape %s" % (a.shape,))
     if a.dtype.kind not in "biu":
         raise TypeError("rref_mod_p needs an integer matrix, got dtype %s"
                         % a.dtype)
     if a.dtype == np.uint64:
         a = a % np.uint64(p)  # a cast to int64 would wrap from 2^63 up
-    a = a.astype(np.int64)
-    a %= p
-    ncols = a.shape[1]
-    pivots = _echelon(a, p)
-    rank = len(pivots)
-    kernel = np.zeros((ncols - rank, ncols), dtype=np.int64)
-    if rank == ncols:
-        return rank, pivots, kernel
-    free = np.ones(ncols, dtype=bool)
-    free[pivots] = False
-    kernel[:, free] = np.eye(ncols - rank, dtype=np.int64)
-    # row i, reduced by the pivot rows below it, clears its pivot column
-    # from the rows above; it is zero in their other pivot columns
-    x = a[:rank, free]
-    for i in range(rank - 1, 0, -1):
-        above = a[:i, pivots[i]].nonzero()[0]  # the rows it changes
-        t = x[above] - np.multiply.outer(a[above, pivots[i]], x[i])
-        x[above] = t % p
-    kernel[:, pivots] = -x.T % p
-    return rank, pivots, kernel
+    stack = a.astype(np.int64)
+    stack %= p
+    rows, pivots = _echelon(stack if a.ndim == 3 else stack[None], p)
+    kernels = _kernels(rows, pivots, p)
+    if a.ndim == 3:
+        return pivots.sum(1), pivots, kernels
+    cols = pivots[0].nonzero()[0].tolist()
+    return len(cols), cols, kernels[0]
 
 
 def rational_reconstruct(a, p):

@@ -22,10 +22,12 @@ StructureTable, which a sweep item shares across its points: the products,
 the trace plan (diagonal monomial counts, the distinct count rows, the
 numbering of (monomial, trace class) pairs and the read-only index), the
 symmetry plan (below) and, on first use, the cell pairing of the n in
-{2, 3} cross-check.  The modular primes are found once per m.  Each point
-then evaluates only its monomials, traces and values, the symmetry checks,
-the cell Gram entries and determinants (the circulant guard included), and
-the certified rank.
+{2, 3} cross-check.  The modular primes are found once per m.  A sweep
+item makes one oracle pass over its points (semisimple_verdicts): each
+point evaluates only its monomials, traces and values, the symmetry checks
+and the cell Gram entries and determinants (the circulant guard
+included), and the certified ranks of all the points are found together
+(radical_dimensions).  A single verdict is the pass over one point.
 
 Symmetry blocks.  On the admissible locus T(x, y) = tr(L_{xy}) keeps its
 value when one basis permutation g acts on both x and y, for three kinds
@@ -54,18 +56,27 @@ over Q(zeta_m) as over Q and is used as it is.  Otherwise it is viewed as
 a matrix over Q by replacing every cyclotomic entry with its
 phi(m) x phi(m) regular-representation block, and so is each symmetry
 block: the same permutations act on the flat matrix, lifted to
-(i*phi(m) + r).  Each block is ranked on its own, on the same certified
-path.  A modular row reduction at a large prime gives the fast answer.
-Full rank mod p certifies semisimplicity outright, after the forward pass
-alone (rref_mod_p computes no reduced form at full rank).  A rank deficit
-is certified by rationally reconstructing the kernel basis (only the
-distinct residues of its pivot columns: its free columns are the
-identity) and verifying T v = 0 exactly, with T scaled to integers and
-the kernel by one common denominator, held as int64 (as Python integers
-only from 2^62 up); the product is formed in float64 or int64 only under a
-proven bound.  A block that no prime certifies (never observed) is ranked
-by exact fraction elimination if it has at most 160 rows; a larger one
-raises ArithmeticError, so the CLI exits 2 and a sweep stops.
+(i*phi(m) + r).  The points of a pass with the same kept generators and
+the same flattening share their blocks' index stacks, and every (point,
+block) matrix of theirs of one shape, at one prime, is reduced in one
+stacked modular row reduction (rref_mod_p on a (k, b, b) stack): the
+Python loop runs once per column of the stack, not once per pivot of each
+matrix.  A stack is summed one group element at a time, so a rank holds
+arrays of the stack's size (the stack and, in rref_mod_p, its echelon
+rows, k x b x b each) or one elimination panel of its rows (at most 64
+columns), never a (k x |G| x b x b) gather.  Full rank mod p
+certifies a block outright, after the forward pass alone (rref_mod_p
+computes no reduced form for a stack of full rank).  A rank deficit is
+certified by rationally reconstructing the kernel basis (each distinct
+residue of the stack once) and verifying T v = 0 exactly, with T scaled
+to integers and each matrix's kernel by one common denominator, held as
+int64 (as Python integers only from 2^62 up); the products of a stack are
+formed in one call, in float64 or int64 only under a bound proven for the
+whole stack.  Each point tries the first four large primes that divide
+none of its denominators, and only the matrices a prime leaves unsettled
+move on to the next.  A block that no prime certifies (never observed) is
+ranked by exact fraction elimination if it has at most 160 rows; a larger
+one raises ArithmeticError, so the CLI exits 2 and a sweep stops.
 """
 
 from __future__ import annotations
@@ -73,7 +84,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import groupby, islice, tee
 from math import lcm, prod
 
 import numpy as np
@@ -256,7 +267,8 @@ def trace_matrix(table, field, deltas):
     own, read-only.
     """
     deltas = [field.coerce(d) for d in deltas]
-    monos = [prod((power(d, e, field.one) for d, e in zip(deltas, exps)),
+    monos = [prod((power(d, e, field.one)
+                   for d, e in zip(deltas, exps, strict=True)),
                   start=field.one)
              for exps in table.monomials.tolist()]
     traces = [sum((monos[u] * c for u, c in row), field.zero)
@@ -300,114 +312,198 @@ def _abs_max(x):
 
 def _product_is_zero(a, b):
     """Whether the product of two integer matrices (numpy int64 arrays, or
-    object arrays of Python integers) is exactly zero.  max|a| times the
-    largest column sum of |b| bounds every partial sum; the product is formed
-    in float64 BLAS below 2^53, in int64 below 2^63 and in Python integers
-    otherwise."""
-    if b.dtype != object and _abs_max(b) * len(b) >= 2 ** 63:
+    object arrays of Python integers) is exactly zero, or, for two stacks
+    of them, each product: a bool array over the stack.  max|a| times the
+    largest column sum of |b|, both over the whole stack, bounds every
+    partial sum; the products are formed in one float64 BLAS call below
+    2^53, in int64 below 2^63 and in Python integers otherwise."""
+    if b.dtype != object and _abs_max(b) * b.shape[-2] >= 2 ** 63:
         b = b.astype(object)  # its column sums could overflow int64
-    bound = _abs_max(a) * int(abs(b).sum(axis=0).max())
+    bound = _abs_max(a) * int(abs(b).sum(axis=-2).max())
     dtype = (np.float64 if bound < 2 ** 53 else np.int64 if bound < 2 ** 63
              else object)
-    return not np.count_nonzero(a.astype(dtype, copy=False)
-                                @ b.astype(dtype, copy=False))
+    product = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    return ~(product != 0).any(axis=(-2, -1))
 
 
-def _lift_kernel(kernel, pivots, p):
-    """The rows of a kernel basis mod p from rref_mod_p, lifted to integer
-    vectors, or None if a residue has no rational reconstruction.
+def _lift_kernel(kernels, p):
+    """The kernel bases mod p of a stack (rref_mod_p's kernels), lifted to
+    integer vectors: returns (vectors, ok), ok marking the matrices whose
+    every residue has a rational reconstruction (the vectors of the others
+    mean nothing).
 
-    Every vector is its rational lift scaled by one lcm of all the
-    denominators (T v = 0 holds for every multiple of v).  The basis is the
-    identity on the free columns, so only the distinct residues of its
-    pivot columns are lifted.  The vectors are int64 unless an entry could
-    reach 2^62.
+    Each distinct residue of the stack is lifted once.  A matrix's vectors
+    are their rational lifts scaled by one lcm of all that matrix's
+    denominators (T v = 0 holds for every multiple of v).  The vectors are
+    int64 unless an entry could reach 2^62.
     """
-    block = kernel[:, pivots]
-    distinct, inverse = np.unique(block, return_inverse=True)
+    k = len(kernels)
+    distinct, inverse = np.unique(kernels, return_inverse=True)
     lifts = [rational_reconstruct(a, p) for a in distinct.tolist()]
-    if any(x is None for x in lifts):
-        return None
-    inverse = inverse.reshape(block.shape)
-    scale = lcm(*(x.denominator for x in lifts))
-    nums = [x.numerator * (scale // x.denominator) for x in lifts]
-    dtype = object if max([scale, *map(abs, nums)]) >= 2 ** 62 else np.int64
-    free = np.ones(kernel.shape[1], dtype=bool)
-    free[pivots] = False
-    vectors = np.empty(kernel.shape, dtype=dtype)
-    vectors[:, free] = kernel[:, free].astype(dtype) * scale  # the identity
-    vectors[:, pivots] = np.array(nums, dtype=dtype)[inverse]
-    return vectors
+    inverse = inverse.reshape(k, -1)
+    present = np.zeros((k, len(lifts)), dtype=bool)
+    present[np.arange(k)[:, None], inverse] = True
+    ok = ~present[:, [x is None for x in lifts]].any(axis=1)
+    lifts = [x or Fraction(0) for x in lifts]
+    scales = [lcm(*(lifts[u].denominator for u in np.flatnonzero(row)))
+              for row in present.tolist()]
+    big = max(scales) * max(abs(x.numerator) for x in lifts) >= 2 ** 62
+    dtype = object if big else np.int64
+    nums = np.array([x.numerator for x in lifts], dtype=dtype)
+    dens = np.array([x.denominator for x in lifts], dtype=dtype)
+    # entry u of matrix j: nums[u] scaled by the scale of j (a multiple of
+    # dens[u] wherever u occurs in j)
+    table = nums * (np.array(scales, dtype=dtype)[:, None] // dens)
+    vectors = np.take_along_axis(table, inverse, axis=1)
+    return vectors.reshape(kernels.shape), ok
+
+
+def _block_sums(rows, stacks):
+    """sum_h rows[i, stacks[i][h]] for each i, as one (len(rows), b, b)
+    stack: stacks[i] is an index stack (k, b, b), equal stacks come
+    together, and each run of them adds up one h at a time."""
+    out, start = [], 0
+    for _, run in groupby(stacks, key=id):
+        stop = start + len(list(run))
+        part, stack = rows[start:stop], stacks[start]
+        acc = part[:, stack[0]]
+        for index in stack[1:]:
+            acc += part[:, index]
+        out.append(acc)
+        start = stop
+    return np.concatenate(out)
 
 
 _METHODS = ("modular-full-rank", "modular-certified-kernel", "exact-gauss")
 
 
 def _rank_exact_certified(values, blocks, primes):
-    """Exact rank of a Fraction matrix T via a modular pass with
-    certificates.  blocks lists the blocks of a block-diagonal form of T,
-    each an index stack S (k, b, b) that stands for the matrix
-    sum_h values[S[h]]; their ranks add up.
+    """Exact ranks of Fraction matrices T that share a block-diagonal form,
+    via a modular pass with certificates.  values lists the entries of each
+    T; blocks lists the blocks, each an index stack S (k, b, b) that stands
+    for the matrix sum_h values[S[h]] of each T; their ranks add up.
 
-    Returns (rank, method), the method the most demanding any block needed;
-    the primes tried are the first four of primes that divide no denominator
-    of T.  Full rank mod p is already exact (minors can only vanish further
-    mod p); a deficit is accepted only once the lifted kernel vectors
-    (_lift_kernel) are verified exactly: T is scaled to integers and T v = 0
-    is checked in exact integer arithmetic.  Each distinct entry is scaled,
-    and reduced mod each prime tried, once for all the blocks, and T stays
-    int64 unless a scaled entry could reach 2^62.
+    Returns (ranks, method): a rank per T, and the method the most
+    demanding (T, block) needed.  Each T tries the first four of primes
+    that divide no denominator of it, and a block of it moves to the next
+    prime only if the last one left it unsettled.  The blocks of one shape
+    at one prime are reduced as one stack by rref_mod_p.  Full rank mod p
+    is already exact (minors can only vanish further mod p); a deficit is
+    accepted only once the lifted kernel vectors (_lift_kernel) are
+    verified exactly: T is scaled to integers and T v = 0 is checked in
+    exact integer arithmetic (_product_is_zero), all the matrices of a
+    stack in one product.  Each entry is scaled, and reduced mod each
+    prime tried, once for all the blocks; the scaled entries stay int64
+    unless one could reach 2^62 in a block sum.
     """
-    den = lcm(*(x.denominator for x in values))
-    ints = [x.numerator * (den // x.denominator) for x in values]
-    big = max(map(len, blocks)) * max(map(abs, ints)) >= 2 ** 62
+    dens = [lcm(*(x.denominator for x in row)) for row in values]
+    usable = [list(islice((p for p in walk if den % p), 4))
+              for den, walk in zip(dens, tee(primes, len(values)))]
+    ints = [[x.numerator * (den // x.denominator) for x in row]
+            for row, den in zip(values, dens)]
+    big = (max(map(len, blocks)) * max(abs(x) for row in ints for x in row)
+           >= 2 ** 62)
     scaled = np.array(ints, dtype=object if big else np.int64)
-    primes = list(islice((p for p in primes if den % p), 4))
-    residues = {}  # per prime, on first use
-    rank, worst = 0, 0
+    residues = {}  # per (T, prime), on first use
+    by_size = {}
     for stack in blocks:
-        N = stack.shape[-1]
-        for p in primes:
-            if p not in residues:
-                residues[p] = np.array(
-                    [x.numerator * pow(x.denominator, -1, p) % p
-                     for x in values], dtype=np.int64)
-            rank_p, pivots, kernel = rref_mod_p(
-                residues[p][stack].sum(axis=0), p)
-            if rank_p == N:
-                method = 0
-                break
-            vectors = _lift_kernel(kernel, pivots, p)
-            # verify T v = 0 exactly
-            if vectors is not None and _product_is_zero(
-                    scaled[stack].sum(axis=0), vectors.T):
-                method = 1
-                break
-        else:
+        by_size.setdefault(stack.shape[-1], []).append(stack)
+    ranks, worst = [0] * len(values), 0
+    for N, stacks in by_size.items():
+        # (T, block) pairs, the blocks of one shape in turn
+        todo = [(t, stack) for stack in stacks for t in range(len(values))]
+        for attempt in range(4):
+            by_prime, unsettled = {}, []
+            for t, stack in todo:
+                if attempt < len(usable[t]):
+                    p = usable[t][attempt]
+                    by_prime.setdefault(p, []).append((t, stack))
+                else:
+                    unsettled.append((t, stack))
+            for p, pairs in by_prime.items():
+                for t, _ in pairs:
+                    if (t, p) not in residues:
+                        residues[t, p] = [
+                            x.numerator * pow(x.denominator, -1, p) % p
+                            for x in values[t]]
+                mats = _block_sums(
+                    np.array([residues[t, p] for t, _ in pairs],
+                             dtype=np.int64), [s for _, s in pairs])
+                mats %= p
+                rank_p, _, kernels = rref_mod_p(mats, p)
+                method = np.where(rank_p == N, 0, -1)
+                short = np.flatnonzero(rank_p < N)
+                if len(short):
+                    vectors, ok = _lift_kernel(kernels[short], p)
+                    lifted = [pairs[i] for i in short[ok]]
+                    if lifted:
+                        # verify T v = 0 exactly
+                        zero = _product_is_zero(
+                            _block_sums(scaled[[t for t, _ in lifted]],
+                                        [s for _, s in lifted]),
+                            vectors[ok].swapaxes(1, 2))
+                        method[short[ok][zero]] = 1
+                for (t, stack), rank, how in zip(pairs, rank_p.tolist(),
+                                                 method.tolist()):
+                    if how < 0:
+                        unsettled.append((t, stack))
+                    else:
+                        ranks[t] += rank
+                        worst = max(worst, how)
+            todo = unsettled
+        for t, stack in todo:
             if N > 160:
                 raise ArithmeticError("rank not certifiable within prime "
                                       "budget")
-            rank_p, method = gauss_rank(
-                [[sum(values[v] for v in entry) for entry in row]
-                 for row in np.moveaxis(stack, 0, -1).tolist()]), 2
-        rank += rank_p
-        worst = max(worst, method)
-    return rank, _METHODS[worst]
+            ranks[t] += gauss_rank(
+                [[sum(values[t][v] for v in entry) for entry in row]
+                 for row in np.moveaxis(stack, 0, -1).tolist()])
+            worst = 2
+    return ranks, _METHODS[worst]
 
 
-def radical_dimension(table, field, deltas):
-    """dim of the radical of the trace form; 0 iff semisimple (char 0).
-    T is ranked on its symmetry blocks (StructureTable.blocks)."""
+def _checked_points(m, points):
+    """points as a list, each a list of m loop parameters; a point of
+    another length raises the ValueError of criterion.decide."""
+    points = [list(deltas) for deltas in points]
+    if any(len(deltas) != m for deltas in points):
+        raise ValueError("need m loop parameters")
+    return points
+
+
+def radical_dimensions(table, field, points):
+    """dim of the radical of the trace form at each point (a sequence of
+    delta vectors); 0 iff semisimple (char 0).
+
+    Each point's T is ranked on its symmetry blocks
+    (StructureTable.blocks), flattened to Q if its entries are not all
+    rational.  The points with the same kept generators and the same
+    flattening share their blocks' index stacks, and are ranked in one
+    call of _rank_exact_certified.
+    """
     if field.characteristic:
         raise ValueError("oracle is valid in characteristic 0 only")
-    values, _ = trace_matrix(table, field, deltas)
-    flat, blocks, deg = _to_rational_blocks(
-        field, values + [-x for x in values], table.blocks(values))
-    rank_q, method = _rank_exact_certified(flat, blocks,
-                                           modular_primes(field.m))
-    if rank_q % deg:
-        raise AssertionError("rank over Q not divisible by the field degree")
-    return table.size - rank_q // deg
+    groups = {}
+    points = _checked_points(table.m, points)
+    for i, deltas in enumerate(points):
+        values, _ = trace_matrix(table, field, deltas)
+        kept = table.blocks(values)
+        flat, blocks, deg = _to_rational_blocks(
+            field, values + [-x for x in values], kept)
+        # the table keeps one block list per set of kept generators
+        group = groups.setdefault((id(kept), deg), (blocks, deg, [], []))
+        group[2].append(i)
+        group[3].append(flat)
+    radicals = [None] * len(points)
+    for blocks, deg, members, flats in groups.values():
+        ranks, _ = _rank_exact_certified(flats, blocks,
+                                         modular_primes(field.m))
+        for i, rank_q in zip(members, ranks):
+            if rank_q % deg:
+                raise AssertionError("rank over Q not divisible by the "
+                                     "field degree")
+            radicals[i] = table.size - rank_q // deg
+    return radicals
 
 
 def _cell_det_values(table, field, deltas):
@@ -425,33 +521,46 @@ def _cell_det_values(table, field, deltas):
             for tag, mu in cells]
 
 
-def semisimple_verdict(m, n, field, deltas, table=None, cap=500):
-    """Oracle verdict with the cell-determinant cross-check for n in {2, 3}.
+def semisimple_verdicts(m, n, field, points, table=None, cap=500):
+    """Oracle verdicts at points (a sequence of delta vectors), with the
+    cell-determinant cross-check for n in {2, 3}; the ranks of all the
+    points are certified together (radical_dimensions).
 
-    Returns a dict: verdict ("semisimple" / "not-semisimple" /
+    Returns a dict per point: verdict ("semisimple" / "not-semisimple" /
     "unsupported"), radical dimension and, for n in {2, 3} only, the cell
     determinants and the cross-check agreement flag (must always be True;
     a failure is an implementation bug, never an acceptable discrepancy).
-    For n <= 1 there is no k = 1 cell to check against.
+    For n <= 1 there is no k = 1 cell to check against.  A point without
+    m loop parameters raises ValueError before anything is built.
     """
+    points = _checked_points(m, points)
     if field.characteristic:
-        return {"verdict": "unsupported", "reason": "characteristic p"}
+        return [{"verdict": "unsupported", "reason": "characteristic p"}
+                for _ in points]
     if basis_size(m, n) > cap:
-        return {"verdict": "unsupported", "reason": "cap exceeded"}
-    deltas = [field.coerce(d) for d in deltas]
+        return [{"verdict": "unsupported", "reason": "cap exceeded"}
+                for _ in points]
+    points = [[field.coerce(d) for d in deltas] for deltas in points]
     if table is None:
         table = StructureTable(m, n, cap)
-    rad = radical_dimension(table, field, deltas)
-    out = {"verdict": "semisimple" if rad == 0 else "not-semisimple",
-           "radical": rad, "admissible": deltas_admissible(deltas)}
-    if not out["admissible"]:
-        out["note"] = OFF_LOCUS_NOTE
-    if n in (2, 3):
-        dets = _cell_det_values(table, field, deltas)
-        out["cell_dets"] = [(tag, str(v)) for tag, v in dets]
-        cells_ok = all(v for _, v in dets)
-        out["cross_check_agrees"] = (rad == 0) == cells_ok
-    return out
+    verdicts = []
+    for deltas, rad in zip(points, radical_dimensions(table, field, points)):
+        out = {"verdict": "semisimple" if rad == 0 else "not-semisimple",
+               "radical": rad, "admissible": deltas_admissible(deltas)}
+        if not out["admissible"]:
+            out["note"] = OFF_LOCUS_NOTE
+        if n in (2, 3):
+            dets = _cell_det_values(table, field, deltas)
+            out["cell_dets"] = [(tag, str(v)) for tag, v in dets]
+            cells_ok = all(v for _, v in dets)
+            out["cross_check_agrees"] = (rad == 0) == cells_ok
+        verdicts.append(out)
+    return verdicts
+
+
+def semisimple_verdict(m, n, field, deltas, table=None, cap=500):
+    """semisimple_verdicts at one point."""
+    return semisimple_verdicts(m, n, field, [deltas], table, cap)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +649,15 @@ def sweep_points(grid, seed=0, generic_points=2, hyperplane_points=2):
 
 def sweep_item(item, cap=500):
     """The report records of one sweep_points item: every criterion
-    variant and the oracle at each point, on one shared structure table."""
+    variant and the oracle at each point, on one shared structure table,
+    with the oracle's ranks certified for all the points together."""
     m, n, todo = item
     field = CyclotomicField(m)
     table = StructureTable(m, n, cap)
+    oracles = semisimple_verdicts(m, n, field, [d for _, d in todo],
+                                  table=table, cap=cap)
     points = []
-    for provenance, deltas in todo:
+    for (provenance, deltas), oracle in zip(todo, oracles):
         rec = {"m": m, "n": n, "provenance": provenance,
                "deltas": [field.format_element(d) for d in deltas]}
         verdicts = {}
@@ -556,7 +668,6 @@ def sweep_item(item, cap=500):
         if n >= 2:
             rec["g_mu"] = [{"mu": [list(p) for p in mu], "value": str(v)}
                            for mu, v in g_mu_values(m, n, field, deltas)]
-        oracle = semisimple_verdict(m, n, field, deltas, table=table, cap=cap)
         rec["oracle"] = oracle
         rec["agreement"] = {
             variant: verdicts[variant]["decision"] == oracle.get("verdict")

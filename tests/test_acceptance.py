@@ -238,8 +238,8 @@ def test_criterion_11_oracle_sanity():
                           for g in group])
         values, blocks, deg = _to_rational_blocks(F, [F.zero, F.embed(N)],
                                                   [index[None]])
-        rank, _ = _rank_exact_certified(values, blocks,
-                                        primes_for_modular(m)[:3])
+        (rank,), _ = _rank_exact_certified([values], blocks,
+                                           primes_for_modular(m)[:3])
         ok &= rank == N * deg
     for (m, n) in [(2, 2), (3, 2), (2, 3), (3, 3)]:
         F = CyclotomicField(m)

@@ -1,7 +1,9 @@
 """Modular row reduction against exact elimination."""
 
+import json
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from cycbrauer.linalg import (gauss_det, gauss_rank, minor_det,
 from cycbrauer.scalars import CyclotomicField, is_prime
 
 P = primes_for_modular(1)[0]
+CONCORD_CONFIG = (Path(__file__).resolve().parent.parent / "reports"
+                  / "concordance.config.json")
 
 
 def test_primes_for_modular_are_one_shared_tuple():
@@ -182,32 +186,116 @@ def test_rref_mod_p_matches_reference(sample):
     _assert_same_rref(rref_mod_p(mat, p), _rref_reference(mat, p))
 
 
+def _assert_stack_matches_reference(mat, p):
+    """rref_mod_p of a (k, r, c) stack against _rref_reference on each of
+    its matrices: ranks, pivots and each matrix's kernel rows, at the free
+    columns of the stack that are its own (its other rows are zero)."""
+    ranks, pivots, kernels = rref_mod_p(mat, p)
+    k, _, c = np.shape(mat)
+    assert ranks.shape == (k,) and pivots.shape == (k, c)
+    assert kernels.dtype == np.int64
+    free = np.flatnonzero(~pivots.all(0)) if k else np.arange(0)
+    assert kernels.shape == (k, len(free), c)
+    for j in range(k):
+        rank, cols, kernel = _rref_reference(mat[j], p)
+        assert ranks[j] == rank and np.flatnonzero(pivots[j]).tolist() == cols
+        own = ~pivots[j, free]
+        assert (kernels[j][own] == kernel).all()
+        assert not kernels[j][~own].any()
+    return ranks, pivots, kernels
+
+
+def _sweep_point(point, m):
+    F = CyclotomicField(m)
+    ds = {"zero": [0] * m, "off-locus": [1, 2, 3],
+          "generic": [Fraction(7, 3)] + [Fraction(-5, 4)] * (m - 1)}[point]
+    return F, [F.embed(d) for d in ds]
+
+
 @pytest.mark.parametrize("point,m,n", [
     ("zero", 2, 3), ("generic", 2, 3), ("zero", 3, 3), ("generic", 3, 3),
     # no symmetry holds off the locus: one 405-row block across 13 panels
     ("off-locus", 3, 3),
     # blocks of up to 272 rows, rank 200 in the largest
     ("zero", 2, 4),
+    # every stack of the tracked concordance sweep, the points of each
+    # sweep item ranked together
+    pytest.param("sweep", None, None, id="sweep"),
 ])
 def test_rref_mod_p_matches_reference_on_trace_matrices(monkeypatch, m, n,
                                                         point):
-    # every matrix the oracle reduces on the way to one radical dimension
+    # every matrix of every stack the oracle reduces on the way to its
+    # radical dimensions
     reduced = []
 
     def checked(mat, p):
-        got = rref_mod_p(mat, p)
-        _assert_same_rref(got, _rref_reference(mat, p))
-        reduced.append(len(mat))
-        return got
+        _assert_stack_matches_reference(mat, p)
+        reduced.append(mat.shape[0] * mat.shape[1])
+        return rref_mod_p(mat, p)
 
     monkeypatch.setattr(oracle, "rref_mod_p", checked)
-    F = CyclotomicField(m)
-    ds = {"zero": [0] * m, "off-locus": [1, 2, 3],
-          "generic": [Fraction(7, 3)] + [Fraction(-5, 4)] * (m - 1)}[point]
-    oracle.radical_dimension(oracle.StructureTable(m, n, cap=2000), F,
-                             [F.embed(d) for d in ds])
+    if point == "sweep":
+        config = json.loads(CONCORD_CONFIG.read_text())
+        items = oracle.sweep_points(config["grid"], config["seed"],
+                                    config["generic_points"],
+                                    config["hyperplane_points"])
+        for m, n, todo in items:
+            oracle.radical_dimensions(oracle.StructureTable(m, n),
+                                      CyclotomicField(m),
+                                      [d for _, d in todo])
+        # one pass per symmetry block of every point
+        assert sum(reduced) == sum(len(todo) * basis_size(m, n)
+                                   for m, n, todo in items)
+        return
+    F, deltas = _sweep_point(point, m)
+    oracle.radical_dimensions(oracle.StructureTable(m, n, cap=2000), F,
+                              [deltas])
     # one pass per symmetry block of T, and the blocks partition the basis
     assert sum(reduced) == basis_size(m, n)
+
+
+@st.composite
+def modular_stacks(draw):
+    """A (k, r, c) stack and a prime p: k in 1..6 matrices of one shape,
+    1 x 1, 31 to 33 columns (one panel), 49 or 65 columns (a tracked panel
+    and its batched _dot update, then the last panel), or random up to
+    40 x 40, each of full rank, of random lower rank or zero."""
+    k = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from([(1, 1), (31, 31), (32, 32), (33, 33),
+                                  (12, 33), (40, 32), (49, 49), (33, 65)])
+                 | st.tuples(st.integers(1, 40), st.integers(1, 40)))
+    p = draw(st.sampled_from(PRIMES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows, cols = shape
+    mats = []
+    for kind in draw(st.lists(st.sampled_from(["full", "low", "zero"]),
+                              min_size=k, max_size=k)):
+        if kind == "zero":
+            mats.append(np.zeros(shape, np.int64))
+        elif kind == "full":
+            n = min(rows, cols)
+            mats.append(_rank_exactly(rng, rows, n, cols, p)
+                        if rows != cols else
+                        _invertible(rng, rows, p)[rng.permutation(rows)])
+        else:
+            inner = int(rng.integers(0, min(rows, cols) + 1))
+            mats.append(_rank_exactly(rng, rows, inner, cols, p)
+                        if inner else np.zeros(shape, np.int64))
+    return np.array(mats), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(modular_stacks())
+def test_rref_mod_p_stack_matches_reference(sample):
+    mat, p = sample
+    ranks, _, kernels = _assert_stack_matches_reference(mat, p)
+    # a stack of one is the 2-D call
+    for j in range(len(mat)):
+        rank, cols, kernel = rref_mod_p(mat[j], p)
+        one = rref_mod_p(mat[j:j + 1], p)
+        assert one[0].tolist() == [rank]
+        assert np.flatnonzero(one[1][0]).tolist() == cols
+        assert (one[2][0] == kernel).all()
 
 
 @pytest.mark.parametrize("inner", PANEL_EDGES)
@@ -240,9 +328,10 @@ def test_rref_mod_p_refuses_non_integer_matrices(mat):
         rref_mod_p(mat, P)
 
 
-@pytest.mark.parametrize("mat", [[1, 2], 3, np.zeros((2, 2, 2), np.int64)])
+@pytest.mark.parametrize("mat", [[1, 2], 3, np.zeros((2, 2, 2, 2), np.int64)])
 def test_rref_mod_p_refuses_non_matrices(mat):
-    with pytest.raises(ValueError, match="2-D matrix, got shape"):
+    with pytest.raises(ValueError, match="a matrix or a stack of them, "
+                                         "got shape"):
         rref_mod_p(mat, P)
 
 

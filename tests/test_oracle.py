@@ -31,13 +31,19 @@ from cycbrauer.oracle import (StructureTable, _cell_det_values,
                               _product_is_zero, _rank_exact_certified,
                               _to_rational_blocks,
                               concordance_sweep, deltas_admissible,
-                              radical_dimension,
-                              report_csv, semisimple_verdict, sweep_item,
+                              radical_dimensions,
+                              report_csv, semisimple_verdict,
+                              semisimple_verdicts, sweep_item,
                               sweep_points, trace_matrix)
 from cycbrauer.linalg import gauss_rank, primes_for_modular
 from cycbrauer.scalars import CyclotomicField, FiniteField
 from cycbrauer.wreath import compose, enumerate_group, identity
 from strands import reference_product
+
+
+def radical_dimension(table, field, deltas):
+    """radical_dimensions at one point."""
+    return radical_dimensions(table, field, [deltas])[0]
 
 
 def test_structure_table_closure():
@@ -329,6 +335,26 @@ def test_product_is_zero_on_int64_matches_python_integers(a, b, zero):
     assert as_object == zero
     assert _product_is_zero(np.array(a, dtype=np.int64),
                             np.array(b, dtype=np.int64)) == zero
+    # in a stack, beside a zero product of small entries, which must not
+    # lower the bound taken over the whole stack
+    small = np.zeros_like(np.array(a)), np.ones_like(np.array(b))
+    for dtype in (object, np.int64):
+        got = _product_is_zero(np.array([small[0], a], dtype=dtype),
+                               np.array([small[1], b], dtype=dtype))
+        assert got.tolist() == [True, zero]
+
+
+def test_product_is_zero_on_stacks_matches_each_matrix():
+    rng = np.random.default_rng(7)
+    for big in (1, 2 ** 40, 10 ** 30):
+        a = rng.integers(-9, 9, (5, 4, 6)).astype(object) * big
+        b = rng.integers(-9, 9, (5, 6, 3)).astype(object)
+        b[::2] = 0  # some products are zero, the others not
+        want = [not (x @ y).any() for x, y in zip(a, b)]
+        assert _product_is_zero(a, b).tolist() == want
+        if big <= 2 ** 40:
+            assert _product_is_zero(a.astype(np.int64),
+                                    b.astype(np.int64)).tolist() == want
 
 
 def test_rank_certificate_at_3_3_delta_zero_stays_typed(monkeypatch):
@@ -345,10 +371,10 @@ def test_rank_certificate_at_3_3_delta_zero_stays_typed(monkeypatch):
         return check(a, b)
 
     monkeypatch.setattr(cycbrauer.oracle, "_product_is_zero", typed)
-    assert _rank_exact_certified(values, blocks, primes_for_modular(3)) \
-        == (243, "modular-certified-kernel")
-    assert seen == [(np.dtype(np.int64), np.dtype(np.int64), (405, 405),
-                     (405, 162))]
+    assert _rank_exact_certified([values], blocks, primes_for_modular(3)) \
+        == ([243], "modular-certified-kernel")
+    assert seen == [(np.dtype(np.int64), np.dtype(np.int64), (1, 405, 405),
+                     (1, 405, 162))]
 
 
 def test_rank_certificate_with_entries_beyond_int64():
@@ -358,14 +384,14 @@ def test_rank_certificate_with_entries_beyond_int64():
     a, b = Fraction(10 ** 30, 7), Fraction(3 * 10 ** 30, 11)
     values = [a, 2 * a, b, 4 * a, 2 * b]
     index = np.array([[0, 1, 2], [1, 3, 4], [0, 1, 2]])
-    assert _rank_exact_certified(values, [index[None]],
+    assert _rank_exact_certified([values], [index[None]],
                                  primes_for_modular(1)[:2]) \
-        == (1, "modular-certified-kernel")
+        == ([1], "modular-certified-kernel")
     # full rank with the same magnitudes
     index[2, 2] = len(values)
     values.append(b + 1)
-    assert _rank_exact_certified(values, [index[None]],
-                                 primes_for_modular(1)[:2])[0] == 2
+    assert _rank_exact_certified([values], [index[None]],
+                                 primes_for_modular(1)[:2])[0] == [2]
 
 
 def test_rank_certificate_scales_each_vector_by_all_its_denominators():
@@ -374,9 +400,9 @@ def test_rank_certificate_scales_each_vector_by_all_its_denominators():
     values = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 3),
               Fraction(7, 3)]
     index = np.array([[1, 0, 2], [0, 1, 3], [1, 1, 4]])
-    assert _rank_exact_certified(values, [index[None]],
+    assert _rank_exact_certified([values], [index[None]],
                                  primes_for_modular(1)[:2]) \
-        == (2, "modular-certified-kernel")
+        == ([2], "modular-certified-kernel")
 
 
 def test_rank_certificate_scales_every_kernel_vector_by_one_denominator(
@@ -389,11 +415,12 @@ def test_rank_certificate_scales_every_kernel_vector_by_one_denominator(
     seen = []
     check = cycbrauer.oracle._product_is_zero
     monkeypatch.setattr(cycbrauer.oracle, "_product_is_zero",
-                        lambda a, b: seen.append(b.T) or check(a, b))
-    assert _rank_exact_certified(values, [index[None]],
+                        lambda a, b: seen.append(b.swapaxes(1, 2))
+                        or check(a, b))
+    assert _rank_exact_certified([values], [index[None]],
                                  primes_for_modular(1)[:2]) \
-        == (2, "modular-certified-kernel")
-    (vectors,) = seen
+        == ([2], "modular-certified-kernel")
+    ((vectors,),) = seen
     assert vectors.dtype == np.int64
     assert vectors.tolist() == [[3, 0, 6, 0], [0, 2, 0, 6]]
 
@@ -404,9 +431,9 @@ def test_rank_deficit_mod_p_alone_is_not_trusted():
     p = primes_for_modular(1)[0]
     values = [Fraction(0), Fraction(1), Fraction(p)]
     index = np.array([[1, 0], [0, 2]])
-    assert _rank_exact_certified(values, [index[None]],
+    assert _rank_exact_certified([values], [index[None]],
                                  primes_for_modular(1)[:2]) \
-        == (2, "modular-full-rank")
+        == ([2], "modular-full-rank")
 
 
 def test_rank_skips_a_prime_dividing_a_denominator(monkeypatch):
@@ -421,7 +448,7 @@ def test_rank_skips_a_prime_dividing_a_denominator(monkeypatch):
     rref = cycbrauer.oracle.rref_mod_p
     monkeypatch.setattr(cycbrauer.oracle, "rref_mod_p",
                         lambda a, prime: used.append(prime) or rref(a, prime))
-    rank, method = _rank_exact_certified(values, [index[None]], [p, q])
+    (rank,), method = _rank_exact_certified([values], [index[None]], [p, q])
     assert used == [q] and method.startswith("modular")
     assert rank == gauss_rank(_expand(values, index))
 
@@ -453,17 +480,17 @@ def test_rank_falls_back_to_exact_elimination():
     # with no prime to try, a small matrix is ranked by fraction elimination
     values = [Fraction(1, 3), Fraction(2, 3), Fraction(-5, 7)]
     index = np.array([[0, 1, 2], [1, 1, 2], [0, 1, 2]])
-    assert _rank_exact_certified(values, [index[None]], []) \
-        == (2, "exact-gauss")
+    assert _rank_exact_certified([values], [index[None]], []) \
+        == ([2], "exact-gauss")
 
 
 def test_rank_of_the_zero_matrix_is_certified():
     # every column is free: the kernel is the identity, and T = 0 is
     # checked exactly (a block wholly in the radical ends here)
-    assert _rank_exact_certified([Fraction(0)],
+    assert _rank_exact_certified([[Fraction(0)]],
                                  [np.zeros((1, 3, 3), dtype=np.int64)],
                                  primes_for_modular(2)) \
-        == (0, "modular-certified-kernel")
+        == ([0], "modular-certified-kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +510,8 @@ def _unsplit_radical(table, field, deltas):
     radical_dimension's block ranks."""
     values, index = trace_matrix(table, field, deltas)
     flat, big, deg = _to_rational_blocks(field, values, [index[None]])
-    rank, _ = _rank_exact_certified(flat, big, primes_for_modular(field.m))
+    (rank,), _ = _rank_exact_certified([flat], big,
+                                       primes_for_modular(field.m))
     return table.size - rank // deg
 
 
@@ -756,8 +784,8 @@ def test_group_algebra_semisimple_maschke():
                           for g in group])
         values, blocks, deg = _to_rational_blocks(F, [F.zero, F.embed(N)],
                                                   [index[None]])
-        rank, method = _rank_exact_certified(values, blocks,
-                                             primes_for_modular(m)[:3])
+        (rank,), method = _rank_exact_certified([values], blocks,
+                                                primes_for_modular(m)[:3])
         assert rank == N * deg, (m, rank, method)
 
 
@@ -977,6 +1005,70 @@ def test_refused_delta_builds_no_table(monkeypatch):
     for bad in (np.int64(0), 0.5):
         with pytest.raises(TypeError):
             semisimple_verdict(2, 2, F, [bad, 1])
+
+
+@pytest.mark.parametrize("deltas", [[1], [1, 2, 2, 5]])
+def test_oracle_refuses_a_delta_vector_of_the_wrong_length(monkeypatch,
+                                                           deltas):
+    # as decide does, and before any table is built, for every point of a
+    # stacked call; the length used to go unchecked ([1] gave radical 8)
+    def no_table(*args, **kwargs):
+        raise AssertionError("structure table built")
+    monkeypatch.setattr(cycbrauer.oracle, "StructureTable", no_table)
+    F = CyclotomicField(3)
+    with pytest.raises(ValueError, match="need m loop parameters"):
+        criterion.decide(3, 2, F, deltas)
+    with pytest.raises(ValueError, match="need m loop parameters"):
+        semisimple_verdict(3, 2, F, deltas)
+    with pytest.raises(ValueError, match="need m loop parameters"):
+        semisimple_verdicts(3, 2, F, [[1, 2, 2], deltas, [0, 0, 0]])
+    with pytest.raises(ValueError, match="need m loop parameters"):
+        radical_dimensions(_table(3, 2), F, [[F.one] * 3, deltas])
+
+
+def _assert_sweep_matches_single_verdicts(grid, seed=2, cap=500, **settings):
+    """concordance_sweep's oracle records against one cold
+    semisimple_verdict per point, record for record."""
+    report = concordance_sweep(grid, seed=seed, cap=cap, **settings)
+    items = sweep_points(grid, seed, **settings)
+    points = [(m, n, deltas) for m, n, todo in items for _, deltas in todo]
+    assert len(report["points"]) == len(points)
+    for rec, (m, n, deltas) in zip(report["points"], points):
+        assert rec["oracle"] == semisimple_verdict(
+            m, n, CyclotomicField(m), deltas, cap=cap), rec["deltas"]
+    return report
+
+
+def test_sweep_matches_single_verdicts_on_the_tracked_grid():
+    config = json.loads((REPORTS / "concordance.config.json").read_text())
+    _assert_sweep_matches_single_verdicts(
+        config["grid"], config["seed"],
+        generic_points=config["generic_points"],
+        hyperplane_points=config["hyperplane_points"])
+
+
+def test_sweep_matches_single_verdicts_at_reach_points():
+    _assert_sweep_matches_single_verdicts([(2, 4), (4, 3)], cap=2000,
+                                          generic_points=1,
+                                          hyperplane_points=1)
+
+
+def test_sweep_matches_single_verdicts_across_stacks():
+    # one item whose points fall in different stacks: off the locus the
+    # generators are dropped (other blocks), at delta_0 = 1/q the four
+    # primes tried first each divide a denominator (other primes), beside
+    # the generated points
+    q = prod(primes_for_modular(3))
+    grid = [{"m": 3, "n": 2,
+             "deltas": [[1, 2, 3], [Fraction(1, q), 3, 3], [1, 2, 2]]}]
+    report = _assert_sweep_matches_single_verdicts(grid, generic_points=2,
+                                                   hyperplane_points=2)
+    F, t = CyclotomicField(3), _table(3, 2)
+    kept = {id(t.blocks(trace_matrix(t, F, [F.coerce(x) for x in d])[0]))
+            for d in ([1, 2, 3], [1, 2, 2])}
+    assert len(kept) == 2
+    assert [p["oracle"]["admissible"] for p in report["points"]][-3:] \
+        == [False, True, True]
 
 
 def test_fresh_verdicts_share_no_structure(strand_calls):
