@@ -57,24 +57,26 @@ a matrix over Q by replacing every cyclotomic entry with its
 phi(m) x phi(m) regular-representation block, and so is each symmetry
 block: the same permutations act on the flat matrix, lifted to
 (i*phi(m) + r).  The points of a pass with the same kept generators and
-the same flattening share their blocks' index stacks, and every (point,
-block) matrix of theirs of one shape, at one prime, is reduced in one
-stacked modular row reduction (rref_mod_p on a (k, b, b) stack): the
-Python loop runs once per column of the stack, not once per pivot of each
-matrix.  A stack is summed one group element at a time, so a rank holds
-arrays of the stack's size (the stack and, in rref_mod_p, its echelon
-rows, k x b x b each) or one elimination panel of its rows (at most 64
-columns), never a (k x |G| x b x b) gather.  Full rank mod p
+the same flattening share their blocks' index stacks and one list of
+primes: the first four large primes that divide no denominator of any of
+their entries.  Each point's T is scaled to integers by the lcm of its
+denominators, a unit mod each of these primes, so the scaled T has the
+same rank, pivots and kernel mod p as T itself.  At each prime in turn,
+every (point, block) matrix of one shape that no earlier prime settled is
+reduced in one stacked modular row reduction (rref_mod_p on a (k, b, b)
+stack): the Python loop runs once per column of the stack, not once per
+pivot of each matrix.  A stack is summed one group element at a time, so
+a rank holds arrays of the stack's size (the stack and, in rref_mod_p, its
+echelon rows, k x b x b each) or one elimination panel of its rows (at
+most 64 columns), never a (k x |G| x b x b) gather.  Full rank mod p
 certifies a block outright, after the forward pass alone (rref_mod_p
 computes no reduced form for a stack of full rank).  A rank deficit is
 certified by rationally reconstructing the kernel basis (each distinct
-residue of the stack once) and verifying T v = 0 exactly, with T scaled
-to integers and each matrix's kernel by one common denominator, held as
-int64 (as Python integers only from 2^62 up); the products of a stack are
+residue of the stack once) and verifying T v = 0 exactly on the scaled T,
+with each matrix's kernel scaled by one common denominator, held as int64
+(as Python integers only from 2^62 up); the products of a stack are
 formed in one call, in float64 or int64 only under a bound proven for the
-whole stack.  Each point tries the first four large primes that divide
-none of its denominators, and only the matrices a prime leaves unsettled
-move on to the next.  A block that no prime certifies (never observed) is
+whole stack.  A block that no prime certifies (never observed) is
 ranked by exact fraction elimination if it has at most 160 rows; a larger
 one raises ArithmeticError, so the CLI exits 2 and a sweep stops.
 """
@@ -84,7 +86,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby, islice, tee
+from itertools import groupby, islice
 from math import lcm, prod
 
 import numpy as np
@@ -384,27 +386,24 @@ def _rank_exact_certified(values, blocks, primes):
     for the matrix sum_h values[S[h]] of each T; their ranks add up.
 
     Returns (ranks, method): a rank per T, and the method the most
-    demanding (T, block) needed.  Each T tries the first four of primes
-    that divide no denominator of it, and a block of it moves to the next
-    prime only if the last one left it unsettled.  The blocks of one shape
-    at one prime are reduced as one stack by rref_mod_p.  Full rank mod p
-    is already exact (minors can only vanish further mod p); a deficit is
-    accepted only once the lifted kernel vectors (_lift_kernel) are
-    verified exactly: T is scaled to integers and T v = 0 is checked in
-    exact integer arithmetic (_product_is_zero), all the matrices of a
-    stack in one product.  Each entry is scaled, and reduced mod each
-    prime tried, once for all the blocks; the scaled entries stay int64
+    demanding (T, block) needed.  The call tries the first four of primes
+    that divide no denominator of any T, in turn; at each, the unsettled
+    blocks of one shape are reduced as one stack by rref_mod_p, on the
+    residues of T scaled to integers (by the lcm of its denominators, a
+    unit mod p).  Full rank mod p is already exact (minors can only vanish
+    further mod p); a deficit is accepted only once the lifted kernel
+    vectors (_lift_kernel) are verified exactly: T v = 0 is checked on the
+    scaled T in exact integer arithmetic (_product_is_zero), all the
+    matrices of a stack in one product.  The scaled entries stay int64
     unless one could reach 2^62 in a block sum.
     """
     dens = [lcm(*(x.denominator for x in row)) for row in values]
-    usable = [list(islice((p for p in walk if den % p), 4))
-              for den, walk in zip(dens, tee(primes, len(values)))]
+    primes = list(islice((p for p in primes if all(d % p for d in dens)), 4))
     ints = [[x.numerator * (den // x.denominator) for x in row]
             for row, den in zip(values, dens)]
     big = (max(map(len, blocks)) * max(abs(x) for row in ints for x in row)
            >= 2 ** 62)
     scaled = np.array(ints, dtype=object if big else np.int64)
-    residues = {}  # per (T, prime), on first use
     by_size = {}
     for stack in blocks:
         by_size.setdefault(stack.shape[-1], []).append(stack)
@@ -412,44 +411,34 @@ def _rank_exact_certified(values, blocks, primes):
     for N, stacks in by_size.items():
         # (T, block) pairs, the blocks of one shape in turn
         todo = [(t, stack) for stack in stacks for t in range(len(values))]
-        for attempt in range(4):
-            by_prime, unsettled = {}, []
-            for t, stack in todo:
-                if attempt < len(usable[t]):
-                    p = usable[t][attempt]
-                    by_prime.setdefault(p, []).append((t, stack))
-                else:
+        for p in primes:
+            if not todo:
+                break
+            rows = scaled[[t for t, _ in todo]]
+            mats = _block_sums((rows % p).astype(np.int64, copy=False),
+                               [s for _, s in todo])
+            mats %= p
+            rank_p, _, kernels = rref_mod_p(mats, p)
+            method = np.where(rank_p == N, 0, -1)
+            short = np.flatnonzero(rank_p < N)
+            if len(short):
+                vectors, ok = _lift_kernel(kernels[short], p)
+                lifted = short[ok]
+                if len(lifted):
+                    # verify T v = 0 exactly
+                    zero = _product_is_zero(
+                        _block_sums(rows[lifted],
+                                    [todo[i][1] for i in lifted]),
+                        vectors[ok].swapaxes(1, 2))
+                    method[lifted[zero]] = 1
+            unsettled = []
+            for (t, stack), rank, how in zip(todo, rank_p.tolist(),
+                                             method.tolist()):
+                if how < 0:
                     unsettled.append((t, stack))
-            for p, pairs in by_prime.items():
-                for t, _ in pairs:
-                    if (t, p) not in residues:
-                        residues[t, p] = [
-                            x.numerator * pow(x.denominator, -1, p) % p
-                            for x in values[t]]
-                mats = _block_sums(
-                    np.array([residues[t, p] for t, _ in pairs],
-                             dtype=np.int64), [s for _, s in pairs])
-                mats %= p
-                rank_p, _, kernels = rref_mod_p(mats, p)
-                method = np.where(rank_p == N, 0, -1)
-                short = np.flatnonzero(rank_p < N)
-                if len(short):
-                    vectors, ok = _lift_kernel(kernels[short], p)
-                    lifted = [pairs[i] for i in short[ok]]
-                    if lifted:
-                        # verify T v = 0 exactly
-                        zero = _product_is_zero(
-                            _block_sums(scaled[[t for t, _ in lifted]],
-                                        [s for _, s in lifted]),
-                            vectors[ok].swapaxes(1, 2))
-                        method[short[ok][zero]] = 1
-                for (t, stack), rank, how in zip(pairs, rank_p.tolist(),
-                                                 method.tolist()):
-                    if how < 0:
-                        unsettled.append((t, stack))
-                    else:
-                        ranks[t] += rank
-                        worst = max(worst, how)
+                else:
+                    ranks[t] += rank
+                    worst = max(worst, how)
             todo = unsettled
         for t, stack in todo:
             if N > 160:
@@ -531,8 +520,12 @@ def semisimple_verdicts(m, n, field, points, table=None, cap=500):
     determinants and the cross-check agreement flag (must always be True;
     a failure is an implementation bug, never an acceptable discrepancy).
     For n <= 1 there is no k = 1 cell to check against.  A point without
-    m loop parameters raises ValueError before anything is built.
+    m loop parameters, or a table of another (m, n), raises ValueError
+    before anything is built.
     """
+    if table is not None and (table.m, table.n) != (m, n):
+        raise ValueError("structure table of (%d, %d) given for (%d, %d)"
+                         % (table.m, table.n, m, n))
     points = _checked_points(m, points)
     if field.characteristic:
         return [{"verdict": "unsupported", "reason": "characteristic p"}

@@ -448,9 +448,43 @@ def test_rank_skips_a_prime_dividing_a_denominator(monkeypatch):
     rref = cycbrauer.oracle.rref_mod_p
     monkeypatch.setattr(cycbrauer.oracle, "rref_mod_p",
                         lambda a, prime: used.append(prime) or rref(a, prime))
-    (rank,), method = _rank_exact_certified([values], [index[None]], [p, q])
+    ordinary, _ = trace_matrix(StructureTable(1, 2), Q, [Fraction(3)])
+    ordinary = [x.coeffs[0] for x in ordinary]
+    ranks, method = _rank_exact_certified([values, ordinary], [index[None]],
+                                          [p, q])
+    # one list of primes per call: the ordinary T is ranked at q as well
     assert used == [q] and method.startswith("modular")
-    assert rank == gauss_rank(_expand(values, index))
+    assert ranks == [gauss_rank(_expand(values, index)),
+                     gauss_rank(_expand(ordinary, index))]
+
+
+_SMALL = st.fractions(-3, 3, max_denominator=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rank_of_several_value_lists_matches_gauss_rank(data):
+    # 1-4 value lists share 1-3 index stacks (|G| of 1 or 2, often several
+    # of one shape); a value may carry the first prime in its denominator,
+    # which moves the whole call to the second prime
+    p = primes_for_modular(1)[0]
+    V = data.draw(st.integers(1, 5))
+    value = st.one_of(_SMALL, _SMALL.map(lambda x: x / p))
+    lists = data.draw(st.lists(st.lists(value, min_size=V, max_size=V),
+                               min_size=1, max_size=4))
+    blocks = []
+    for b in data.draw(st.lists(st.sampled_from([1, 3, 12]), min_size=1,
+                                max_size=3)):
+        size = data.draw(st.integers(1, 2)) * b * b
+        blocks.append(np.array(data.draw(st.lists(
+            st.integers(0, V - 1), min_size=size, max_size=size)))
+            .reshape(-1, b, b))
+    ranks, _ = _rank_exact_certified(lists, blocks, primes_for_modular(1))
+    assert ranks == [
+        sum(gauss_rank([[sum(values[v] for v in entry) for entry in row]
+                        for row in np.moveaxis(stack, 0, -1).tolist()])
+            for stack in blocks)
+        for values in lists]
 
 
 def test_radical_replaces_every_prime_dividing_a_denominator(monkeypatch):
@@ -1024,6 +1058,19 @@ def test_oracle_refuses_a_delta_vector_of_the_wrong_length(monkeypatch,
         semisimple_verdicts(3, 2, F, [[1, 2, 2], deltas, [0, 0, 0]])
     with pytest.raises(ValueError, match="need m loop parameters"):
         radical_dimensions(_table(3, 2), F, [[F.one] * 3, deltas])
+
+
+@pytest.mark.parametrize("m,n,radical", [(2, 3, 54), (3, 2, 9)])
+def test_oracle_refuses_a_table_of_another_pair(m, n, radical):
+    # a (2,2) table used to answer for (2,3) with its own radical, 4, and
+    # to fail for (3,2) with "need m loop parameters"
+    F = CyclotomicField(m)
+    deltas = [F.zero] * m
+    with pytest.raises(ValueError, match=r"\(2, 2\) given for \(%d, %d\)"
+                       % (m, n)):
+        semisimple_verdict(m, n, F, deltas, table=_table(2, 2))
+    assert semisimple_verdict(m, n, F, deltas,
+                              table=_table(m, n))["radical"] == radical
 
 
 def _assert_sweep_matches_single_verdicts(grid, seed=2, cap=500, **settings):
