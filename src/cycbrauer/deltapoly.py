@@ -119,6 +119,9 @@ class SymbolicParams(_Field):
             return DeltaPoly(self, {})
         return DeltaPoly(self, {(0,) * self.m: scalar})
 
+    def root_of_unity(self, k):
+        return self.embed(self.field.root_of_unity(k))
+
     def delta(self, a):
         a = a % self.m
         if self.symmetric:

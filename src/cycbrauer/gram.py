@@ -13,8 +13,10 @@ They are kept clearly apart:
   spanned by the half diagrams with w = 1, read off star(x) * y: each
   entry is one character value times one loop parameter (identity and
   proof in cell_gram).  Symmetric; its determinants are the ones that
-  govern semisimplicity.  One entry pattern (cell_pairing) serves all its
-  evaluations: the distinct products, and the block guard run there once.
+  govern semisimplicity.  One entry pattern per (m, n) (cell_pairing, the
+  distinct products) gives every form's entries, and each determinant is
+  one cell's block determinants in the bar coordinates (cell_factors,
+  built and guarded once per (m, n, field)) at the point's bar transform.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from dataclasses import dataclass, field as dfield
+from functools import lru_cache
 
 import numpy as np
 
-from .deltapoly import SymbolicParams
+from .criterion import bar_deltas
+from .deltapoly import DeltaPoly, SymbolicParams
 from .diagrams import (NumericParams, basis_index, from_awb, generator,
                        iota_diagram, is_admissible, multiply_all,
                        star_diagram, times_loops)
@@ -186,32 +190,45 @@ def cell_gram(m, n, mu, params):
     strand.  So each block is anticirculant, A(k_x + k_y), or circulant,
     C(k_y - k_x), as the two arcs are run through in the same sense or not
     (the blocks pairing {1,2} with {2,3} are the circulant ones).  An
-    entry is a function of its pair (r0, loops), so cell_pairing checks
-    this once, on the pairs' integer codes, and raises otherwise.  With
-    F = (xi^{lk})_{l,k} and
-    hat X(l) = sum_s X(s) xi^{ls}, F A F^T is m diag(hat A(l)) and F C F^T
-    has m hat C(-l) at (l, -l) and zeros elsewhere, so (1_b (x) F) G
-    (1_b (x) F)^T is block diagonal over the orbits {l, -l}, with blocks of
-    size b or 2b.  F^2 = m J, J the permutation l -> -l, a product of
-    floor((m-1)/2) transpositions, so det G = (-1)^{b floor((m-1)/2)} times
-    the product of the block determinants with the factors m dropped: no
-    division, and the same code for polynomial and field entries.  At n = 2
-    the single block is anticirculant in delta_{k_x + k_y} and det G is
-    (-1)^{floor((m-1)/2)} prod_l bar_delta_l.
+    entry is a function of its pair (r0, loops), so _block_kinds checks
+    this on the pairs' integer codes and raises otherwise.  With
+    F = (xi^{uk})_{u,k} and hat X(u) = sum_s X(s) xi^{us}, X the block's
+    first row, F A F^T is m diag(hat A(u)) and F C F^T has m hat C(-u) at
+    (u, -u) and zeros elsewhere, so (1_b (x) F) G (1_b (x) F)^T is block
+    diagonal over the orbits {u, -u}, with blocks of size b or 2b.
+    F^2 = m J, J the permutation u -> -u, a product of floor((m-1)/2)
+    transpositions, so det G = (-1)^{b floor((m-1)/2)} times the product
+    of the block determinants with the factors m dropped: no division.
+
+    Bar coordinates.  Each hat is c xi^e bar_u or a constant, where
+    bar_u = sum_j delta_j xi^{ju} (criterion.bar_deltas) and c = m at
+    n = 3, 1 at n = 2.  Proof: in a block pairing an arc with itself, the
+    strand closes a loop and the through strand keeps r0 = 0; at k_x = 0
+    the loop's label is s, so X(s) = c xi^{-l} delta_s and hat X(u) =
+    c xi^{-l} bar_u.  Two distinct arcs share one point, so the strand is
+    the through strand, r0 = +-s, no loop closes, and hat X(u) =
+    m xi^{-l} sum_s xi^{(u +- l) s} is m^2 xi^{-l} at u = -+l and 0
+    elsewhere.  So each block determinant is a polynomial in
+    bar_0..bar_{m-1} that depends on (m, n, l) and the field alone
+    (cell_factors), and det G at a point is its value at the point's bar
+    transform, for numeric, finite-field and symbolic parameters alike.
+    At n = 2 the one block pairs the arc with itself, with c = 1 and
+    l = 0, so the block of {u, -u} is diag(bar_u, bar_{-u}) and det G is
+    (-1)^{floor((m-1)/2)} prod_u bar_u.
     """
-    return cell_form(m, n, mu, params, cell_pairing(m, n))
+    return cell_form(m, n, mu, params)
 
 
-CellPairing = namedtuple("CellPairing", "half pairs index circulant")
+CellPairing = namedtuple("CellPairing", "half pairs index")
 
 
+@lru_cache(maxsize=None)
 def cell_pairing(m, n):
     """The entry pattern behind cell_gram, which depends on neither mu nor
-    the parameters: the half diagrams v_x (w = 1 in v_basis), and
-    star(v_x) * v_y is the loops' deltas times alpha_0 (x) t^r0 (x) alpha_0
-    for (r0, loops) = pairs[index[x, y]], the distinct pairs; any other
-    product raises ValueError.  circulant[a, c] is the kind of arc block
-    (a, c), which _block_kinds reads off the codes once, here."""
+    the parameters, built once per (m, n) and shared: the half diagrams
+    v_x (w = 1 in v_basis), and star(v_x) * v_y is the loops' deltas times
+    alpha_0 (x) t^r0 (x) alpha_0 for (r0, loops) = pairs[index[x, y]], the
+    distinct pairs; any other product raises ValueError."""
     if n not in (2, 3):
         raise ValueError("cell Gram matrices need n = 2 or 3, got n = %d" % n)
     half = _half_diagrams(m, n, [identity(m, n - 2)])
@@ -225,8 +242,8 @@ def cell_pairing(m, n):
     codes, index = np.unique(out.reshape(-1, 2), axis=0, return_inverse=True)
     index = index.reshape(len(half), len(half))
     index.flags.writeable = False  # shared by every form on this pattern
-    pairs = [(targets[k], loops[u]) for k, u in codes.tolist()]
-    return CellPairing(half, pairs, index, _block_kinds(index, m))
+    pairs = tuple((targets[k], loops[u]) for k, u in codes.tolist())
+    return CellPairing(half, pairs, index)
 
 
 def _block_kinds(index, m):
@@ -245,51 +262,123 @@ def _block_kinds(index, m):
     return ~anti
 
 
-def cell_form(m, n, mu, params, pairing, compute_det=True):
-    """cell_gram evaluated on a pattern = cell_pairing(m, n): one value per
-    distinct pair, indexed by the pattern's own (read-only) index."""
+def cell_form(m, n, mu, params, compute_det=True):
+    """cell_gram, with the determinant left out on request: one value per
+    distinct pair of cell_pairing(m, n), indexed by its (read-only) index."""
+    pairing = cell_pairing(m, n)
     mu = check_multipartition(mu, m)
-    field = params.field
     sizes = [sum(p) for p in mu]
-    if n == 2:
-        if any(sizes):
-            raise ValueError("mu must be the empty multipartition")
-        weight = [field.one]  # no through strand: r0 = 0, trivial character
-    else:
-        if sum(sizes) != 1:
-            raise ValueError("mu must be a one-box multipartition")
+    if n == 2 and any(sizes):
+        raise ValueError("mu must be the empty multipartition")
+    if n == 3 and sum(sizes) != 1:
+        raise ValueError("mu must be a one-box multipartition")
+    field, l = params.field, 0
+    weight = [field.one]  # no through strand: r0 = 0, trivial character
+    if n == 3:
         l = -sizes.index(1) % m  # (1 - j) mod m, j the box's component
         xi = field.root_of_unity(m)
         weight = [field.embed(m) * xi ** (l * (r - 1) % m) for r in range(m)]
     values = [times_loops(params, params.one * weight[r0], loops)
               for r0, loops in pairing.pairs]
     return GramMatrix("cellular-form", values, pairing.index, pairing.half,
-                      _cell_det(pairing, values, m, params) if compute_det
-                      else None)
+                      _cell_det(m, n, l, params) if compute_det else None)
 
 
-def _cell_det(pairing, values, m, params):
-    """det G of the cell Gram matrix values[pairing.index], one
-    label-Fourier block per orbit {l, -l}, by minor expansion (identity in
-    cell_gram); the field must hold a primitive m-th root of unity."""
-    codes = pairing.index.tolist()
-    if isinstance(params, SymbolicParams) and len(codes) > 12:
+def _cell_det(m, n, l, params):
+    """det G of cell l: its factors at the bar transform of the parameters
+    (identity in cell_gram); the field must hold a primitive m-th root of
+    unity."""
+    symbolic = isinstance(params, SymbolicParams)
+    if symbolic and len(cell_pairing(m, n).index) > 12:
         return None  # symbolic determinant kept to small sizes
+    bars = bar_deltas(params if symbolic else params.field,
+                      [params.delta(a) for a in range(m)])
+    return cell_det_at(cell_factors(m, n, params.field)[l], bars, params.one)
+
+
+@lru_cache(maxsize=None)
+def cell_factors(m, n, field):
+    """Per cell, the block determinants whose product is det G, as
+    polynomials in bar_0..bar_{m-1} over field (cell_gram): one tuple per
+    l = 0..m-1 at n = 3 (the box in component 1 - l mod m), one at n = 2.
+    Built once per (m, n, field); a pattern whose blocks are not of the
+    proven form raises ValueError here."""
+    return _cell_factors(cell_pairing(m, n), m, n, field)
+
+
+def _cell_factors(pairing, m, n, field):
+    """cell_factors on a given pattern.  The polynomials are DeltaPoly over
+    SymbolicParams(m, field), whose variable i stands for bar_i."""
+    circulant = _block_kinds(pairing.index, m).tolist()
+    codes = pairing.index.tolist()
     b = len(codes) // m
-    xi = params.field.root_of_unity(m)
-    powers = [xi ** e for e in range(m)]
-    hats = [[[sum((values[v] * powers[l * s % m]
-                   for s, v in enumerate(codes[a * m][c * m:(c + 1) * m])
-                   if values[v]), params.zero) for l in range(m)]
+    rows = [[[pairing.pairs[v] for v in codes[a * m][c * m:(c + 1) * m]]
              for c in range(b)] for a in range(b)]
-    circulant = pairing.circulant.tolist()
-    det = -params.one if b * ((m - 1) // 2) % 2 else params.one
-    for l in range(m // 2 + 1):
-        index = [(t, a) for t in sorted({l, -l % m}) for a in range(b)]
-        # the transformed matrix at rows (t, a), columns (u, c)
-        block = [[hats[a][c][u] if u == (-t % m if circulant[a][c] else t)
-                  else params.zero for u, c in index] for t, a in index]
-        det = det * minor_det(block, params.zero, params.one)
+    ring = SymbolicParams(m, field)
+    root_sum = _root_sum(field, m, m if n == 3 else 1)
+    cells = []
+    for l in range(m if n == 3 else 1):
+        hats = [[[_bar_form(row, l, u, root_sum, ring) for u in range(m)]
+                 for row in arc] for arc in rows]
+        dets = []
+        for t0 in range(m // 2 + 1):
+            index = [(t, a) for t in sorted({t0, -t0 % m}) for a in range(b)]
+            # the transformed matrix at rows (t, a), columns (u, c)
+            block = [[hats[a][c][u] if u == (-t % m if circulant[a][c] else t)
+                      else ring.zero for u, c in index] for t, a in index]
+            dets.append(minor_det(block, ring.zero, ring.one))
+        if b * ((m - 1) // 2) % 2:
+            dets[0] = -dets[0]
+        # lowest degree first, so that a symbolic determinant multiplies
+        # its smaller values first
+        cells.append(tuple(sorted(dets, key=lambda f: max(map(sum, f.terms),
+                                                          default=0))))
+    return tuple(cells)
+
+
+def _root_sum(field, m, c):
+    """The map from a sorted tuple E of exponents to c sum_{e in E} xi^e,
+    each sum taken once."""
+    xi = field.root_of_unity(m)
+    return lru_cache(maxsize=None)(
+        lambda exps: field.embed(c) * sum((xi ** e for e in exps), field.zero))
+
+
+def _bar_form(row, l, u, root_sum, ring):
+    """hat X(u) = sum_s X(s) xi^{us} for cell l of an arc block with first
+    row row, the pairs (r0, loops) at s, where the entry is c xi^{l(r0 - 1)}
+    times the loops' deltas (cell_gram; r0 = 0 at n = 2), and root_sum
+    (_root_sum) sums c xi^e.  Read off the exponents over the integers, it
+    is a constant, or c sum_{e in E} xi^e bar_u when the exponents at each
+    delta_j are E, those at delta_0, shifted by uj; anything else raises
+    ValueError."""
+    m = ring.m
+    consts, loops = [], [[] for _ in range(m)]  # loops[j]: at delta_j
+    for s, (r0, labels) in enumerate(row):
+        if len(labels) > 1:
+            raise ValueError("a cell Gram entry closes %d loops" % len(labels))
+        e = (l * (r0 - 1) + u * s) % m
+        (loops[labels[0]] if labels else consts).append(e)
+    coef = root_sum(tuple(sorted(consts or loops[0])))
+    if not any(loops):
+        return ring.embed(coef)
+    if consts or any(sorted(loops[j]) != sorted((e + u * j) % m
+                                                 for e in loops[0])
+                     for j in range(1, m)):
+        raise ValueError("label-Fourier entry at u = %d is neither a "
+                         "constant nor c * bar_%d" % (u, u))
+    bar_u = tuple(int(k == u) for k in range(m))
+    return DeltaPoly(ring, {bar_u: coef} if coef else {})
+
+
+def cell_det_at(factors, bars, one):
+    """The determinant that factors (one cell of cell_factors) give at a
+    bar vector: their values' product, with one the ring's unit."""
+    det = one
+    for f in factors:
+        det = det * f.evaluate(bars)
+        if not det:
+            break
     return det
 
 
@@ -308,9 +397,8 @@ def single_box_gram(m):
     field = CyclotomicField(m)
     params = SymbolicParams(m, field)
     mu = tuple([(1,)] + [()] * (m - 1))
-    pairing = cell_pairing(m, 3)
-    gm = cell_form(m, 3, mu, params, pairing, compute_det=False)
-    zero = cell_form(m, 3, mu, NumericParams(field, [field.zero] * m), pairing)
+    gm = cell_form(m, 3, mu, params, compute_det=False)
+    zero = cell_form(m, 3, mu, NumericParams(field, [field.zero] * m))
     a = field.embed(m)
     mismatches = [{"row": r, "col": c, "got": str(x), "want": str(y)}
                   for r, row in enumerate(zero.entries)

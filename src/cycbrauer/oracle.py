@@ -20,14 +20,16 @@ indexes.
 Plan and evaluation.  What does not depend on delta is built once per
 StructureTable, which a sweep item shares across its points: the products,
 the trace plan (diagonal monomial counts, the distinct count rows, the
-numbering of (monomial, trace class) pairs and the read-only index), the
-symmetry plan (below) and, on first use, the cell pairing of the n in
-{2, 3} cross-check.  The modular primes are found once per m.  A sweep
-item makes one oracle pass over its points (semisimple_verdicts): each
-point evaluates only its monomials, traces and values, the symmetry checks
-and the cell Gram entries and determinants (the circulant guard
-included), and the certified ranks of all the points are found together
-(radical_dimensions).  A single verdict is the pass over one point.
+numbering of (monomial, trace class) pairs and the read-only index) and
+the symmetry plan (below).  The modular primes are found once per m, and
+the cell determinants of the n in {2, 3} cross-check once per (m, n,
+field), as polynomials in the bar coordinates whose block guard runs
+there (gram.cell_factors).  A sweep item makes one oracle pass over its
+points (semisimple_verdicts): each point evaluates only its monomials,
+traces and values, the symmetry checks and one bar transform, at which
+the cross-check evaluates the cells' factors, and the certified ranks of
+all the points are found together (radical_dimensions).  A single
+verdict is the pass over one point.
 
 Symmetry blocks.  On the admissible locus T(x, y) = tr(L_{xy}) keeps its
 value when one basis permutation g acts on both x and y, for three kinds
@@ -85,7 +87,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cached_property
 from itertools import groupby, islice
 from math import lcm, prod
 
@@ -93,11 +94,10 @@ import numpy as np
 
 from . import __version__
 from .criterion import VARIANTS, bar_deltas, decide, g_mu_values, z_set
-from .diagrams import (OFF_LOCUS_NOTE, NumericParams, basis_index,
-                       basis_involutions, basis_size, deltas_admissible,
-                       enumerate_basis, generator, identity_diagram,
-                       multiply_all)
-from .gram import cell_form, cell_pairing
+from .diagrams import (OFF_LOCUS_NOTE, basis_index, basis_involutions,
+                       basis_size, deltas_admissible, enumerate_basis,
+                       generator, identity_diagram, multiply_all)
+from .gram import cell_det_at, cell_factors
 from .linalg import gauss_rank, modular_primes, rational_reconstruct, rref_mod_p
 from .scalars import CyclotomicField, power
 
@@ -175,12 +175,6 @@ class StructureTable:
                 self.index, [self.symmetries[k][0] for k in kept],
                 len(values))
         return self._blocks[kept]
-
-    @cached_property
-    def cell_pairing(self):
-        """The cell forms' entry pattern gram.cell_pairing(m, n), built and
-        its block kinds checked once, on first use (n in {2, 3})."""
-        return cell_pairing(self.m, self.n)
 
 
 def _involutions(table):
@@ -495,19 +489,14 @@ def radical_dimensions(table, field, points):
     return radicals
 
 
-def _cell_det_values(table, field, deltas):
-    """Determinants of the k = 1 cell Gram matrices (n in {2, 3} only),
-    evaluated on the table's cell pairing."""
-    m, n = table.m, table.n
-    if n == 2:
-        cells = [("empty", tuple(() for _ in range(m)))]
-    else:
-        cells = [("box-comp-%d" % j,
-                  tuple((1,) if c == j else () for c in range(1, m + 1)))
-                 for j in range(1, m + 1)]
-    params = NumericParams(field, deltas)
-    return [(tag, cell_form(m, n, mu, params, table.cell_pairing).det)
-            for tag, mu in cells]
+def _cell_det_values(m, n, field, deltas):
+    """Determinants of the k = 1 cell Gram matrices (n in {2, 3} only): the
+    cells' factors (gram.cell_factors) at the point's bar transform."""
+    bars, factors = bar_deltas(field, deltas), cell_factors(m, n, field)
+    tags = ["empty"] if n == 2 else ["box-comp-%d" % j for j in range(1, m + 1)]
+    # the box in component j is the cell l = (1 - j) mod m
+    return [(tag, cell_det_at(factors[(1 - j) % m], bars, field.one))
+            for j, tag in enumerate(tags, 1)]
 
 
 def semisimple_verdicts(m, n, field, points, table=None, cap=500):
@@ -543,7 +532,7 @@ def semisimple_verdicts(m, n, field, points, table=None, cap=500):
         if not out["admissible"]:
             out["note"] = OFF_LOCUS_NOTE
         if n in (2, 3):
-            dets = _cell_det_values(table, field, deltas)
+            dets = _cell_det_values(m, n, field, deltas)
             out["cell_dets"] = [(tag, str(v)) for tag, v in dets]
             cells_ok = all(v for _, v in dets)
             out["cross_check_agrees"] = (rad == 0) == cells_ok

@@ -16,14 +16,17 @@ from cycbrauer.diagrams import (DiagramAlgebra, NumericParams, SymbolicParams,
                                 is_admissible, multiply_diagrams, times_loops,
                                 wreath_to_diagram)
 from cycbrauer.criterion import bar_deltas
-from cycbrauer.gram import (GramMatrix, _block_kinds, cell_form, cell_gram,
-                            cell_pairing, equivariance_check, gram_big,
-                            shape_check, single_box_gram, v_basis)
+from cycbrauer.gram import (GramMatrix, _bar_form, _block_kinds,
+                            _cell_factors, _root_sum, cell_det_at,
+                            cell_factors, cell_form, cell_gram, cell_pairing,
+                            equivariance_check, gram_big, shape_check,
+                            single_box_gram, v_basis)
 from cycbrauer.linalg import gauss_det, minor_det
-from cycbrauer.oracle import _hyperplane_point
+from cycbrauer.oracle import _cell_det_values, _hyperplane_point
 from cycbrauer.scalars import CyclotomicField, field_with_root
 from cycbrauer.wreath import (WreathElement, compose, enumerate_group, gen_s,
                               gen_t)
+from celldet import fourier_det
 from strands import reference_product
 
 Q = CyclotomicField(1)
@@ -359,8 +362,7 @@ def test_cell_gram_matches_star_product_reference(kind):
                 size = m if n == 2 else 3 * m
                 with_det = size <= (6 if kind in ("symbolic", "symmetric")
                                     else 12)
-                g = cell_form(m, n, mu, params, cell_pairing(m, n),
-                              compute_det=with_det)
+                g = cell_form(m, n, mu, params, compute_det=with_det)
                 entries, det = _reference_cell_gram(m, n, mu, params, with_det)
                 assert g.entries == entries, (kind, m, n, mu)
                 assert g.det == det, (kind, m, n, mu)
@@ -376,8 +378,7 @@ def test_cell_gram_symmetric(m, n, box, admissible, raw):
     F = CyclotomicField(m)
     deltas = [raw[min(a, m - a)] if admissible else raw[a] for a in range(m)]
     mu = tuple((1,) if c == box % m and n == 3 else () for c in range(m))
-    g = cell_form(m, n, mu, NumericParams(F, deltas), cell_pairing(m, n),
-                  compute_det=False)
+    g = cell_form(m, n, mu, NumericParams(F, deltas), compute_det=False)
     for i in range(g.size):
         for j in range(g.size):
             assert g.entries[i][j] == g.entries[j][i]
@@ -408,20 +409,47 @@ def test_cell_det_blocks_match_full_minor_det(symmetric):
         assert g.det == minor_det(g.entries, params.zero, params.one), (m, n, mu)
 
 
-@settings(max_examples=40, deadline=None)
-@given(m=st.integers(1, 6), n=st.sampled_from([2, 3]), box=st.integers(0, 5),
+def _cell_mus_in_order(m, n):
+    """The cells of oracle._cell_det_values, in its order."""
+    if n == 2:
+        return [tuple(() for _ in range(m))]
+    return _one_box_mus(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 6), n=st.sampled_from([2, 3]),
        char=st.sampled_from([0, 5, 7]),
+       kind=st.sampled_from(["zero", "admissible", "off-locus", "hyperplane"]),
        raw=st.lists(st.fractions(min_value=-9, max_value=9,
-                                 max_denominator=9), min_size=6, max_size=6))
-def test_cell_det_matches_gauss_det(m, n, box, char, raw):
-    # at random points of Q(zeta_m) and of GF(p^k), on and off the locus
+                                 max_denominator=9), min_size=6, max_size=6),
+       i=st.integers(0, 3), bar=st.sampled_from([-2, -1, 0, 1]),
+       seed=st.integers(0, 99))
+def test_cell_det_matches_gauss_det(m, n, char, kind, raw, i, bar, seed):
+    # the oracle's cross-check (_cell_det_values), cell_gram, the per-point
+    # label-Fourier reference and gauss_det of the entries agree, over
+    # Q(zeta_m) and GF(p^k), at delta = 0, on and off the admissible locus
+    # and on a hyperplane bar_i = bar_{-i} = bar * m, other bars random
     if char == 5 and m == 5:
         char = 7
     F = field_with_root(char, m)
-    deltas = [F.embed(x if char == 0 else x.numerator) for x in raw[:m]]
-    mu = tuple((1,) if c == box % m and n == 3 else () for c in range(m))
-    g = cell_gram(m, n, mu, NumericParams(F, deltas))
-    assert g.det == gauss_det(g.entries, F.one)
+    if kind == "zero":
+        deltas = [F.zero] * m
+    elif kind == "hyperplane":
+        i %= m // 2 + 1
+        deltas = _hyperplane_point(F, m, i, (m if i == 0 else 0) - bar * m,
+                                   random.Random(seed))
+    else:
+        deltas = [F.embed(x if char == 0 else x.numerator) for x in raw[:m]]
+        if kind == "admissible":
+            deltas = [deltas[min(a, m - a)] for a in range(m)]
+        elif char == 0:
+            deltas[-1] = deltas[-1] + F.zeta
+    params = NumericParams(F, deltas)
+    got = _cell_det_values(m, n, F, deltas)
+    for (_, det), mu in zip(got, _cell_mus_in_order(m, n), strict=True):
+        g = cell_gram(m, n, mu, params)
+        assert det == g.det == fourier_det(m, n, mu, params), (kind, mu)
+        assert det == gauss_det(g.entries, F.one), (kind, mu)
 
 
 def test_cell_det_on_hyperplanes():
@@ -449,13 +477,14 @@ def test_cell_det_guard_rejects_a_perturbed_entry(m):
     # the block guard reads the pattern's integer codes: the blocks pairing
     # {1,2} with {2,3} are circulant (at m = 2 both kinds coincide and
     # anticirculant is read first), and one changed code leaves a block
-    # neither anticirculant nor circulant
+    # neither anticirculant nor circulant, so the factors are not built
     rng = random.Random(m)
     pairing = cell_pairing(m, 3)
+    F = CyclotomicField(m)
     circulant = m > 2
-    assert pairing.circulant.tolist() == [[False, False, circulant],
-                                          [False, False, False],
-                                          [circulant, False, False]]
+    assert _block_kinds(pairing.index, m).tolist() == [
+        [False, False, circulant], [False, False, False],
+        [circulant, False, False]]
     for _ in range(5):
         index = pairing.index.copy()
         r, c = rng.randrange(3 * m), rng.randrange(3 * m)
@@ -463,13 +492,66 @@ def test_cell_det_guard_rejects_a_perturbed_entry(m):
         with pytest.raises(ValueError, match="neither anticirculant nor "
                                              "circulant"):
             _block_kinds(index, m)
+        with pytest.raises(ValueError, match="neither anticirculant nor "
+                                             "circulant"):
+            _cell_factors(pairing._replace(index=index), m, 3, F)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_cell_factors_reject_an_entry_off_the_bar_form(m):
+    # the codes keep every block's kind, but a pair whose loop is
+    # relabelled leaves a Fourier entry of a diagonal block that is
+    # neither a constant nor c * bar_u, and a pair with two loops no form
+    # of the proof
+    pairing = cell_pairing(m, 3)
+    F = CyclotomicField(m)
+    v = pairing.pairs.index((0, (1,)))
+    for loops, match in (((0,), "neither a constant nor c \\* bar_"),
+                         ((1, 1), "closes 2 loops")):
+        pairs = list(pairing.pairs)
+        pairs[v] = (0, loops)
+        with pytest.raises(ValueError, match=match):
+            _cell_factors(pairing._replace(pairs=tuple(pairs)), m, 3, F)
+
+
+def test_cell_fourier_entries_are_constants_or_one_bar_coordinate():
+    # the proof in cell_gram, on the patterns at m <= 8 (n = 3) and m <= 12
+    # (n = 2): every label-Fourier entry hat X(u) is a constant or
+    # c xi^e bar_u, each block determinant has at most 8 terms, and at
+    # n = 2 det G is (-1)^{floor((m-1)/2)} prod_u bar_u
+    for n, ms in ((3, range(1, 9)), (2, range(1, 13))):
+        for m in ms:
+            F = CyclotomicField(m)
+            ring = SymbolicParams(m, F)  # delta(u) stands for bar_u
+            pairing = cell_pairing(m, n)
+            codes = pairing.index.tolist()
+            root_sum = _root_sum(F, m, m if n == 3 else 1)
+            for l in range(m if n == 3 else 1):
+                for a, c in itertools.product(range(len(codes) // m),
+                                              repeat=2):
+                    row = [pairing.pairs[v]
+                           for v in codes[a * m][c * m:(c + 1) * m]]
+                    for u in range(m):
+                        hat = _bar_form(row, l, u, root_sum, ring)
+                        bar_u = tuple(int(k == u) for k in range(m))
+                        assert set(hat.terms) <= {(0,) * m, bar_u}, (m, n)
+                        assert len(hat.terms) <= 1, (m, n)
+            factors = cell_factors(m, n, F)
+            assert len(factors) == (m if n == 3 else 1)
+            assert all(len(f.terms) <= 8 for cell in factors for f in cell)
+            if n == 2:
+                want = ring.one if (m - 1) // 2 % 2 == 0 else -ring.one
+                for u in range(m):
+                    want = want * ring.delta(u)
+                assert cell_det_at(factors[0], [ring.delta(u) for u in
+                                                range(m)], ring.one) == want
 
 
 def test_cell_pairing_index_is_read_only():
-    # every form that cell_form evaluates on one pattern shares its index
+    # every form on one (m, n) shares the pattern's index
     pairing = cell_pairing(3, 3)
     F = CyclotomicField(3)
-    forms = [cell_form(3, 3, mu, NumericParams(F, [F.one] * 3), pairing)
+    forms = [cell_form(3, 3, mu, NumericParams(F, [F.one] * 3))
              for mu in _one_box_mus(3)]
     assert all(g.index is pairing.index for g in forms)
     with pytest.raises(ValueError, match="read-only"):

@@ -1,9 +1,11 @@
 """Trace-form oracle and the concordance harness."""
 
 import hashlib
+import importlib
 import itertools
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -18,13 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cycbrauer
-from cycbrauer import criterion, diagrams, oracle
+from cycbrauer import criterion, diagrams, gram, oracle
 from cycbrauer.criterion import z_set
 from cycbrauer.diagrams import (Diagram, NumericParams,
                                 basis_involutions, basis_size,
                                 enumerate_basis, generator, identity_diagram,
                                 star_diagram)
-from cycbrauer.gram import cell_gram
+from cycbrauer.gram import cell_form
 from cycbrauer.oracle import (StructureTable, _cell_det_values,
                               _character_blocks, _code_pairs,
                               _hyperplane_point,
@@ -35,7 +37,7 @@ from cycbrauer.oracle import (StructureTable, _cell_det_values,
                               report_csv, semisimple_verdict,
                               semisimple_verdicts, sweep_item,
                               sweep_points, trace_matrix)
-from cycbrauer.linalg import gauss_rank, primes_for_modular
+from cycbrauer.linalg import gauss_det, gauss_rank, primes_for_modular
 from cycbrauer.scalars import CyclotomicField, FiniteField
 from cycbrauer.wreath import compose, enumerate_group, identity
 from strands import reference_product
@@ -942,20 +944,26 @@ def test_concordance_sweep_small():
 
 
 def test_sweep_computes_one_bar_transform_per_point(monkeypatch):
-    # the three variants and g_mu_values at a point share one transform;
-    # generating an on-hyperplane point inverts one more
+    # the three variants and g_mu_values at a point share one transform
+    # (criterion._bars), the cell-determinant cross-check takes one more
+    # per point, and generating an on-hyperplane point inverts one more.
+    # Every binding of bar_deltas in the package is counted, by caller
     calls, transform = Counter(), criterion.bar_deltas
-    for mod in (criterion, oracle):
-        def counted(*args, mod=mod):
-            calls[mod.__name__] += 1
-            return transform(*args)
-        monkeypatch.setattr(mod, "bar_deltas", counted)
+
+    def counted(*args):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return transform(*args)
+    for info in pkgutil.iter_modules(cycbrauer.__path__):
+        mod = importlib.import_module("cycbrauer." + info.name)
+        if getattr(mod, "bar_deltas", None) is transform:
+            monkeypatch.setattr(mod, "bar_deltas", counted)
     criterion._bars.cache_clear()
     report = concordance_sweep([(2, 2), (3, 2), (2, 3)], seed=4,
                                generic_points=3, hyperplane_points=2)
     provenance = Counter(p["provenance"] for p in report["points"])
-    assert calls == {"cycbrauer.criterion": sum(provenance.values()),
-                     "cycbrauer.oracle": provenance["on-hyperplane"]}
+    points = sum(provenance.values())
+    assert calls == {"_bars": points, "_cell_det_values": points,
+                     "_hyperplane_point": provenance["on-hyperplane"]}
 
 
 def test_concordance_sweep_points_are_admissible():
@@ -977,19 +985,44 @@ def _cell_points(m):
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 5) for n in (2, 3)])
 def test_cell_det_values_match_cell_gram(m, n):
-    # the sweep side reads the table's one pairing; cell_gram builds its own
+    # the cross-check's determinants against gauss_det of cell_gram's
+    # entries, an expansion that shares nothing with the bar coordinates
     F = CyclotomicField(m)
-    t = StructureTable(m, n, cap=basis_size(m, n))
     mus = [tuple((1,) if c == j and n == 3 else () for c in range(m))
            for j in range(m if n == 3 else 1)]
     for deltas in _cell_points(m):
-        got = _cell_det_values(t, F, deltas)
-        want = [cell_gram(m, n, mu, NumericParams(F, deltas)).det
+        got = _cell_det_values(m, n, F, deltas)
+        want = [gauss_det(cell_form(m, n, mu, NumericParams(F, deltas),
+                                    compute_det=False).entries, F.one)
                 for mu in mus]
         assert [v for _, v in got] == want, (m, n, deltas)
         assert [tag for tag, _ in got] == (
             ["empty"] if n == 2 else
             ["box-comp-%d" % j for j in range(1, m + 1)])
+
+
+def test_cell_factors_are_built_once_per_pair_and_field(monkeypatch):
+    # the tracked sweep builds the factors of each (m, n, field) once, and
+    # further verdicts there build nothing new
+    builds, build = Counter(), gram._cell_factors
+
+    def counted(pairing, m, n, field):
+        builds[(m, n, field)] += 1
+        return build(pairing, m, n, field)
+    monkeypatch.setattr(gram, "_cell_factors", counted)
+    gram.cell_factors.cache_clear()
+    config = json.loads((REPORTS / "concordance.config.json").read_text())
+    items = sweep_points(config["grid"], config["seed"],
+                         config["generic_points"], config["hyperplane_points"])
+    concordance_sweep(config["grid"], config["seed"], config["cap"],
+                      config["generic_points"], config["hyperplane_points"])
+    want = {(m, n, CyclotomicField(m)): 1 for m, n, _ in items}
+    assert builds == want
+    for m, n, todo in items:
+        F, table = CyclotomicField(m), StructureTable(m, n)
+        for _, deltas in todo[:3]:
+            semisimple_verdict(m, n, F, deltas, table=table)
+    assert builds == want
 
 
 @pytest.fixture
@@ -1016,18 +1049,20 @@ def strand_calls(monkeypatch):
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3)])
 def test_sweep_item_pairs_the_half_diagrams_once(strand_calls, m, n):
-    # one table and one cell pairing per item, however many points the
-    # item has: the pairing composes b^2 skeleton pairs, b = 1 arc at n = 2
-    # and 3 at n = 3, and no product goes through multiply_diagrams
+    # one table per item, however many points the item has, and one cell
+    # pairing per (m, n) in the process, composed on first use: b^2
+    # skeleton pairs, b = 1 arc at n = 2 and 3 at n = 3; no product goes
+    # through multiply_diagrams
     StructureTable(m, n)
     table = strand_calls["_compose_skeletons"]
     assert table == (basis_size(m, n) // m ** n) ** 2
     (item,) = sweep_points([(m, n)], seed=3, generic_points=3)
-    for k in (1, len(item[2])):
+    gram.cell_pairing.cache_clear()
+    gram.cell_factors.cache_clear()
+    for k, pairing in ((1, (1 if n == 2 else 3) ** 2), (len(item[2]), 0)):
         strand_calls.clear()
         sweep_item((m, n, item[2][:k]))
-        assert strand_calls == {"_compose_skeletons":
-                                table + (1 if n == 2 else 3) ** 2}, k
+        assert strand_calls == {"_compose_skeletons": table + pairing}, k
 
 
 def test_refused_delta_builds_no_table(monkeypatch):
@@ -1119,14 +1154,18 @@ def test_sweep_matches_single_verdicts_across_stacks():
 
 
 def test_fresh_verdicts_share_no_structure(strand_calls):
-    # no cache outlives a table: the tenth cold verdict composes as many
-    # skeleton pairs as the first
+    # no structure table outlives its verdict: the tenth cold verdict
+    # composes the table's skeleton pairs as the first did.  The cell
+    # pairing of the cross-check is kept per (m, n): only the first
+    # verdict after the caches are emptied composes it
     F = CyclotomicField(2)
+    gram.cell_pairing.cache_clear()
+    gram.cell_factors.cache_clear()
     counts = []
     for _ in range(10):
         strand_calls.clear()
         semisimple_verdict(2, 3, F, [F.one, F.embed(3)])
         counts.append(dict(strand_calls))
-    assert counts == [counts[0]] * 10
     # 15 skeletons in the table, 3 in the cell pairing
-    assert counts[0] == {"_compose_skeletons": 15 ** 2 + 3 ** 2}
+    assert counts == ([{"_compose_skeletons": 15 ** 2 + 3 ** 2}]
+                      + [{"_compose_skeletons": 15 ** 2}] * 9)
