@@ -15,7 +15,8 @@ Exit codes:
 
 Scalar syntax for --delta: comma-separated components delta_0..delta_{m-1};
 each component is a rational like 7/2 or a colon-separated coefficient
-vector over the power basis of the root of unity, like 1:2/3.
+vector c_0:c_1:... standing for sum_i c_i zeta^i, zeta the field's
+primitive m-th root of unity (in every characteristic), like 1:2/3.
 """
 
 from __future__ import annotations
@@ -107,7 +108,8 @@ def _params(args, symmetric=False):
     """The loop parameters of a --char/--delta command: generic symbolic
     ones (on the admissible locus if symmetric) when --delta is absent,
     else the --delta point, m comma-separated components, each a rational
-    or a colon-separated coefficient vector."""
+    or a colon-separated coefficient vector on the powers of the field's
+    m-th root of unity."""
     field, m, text = field_with_root(args.char, args.m), args.m, args.delta
     if text is None:
         return SymbolicParams(m, field, symmetric)
@@ -119,8 +121,10 @@ def _params(args, symmetric=False):
         raise UsageError("argument --delta: expected %d comma-separated "
                          "rationals or coefficient vectors (like 7/2 or "
                          "1:2/3), got %r" % (m, text))
-    return NumericParams(field, [field.element(c) if len(c) > 1
-                                 else field.embed(c[0]) for c in parts])
+    zeta = field.root_of_unity(m)
+    return NumericParams(field, [sum((field.coerce(c) * zeta ** i
+                                      for i, c in enumerate(cs)), field.zero)
+                                 for cs in parts])
 
 
 def main(argv=None):
@@ -342,18 +346,21 @@ def _is_int(value, low=None):
             and (low is None or value >= low))
 
 
-def _is_rational(value):
-    try:
-        Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        return False
-    return True
+def _rational(value):
+    """A config delta as a Fraction: an integer (not a bool) or a rational
+    string like "7/2"; None for anything else (a float, say)."""
+    if _is_int(value) or isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    return None
 
 
 def _check_grid_item(item):
     """A config grid item is [m, n] or {"m": m, "n": n, "deltas": [...]}
     (no other keys), with m >= 1 and n >= 0 as for --pairs and m rationals
-    per delta."""
+    per delta; returned with its deltas as Fractions."""
     if isinstance(item, dict):
         pair, vectors = [item.get("m"), item.get("n")], item.get("deltas", [])
         ok = set(item) <= {"m", "n", "deltas"}
@@ -362,13 +369,15 @@ def _check_grid_item(item):
     ok = (ok and isinstance(pair, list) and len(pair) == 2
           and _is_int(pair[0], 1) and _is_int(pair[1], 0)
           and isinstance(vectors, list)
-          and all(isinstance(v, list) and len(v) == pair[0]
-                  and all(map(_is_rational, v)) for v in vectors))
-    if not ok:
+          and all(isinstance(v, list) and len(v) == pair[0] for v in vectors))
+    deltas = [[_rational(x) for x in v] for v in vectors] if ok else []
+    if not ok or any(None in v for v in deltas):
         raise UsageError("config key 'grid': bad item %s: expected [m, n] or "
                          "{\"m\": m, \"n\": n, \"deltas\": [...]} with "
-                         "m >= 1, n >= 0 and m rationals per delta vector"
+                         "m >= 1, n >= 0 and m rationals (integers or "
+                         "\"p/q\" strings) per delta vector"
                          % json.dumps(item))
+    return {"m": pair[0], "n": pair[1], "deltas": deltas}
 
 
 def _read_config(path):
@@ -394,8 +403,7 @@ def _read_config(path):
     grid = cfg.get("grid", [])
     if not isinstance(grid, list):
         raise UsageError("config key 'grid': expected a list")
-    for item in grid:
-        _check_grid_item(item)
+    grid = [_check_grid_item(item) for item in grid]
     return grid, {key: cfg[key] for key in _CONCORD_INTS if key in cfg}
 
 

@@ -123,30 +123,15 @@ def basis_size(m, n):
 
 
 def enumerate_basis(m, n):
-    """All m^n (2n-1)!! normal-form diagrams, deterministic order; refused
-    above 10^5 of them."""
+    """All m^n (2n-1)!! normal-form diagrams in basis_index order: skeleton
+    s (_skeleton_arcs(n, s)) for s in turn, each with its labellings as
+    base-m numbers; refused above 10^5 of them."""
     if basis_size(m, n) > 10 ** 5:
         raise ValueError("basis size %d exceeds cap %d"
                          % (basis_size(m, n), 10 ** 5))
-    out = []
-
-    def matchings(points):
-        if not points:
-            yield []
-            return
-        a = points[0]
-        for k in range(1, len(points)):
-            b = points[k]
-            rest = points[1:k] + points[k + 1:]
-            for rec in matchings(rest):
-                yield [(a, b)] + rec
-
-    # matchings yields arcs (p, q), p < q, in increasing p: the normal form
-    for match in matchings(list(range(1, 2 * n + 1))):
-        arcs = tuple(match)
-        out.extend(Diagram(m, n, arcs, labels)
-                   for labels in itertools.product(range(m), repeat=n))
-    return out
+    return [Diagram(m, n, _skeleton_arcs(n, s), labels)
+            for s in range(double_factorial(2 * n - 1))
+            for labels in itertools.product(range(m), repeat=n)]
 
 
 # ---------------------------------------------------------------------------

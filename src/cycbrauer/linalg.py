@@ -172,7 +172,7 @@ def _echelon(a, p):
     rows = np.zeros((k, ncols, ncols), np.int64)
     pivots = np.zeros((k, ncols), bool)
     c0 = 0
-    while c0 < ncols and h:
+    while c0 < ncols and k * h:
         last = ncols - c0 <= _PANEL + _PANEL // 2
         c1 = ncols if last else c0 + _PANEL
         w = c1 - c0

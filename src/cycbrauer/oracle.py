@@ -24,12 +24,13 @@ numbering of (monomial, trace class) pairs and the read-only index) and
 the symmetry plan (below).  The modular primes are found once per m, and
 the cell determinants of the n in {2, 3} cross-check once per (m, n,
 field), as polynomials in the bar coordinates whose block guard runs
-there (gram.cell_factors).  A sweep item makes one oracle pass over its
-points (semisimple_verdicts): each point evaluates only its monomials,
+there (gram.cell_factors).  The oracle pass, semisimple_verdicts, takes
+a built table and a list of points, and a sweep item makes one pass over
+its points on its own table: each point evaluates only its monomials,
 traces and values, the symmetry checks and one bar transform, at which
 the cross-check evaluates the cells' factors, and the certified ranks of
-all the points are found together (radical_dimensions).  A single
-verdict is the pass over one point.
+all the points are found together.  A single verdict (semisimple_verdict)
+is the pass over one point on a table of its own.
 
 Symmetry blocks.  On the admissible locus T(x, y) = tr(L_{xy}) keeps its
 value when one basis permutation g acts on both x and y, for three kinds
@@ -445,29 +446,50 @@ def _rank_exact_certified(values, blocks, primes):
     return ranks, _METHODS[worst]
 
 
-def _checked_points(m, points):
-    """points as a list, each a list of m loop parameters; a point of
-    another length raises the ValueError of criterion.decide."""
+def _checked_points(m, field, points):
+    """points as a list, each a list of m elements of field (field.coerce);
+    a point of another length raises the ValueError of criterion.decide."""
     points = [list(deltas) for deltas in points]
     if any(len(deltas) != m for deltas in points):
         raise ValueError("need m loop parameters")
-    return points
+    return [[field.coerce(d) for d in deltas] for deltas in points]
 
 
-def radical_dimensions(table, field, points):
-    """dim of the radical of the trace form at each point (a sequence of
-    delta vectors); 0 iff semisimple (char 0).
+def _cell_det_values(m, n, field, deltas):
+    """Determinants of the k = 1 cell Gram matrices (n in {2, 3} only): the
+    cells' factors (gram.cell_factors) at the point's bar transform."""
+    bars, factors = bar_deltas(field, deltas), cell_factors(m, n, field)
+    tags = ["empty"] if n == 2 else ["box-comp-%d" % j for j in range(1, m + 1)]
+    # the box in component j is the cell l = (1 - j) mod m
+    return [(tag, cell_det_at(factors[(1 - j) % m], bars, field.one))
+            for j, tag in enumerate(tags, 1)]
 
-    Each point's T is ranked on its symmetry blocks
-    (StructureTable.blocks), flattened to Q if its entries are not all
-    rational.  The points with the same kept generators and the same
-    flattening share their blocks' index stacks, and are ranked in one
-    call of _rank_exact_certified.
+
+def semisimple_verdicts(table, field, points):
+    """Oracle verdicts on the structure table's (m, n) at points (a
+    sequence of delta vectors), with the cell-determinant cross-check for
+    n in {2, 3}.
+
+    Each point's T is ranked on its symmetry blocks (StructureTable.blocks),
+    flattened to Q if its entries are not all rational.  The points with
+    the same kept generators and the same flattening share their blocks'
+    index stacks, and are ranked in one call of _rank_exact_certified.
+
+    Returns a dict per point: verdict ("semisimple" / "not-semisimple" /
+    "unsupported" in characteristic p), the dimension of the radical of
+    the trace form (0 iff semisimple, in characteristic 0) and, for n in
+    {2, 3} only, the cell determinants and the cross-check agreement flag
+    (must always be True; a failure is an implementation bug, never an
+    acceptable discrepancy).  For n <= 1 there is no k = 1 cell to check
+    against.  A point without m loop parameters raises ValueError before
+    anything is computed.
     """
+    m, n = table.m, table.n
+    points = _checked_points(m, field, points)
     if field.characteristic:
-        raise ValueError("oracle is valid in characteristic 0 only")
+        return [{"verdict": "unsupported", "reason": "characteristic p"}
+                for _ in points]
     groups = {}
-    points = _checked_points(table.m, points)
     for i, deltas in enumerate(points):
         values, _ = trace_matrix(table, field, deltas)
         kept = table.blocks(values)
@@ -486,47 +508,8 @@ def radical_dimensions(table, field, points):
                 raise AssertionError("rank over Q not divisible by the "
                                      "field degree")
             radicals[i] = table.size - rank_q // deg
-    return radicals
-
-
-def _cell_det_values(m, n, field, deltas):
-    """Determinants of the k = 1 cell Gram matrices (n in {2, 3} only): the
-    cells' factors (gram.cell_factors) at the point's bar transform."""
-    bars, factors = bar_deltas(field, deltas), cell_factors(m, n, field)
-    tags = ["empty"] if n == 2 else ["box-comp-%d" % j for j in range(1, m + 1)]
-    # the box in component j is the cell l = (1 - j) mod m
-    return [(tag, cell_det_at(factors[(1 - j) % m], bars, field.one))
-            for j, tag in enumerate(tags, 1)]
-
-
-def semisimple_verdicts(m, n, field, points, table=None, cap=500):
-    """Oracle verdicts at points (a sequence of delta vectors), with the
-    cell-determinant cross-check for n in {2, 3}; the ranks of all the
-    points are certified together (radical_dimensions).
-
-    Returns a dict per point: verdict ("semisimple" / "not-semisimple" /
-    "unsupported"), radical dimension and, for n in {2, 3} only, the cell
-    determinants and the cross-check agreement flag (must always be True;
-    a failure is an implementation bug, never an acceptable discrepancy).
-    For n <= 1 there is no k = 1 cell to check against.  A point without
-    m loop parameters, or a table of another (m, n), raises ValueError
-    before anything is built.
-    """
-    if table is not None and (table.m, table.n) != (m, n):
-        raise ValueError("structure table of (%d, %d) given for (%d, %d)"
-                         % (table.m, table.n, m, n))
-    points = _checked_points(m, points)
-    if field.characteristic:
-        return [{"verdict": "unsupported", "reason": "characteristic p"}
-                for _ in points]
-    if basis_size(m, n) > cap:
-        return [{"verdict": "unsupported", "reason": "cap exceeded"}
-                for _ in points]
-    points = [[field.coerce(d) for d in deltas] for deltas in points]
-    if table is None:
-        table = StructureTable(m, n, cap)
     verdicts = []
-    for deltas, rad in zip(points, radical_dimensions(table, field, points)):
+    for deltas, rad in zip(points, radicals):
         out = {"verdict": "semisimple" if rad == 0 else "not-semisimple",
                "radical": rad, "admissible": deltas_admissible(deltas)}
         if not out["admissible"]:
@@ -540,9 +523,17 @@ def semisimple_verdicts(m, n, field, points, table=None, cap=500):
     return verdicts
 
 
-def semisimple_verdict(m, n, field, deltas, table=None, cap=500):
-    """semisimple_verdicts at one point."""
-    return semisimple_verdicts(m, n, field, [deltas], table, cap)[0]
+def semisimple_verdict(m, n, field, deltas, cap=500):
+    """The verdict at one point (semisimple_verdicts), on a structure
+    table of its own, StructureTable(m, n, cap).  The point is checked
+    before any table is built, and none is built in characteristic p or
+    when the basis exceeds cap (the verdict is then "unsupported")."""
+    (deltas,) = _checked_points(m, field, [deltas])
+    if field.characteristic:
+        return {"verdict": "unsupported", "reason": "characteristic p"}
+    if basis_size(m, n) > cap:
+        return {"verdict": "unsupported", "reason": "cap exceeded"}
+    return semisimple_verdicts(StructureTable(m, n, cap), field, [deltas])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +615,7 @@ def sweep_points(grid, seed=0, generic_points=2, hyperplane_points=2):
                                  _hyperplane_point(field, m, i, k, rng)))
                     taken += 1
         for vec in extra:
-            todo.append(("fixture", [field.embed(v) for v in vec]))
+            todo.append(("fixture", [field.coerce(v) for v in vec]))
         items.append((m, n, todo))
     return items
 
@@ -635,9 +626,8 @@ def sweep_item(item, cap=500):
     with the oracle's ranks certified for all the points together."""
     m, n, todo = item
     field = CyclotomicField(m)
-    table = StructureTable(m, n, cap)
-    oracles = semisimple_verdicts(m, n, field, [d for _, d in todo],
-                                  table=table, cap=cap)
+    oracles = semisimple_verdicts(StructureTable(m, n, cap), field,
+                                  [d for _, d in todo])
     points = []
     for (provenance, deltas), oracle in zip(todo, oracles):
         rec = {"m": m, "n": n, "provenance": provenance,

@@ -1,7 +1,9 @@
 """Command line interface: outputs, files, exit codes."""
 
+import argparse
 import hashlib
 import json
+from fractions import Fraction
 from math import prod
 from pathlib import Path
 
@@ -11,6 +13,7 @@ import cycbrauer.cli
 import cycbrauer.gram
 from cycbrauer.cli import main
 from cycbrauer.linalg import primes_for_modular
+from cycbrauer.scalars import CyclotomicField, field_with_root
 
 REPORTS = Path(__file__).resolve().parent.parent / "reports"
 CONCORD_CONFIG = REPORTS / "concordance.config.json"
@@ -133,6 +136,43 @@ def test_bar_delta_over_an_extension_field(capsys, m, delta, want):
     code, obj = run_json(capsys, "bar-delta", "--m", str(m), "--char", "2",
                          "--delta", delta)
     assert code == 0 and obj == want
+
+
+@pytest.mark.parametrize("char,delta,want", [
+    ("0", "1/2:1,1,1", ["5/2,1", "-1/2,1", "-1/2,1"]),
+    # GF(7) and GF(25): zeta is the field's cube root of unity, not 0 or
+    # the field's own generator
+    ("7", "1/2:1,1,1", ["3", "0", "0"]),
+    ("7", "0:1,0:1,0:1", ["5", "0", "0"]),
+    ("5", "0:1,0:1,0:1", ["1,3", "0,0", "0,0"]),
+])
+def test_bar_delta_of_colon_vectors(capsys, char, delta, want):
+    code, obj = run_json(capsys, "bar-delta", "--m", "3", "--char", char,
+                         "--delta", delta)
+    assert code == 0 and obj == want
+
+
+def test_colon_vectors_are_sums_of_powers_of_the_root():
+    # in GF(p) as the reduction of the characteristic-0 vector, in GF(p^k)
+    # as sum_i c_i zeta^i with zeta of order m (outside GF(p) here)
+    Q3 = CyclotomicField(3)
+    for char, deltas in (("0", "1/2:1,2:-3/4:5,7"), ("7", "1/2:1,2:-3/4:5,7"),
+                         ("13", "0:1,1:0:2/3,-1")):
+        args = argparse.Namespace(char=int(char), m=3, delta=deltas)
+        got = cycbrauer.cli._params(args).deltas
+        want = [Q3.element([Fraction(c) for c in x.split(":")])
+                for x in deltas.split(",")]
+        if char == "0":
+            assert got == want
+        else:
+            hom = Q3.reduction_hom(int(char))
+            assert [x.coeffs[0] for x in got] == [hom(x) for x in want]
+    args = argparse.Namespace(char=5, m=3, delta="0:1,0:0:1,1/2:0:3")
+    F = field_with_root(5, 3)
+    zeta = F.root_of_unity(3)
+    assert zeta ** 3 == F.one and zeta.coeffs[1]
+    assert cycbrauer.cli._params(args).deltas == [
+        zeta, zeta ** 2, F.embed(Fraction(1, 2)) + 3 * zeta ** 2]
 
 
 def test_oracle(capsys):
@@ -368,7 +408,7 @@ def test_concord_config_regenerates_the_tracked_report(tmp_path, capsys,
 def test_concord_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "grid": [{"m": 2, "n": 2, "deltas": [[1, -1]]}],
+        "grid": [{"m": 2, "n": 2, "deltas": [[1, -1], ["1/2", -3]]}],
         "generic_points": 1, "hyperplane_points": 1}))
     out = tmp_path / "rep.json"
     code = main(["concord", "--config", str(cfg), "--out", str(out)])
@@ -377,6 +417,7 @@ def test_concord_config(tmp_path, capsys):
     rep = json.loads(out.read_text())
     fixture = [p for p in rep["points"] if p["provenance"] == "fixture"]
     assert fixture and fixture[0]["oracle"]["verdict"] == "not-semisimple"
+    assert fixture[1]["deltas"] == ["1/2", "-3"]
 
 
 def test_usage_error_exit_code():
@@ -432,6 +473,7 @@ def test_concord_rejects_malformed_pairs(capsys):
     ("admissible", "--m", "2", "--mu", "[[1]]"),
     ("admissible", "--m", "2", "--mu", "[[1, 2], []]"),
     ("cell-gram", "--m", "2", "--n", "3", "--mu", "5"),
+    ("admissible", "--m", "2", "--mu", "[[true], []]"),
 ])
 def test_malformed_mu_rejected(capsys, argv):
     code = main(list(argv))
@@ -466,6 +508,8 @@ def test_scalar_json_has_no_repr(capsys, argv):
     ({"grid": [[2, 2]], "cap": 0}, "'cap'"),
     # a misspelt key once dropped the fixture points silently
     ({"grid": [{"m": 2, "n": 2, "detlas": [[1, -1]]}]}, "'grid'"),
+    # a float or a bool once became a rational delta with exit 0
+    ({"grid": [{"m": 2, "n": 2, "deltas": [[0.1, 1], [True, 1]]}]}, "'grid'"),
 ])
 def test_concord_rejects_malformed_config(tmp_path, capsys, cfg, key):
     path = tmp_path / "cfg.json"

@@ -13,7 +13,7 @@ from cycbrauer.criterion import (VARIANTS, bar_deltas, brauer_z, decide,
                                  g_lambda_mu, g_mu, g_mu_values, z_set,
                                  z_tilde)
 from cycbrauer.oracle import (StructureTable, _hyperplane_point,
-                              semisimple_verdict)
+                              semisimple_verdict, semisimple_verdicts)
 from cycbrauer.partitions import admissible_set, multipartitions
 from cycbrauer.scalars import (CyclotomicField, FiniteField, NoRootError,
                                field_with_root)
@@ -149,8 +149,8 @@ def test_decide_m1_matches_oracle_at_integer_deltas(n, locus):
     found = []
     for d in range(-2 * n - 1, 2 * n + 2):
         if d:
-            rad = semisimple_verdict(1, n, Q, [d], table=table,
-                                     cap=945)["radical"]
+            (v,) = semisimple_verdicts(table, Q, [[d]])
+            rad = v["radical"]
             assert decide(1, n, Q, [d]).semisimple == (rad == 0), (n, d, rad)
             found += [d] if rad else []
     assert found == locus

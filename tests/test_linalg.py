@@ -240,16 +240,16 @@ def test_rref_mod_p_matches_reference_on_trace_matrices(monkeypatch, m, n,
                                     config["generic_points"],
                                     config["hyperplane_points"])
         for m, n, todo in items:
-            oracle.radical_dimensions(oracle.StructureTable(m, n),
-                                      CyclotomicField(m),
-                                      [d for _, d in todo])
+            oracle.semisimple_verdicts(oracle.StructureTable(m, n),
+                                       CyclotomicField(m),
+                                       [d for _, d in todo])
         # one pass per symmetry block of every point
         assert sum(reduced) == sum(len(todo) * basis_size(m, n)
                                    for m, n, todo in items)
         return
     F, deltas = _sweep_point(point, m)
-    oracle.radical_dimensions(oracle.StructureTable(m, n, cap=2000), F,
-                              [deltas])
+    oracle.semisimple_verdicts(oracle.StructureTable(m, n, cap=2000), F,
+                               [deltas])
     # one pass per symmetry block of T, and the blocks partition the basis
     assert sum(reduced) == basis_size(m, n)
 
@@ -342,6 +342,18 @@ def test_rref_mod_p_takes_python_and_numpy_integers():
     assert rref_mod_p(np.array([[1, 2], [3, 4]], dtype=np.uint8), 2)[0] == 1
     # 2^64 - 1 = 0 (mod 5); an int64 cast would read it as -1
     assert rref_mod_p(np.array([[2 ** 64 - 1]], dtype=np.uint64), 5)[0] == 0
+
+
+@pytest.mark.parametrize("k,r", [(0, 3), (2, 0)])
+def test_rref_mod_p_takes_stacks_with_no_entries(k, r):
+    # no matrices, or matrices with no rows (an empty stack once failed in
+    # a reshape)
+    ranks, pivots, kernels = rref_mod_p(np.zeros((k, r, 3), np.int64), P)
+    assert ranks.shape == (k,) and not ranks.any()
+    assert pivots.shape == (k, 3) and not pivots.any()
+    # every column is free in every matrix: its kernel is the identity
+    assert kernels.tolist() == [np.eye(3, dtype=int).tolist()] * k
+    assert kernels.shape == (k, 3 if k else 0, 3)
 
 
 def test_rref_mod_p_refuses_large_primes():

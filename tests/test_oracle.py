@@ -33,7 +33,6 @@ from cycbrauer.oracle import (StructureTable, _cell_det_values,
                               _product_is_zero, _rank_exact_certified,
                               _to_rational_blocks,
                               concordance_sweep, deltas_admissible,
-                              radical_dimensions,
                               report_csv, semisimple_verdict,
                               semisimple_verdicts, sweep_item,
                               sweep_points, trace_matrix)
@@ -44,8 +43,8 @@ from strands import reference_product
 
 
 def radical_dimension(table, field, deltas):
-    """radical_dimensions at one point."""
-    return radical_dimensions(table, field, [deltas])[0]
+    """The oracle's radical at one point, on the given table."""
+    return semisimple_verdicts(table, field, [deltas])[0]["radical"]
 
 
 def test_structure_table_closure():
@@ -847,6 +846,12 @@ def test_radical_at_4_3(deltas, radical):
     assert v["radical"] == radical and v["cross_check_agrees"]
 
 
+def test_fixture_deltas_are_field_scalars():
+    # a float fixture delta once became 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        concordance_sweep([{"m": 2, "n": 2, "deltas": [[0.1, 1]]}])
+
+
 def test_fixture_points_2_2():
     F = CyclotomicField(2)
     frozen = {(1, -1): 3, (1, 1): 3, (0, 2): 0}
@@ -1021,7 +1026,7 @@ def test_cell_factors_are_built_once_per_pair_and_field(monkeypatch):
     for m, n, todo in items:
         F, table = CyclotomicField(m), StructureTable(m, n)
         for _, deltas in todo[:3]:
-            semisimple_verdict(m, n, F, deltas, table=table)
+            semisimple_verdicts(table, F, [deltas])
     assert builds == want
 
 
@@ -1090,22 +1095,15 @@ def test_oracle_refuses_a_delta_vector_of_the_wrong_length(monkeypatch,
     with pytest.raises(ValueError, match="need m loop parameters"):
         semisimple_verdict(3, 2, F, deltas)
     with pytest.raises(ValueError, match="need m loop parameters"):
-        semisimple_verdicts(3, 2, F, [[1, 2, 2], deltas, [0, 0, 0]])
-    with pytest.raises(ValueError, match="need m loop parameters"):
-        radical_dimensions(_table(3, 2), F, [[F.one] * 3, deltas])
+        semisimple_verdicts(_table(3, 2), F, [[1, 2, 2], deltas, [0, 0, 0]])
 
 
 @pytest.mark.parametrize("m,n,radical", [(2, 3, 54), (3, 2, 9)])
-def test_oracle_refuses_a_table_of_another_pair(m, n, radical):
-    # a (2,2) table used to answer for (2,3) with its own radical, 4, and
-    # to fail for (3,2) with "need m loop parameters"
+def test_oracle_pass_answers_for_its_tables_pair(m, n, radical):
+    # the pass takes (m, n) from its table: a (2,2) table once answered for
+    # (2,3) with its own radical, 4
     F = CyclotomicField(m)
-    deltas = [F.zero] * m
-    with pytest.raises(ValueError, match=r"\(2, 2\) given for \(%d, %d\)"
-                       % (m, n)):
-        semisimple_verdict(m, n, F, deltas, table=_table(2, 2))
-    assert semisimple_verdict(m, n, F, deltas,
-                              table=_table(m, n))["radical"] == radical
+    assert radical_dimension(_table(m, n), F, [F.zero] * m) == radical
 
 
 def _assert_sweep_matches_single_verdicts(grid, seed=2, cap=500, **settings):
