@@ -24,7 +24,7 @@ class LinearCombination:
     terms never store zero coefficients.  Operands must share the ring
     object: one of another ring raises ValueError.  A subclass lists in
     ``_scalars`` the scalar types its ring embeds (through ``ring.embed``);
-    any other operand gives NotImplemented."""
+    any other operand, a bool among them, gives NotImplemented."""
 
     __slots__ = ("ring", "terms")
     _scalars = ()
@@ -39,7 +39,7 @@ class LinearCombination:
                 raise ValueError("mixed rings %r and %r"
                                  % (self.ring, other.ring))
             return other
-        if isinstance(other, self._scalars):
+        if isinstance(other, self._scalars) and other.__class__ is not bool:
             return self.ring.embed(other)
         return None
 

@@ -276,8 +276,10 @@ def trace_matrix(table, field, deltas):
 
 def _to_rational_blocks(field, values, blocks):
     """Flatten T = (values, blocks) over Q(zeta_m) to a matrix over Q,
-    returned as (values, blocks, deg) of Fractions.  blocks lists the index
-    stacks (k, b, b) of a block-diagonal form of T, each flattened alike.
+    returned as ((nums, dens), blocks, deg): entry v of the flat T is
+    nums[v] / dens[v], two integers read off the numerators and the
+    denominator of a value.  blocks lists the index stacks (k, b, b) of a
+    block-diagonal form of T, each flattened alike.
 
     A matrix whose entries are all rational has the same rank over
     Q(zeta_m) as over Q, so it keeps its blocks (deg = 1).  Otherwise each
@@ -287,18 +289,24 @@ def _to_rational_blocks(field, values, blocks):
     stack[h, i, j].
     """
     deg = field.degree
-    if deg == 1 or not any(any(x.coeffs[1:]) for x in values):
-        return [x.coeffs[0] for x in values], blocks, 1
-    basis = [field.element([0] * c + [1]) for c in range(deg)]
-    flat = []
+    rest = (0,) * (deg - 1)
+    if deg == 1 or not any(x.num[1:] != rest for x in values):
+        return ([x.num[0] for x in values], [x.den for x in values]), blocks, 1
+    top = field.fold[0]  # zeta^deg on the power basis
+    nums, dens = [], []
     for x in values:
-        cols = [x * b for b in basis]
-        flat.extend(col.coeffs[r] for r in range(deg) for col in cols)
+        # column c holds the numerators of x zeta^c, over x.den
+        cols = [x.num]
+        for _ in range(deg - 1):
+            col = cols[-1]
+            cols.append([a + col[-1] * b for a, b in zip([0, *col[:-1]], top)])
+        nums.extend(col[r] for r in range(deg) for col in cols)
+        dens.extend([x.den] * (deg * deg))
     cells = np.arange(deg * deg).reshape(deg, deg)
     big = [(s[..., None, None].astype(np.intp) * deg * deg + cells)
            .swapaxes(2, 3).reshape(len(s), deg * s.shape[1], -1)
            for s in blocks]
-    return flat, big, deg
+    return (nums, dens), big, deg
 
 
 def _abs_max(x):
@@ -375,10 +383,12 @@ _METHODS = ("modular-full-rank", "modular-certified-kernel", "exact-gauss")
 
 
 def _rank_exact_certified(values, blocks, primes):
-    """Exact ranks of Fraction matrices T that share a block-diagonal form,
-    via a modular pass with certificates.  values lists the entries of each
-    T; blocks lists the blocks, each an index stack S (k, b, b) that stands
-    for the matrix sum_h values[S[h]] of each T; their ranks add up.
+    """Exact ranks of rational matrices T that share a block-diagonal form,
+    via a modular pass with certificates.  values lists each T as a pair
+    (nums, dens) of integer lists, its entry v being nums[v] / dens[v];
+    blocks lists the blocks, each an index stack S (k, b, b) that stands
+    for the matrix sum_h T[S[h]] of each T (T[v] its entry v); their ranks
+    add up.
 
     Returns (ranks, method): a rank per T, and the method the most
     demanding (T, block) needed.  The call tries the first four of primes
@@ -392,10 +402,11 @@ def _rank_exact_certified(values, blocks, primes):
     matrices of a stack in one product.  The scaled entries stay int64
     unless one could reach 2^62 in a block sum.
     """
-    dens = [lcm(*(x.denominator for x in row)) for row in values]
-    primes = list(islice((p for p in primes if all(d % p for d in dens)), 4))
-    ints = [[x.numerator * (den // x.denominator) for x in row]
-            for row, den in zip(values, dens)]
+    scales = [lcm(*set(dens)) for _, dens in values]
+    primes = list(islice((p for p in primes if all(d % p for d in scales)),
+                         4))
+    ints = [[n * (scale // d) for n, d in zip(nums, dens)]
+            for (nums, dens), scale in zip(values, scales)]
     big = (max(map(len, blocks)) * max(abs(x) for row in ints for x in row)
            >= 2 ** 62)
     scaled = np.array(ints, dtype=object if big else np.int64)
@@ -440,7 +451,7 @@ def _rank_exact_certified(values, blocks, primes):
                 raise ArithmeticError("rank not certifiable within prime "
                                       "budget")
             ranks[t] += gauss_rank(
-                [[sum(values[t][v] for v in entry) for entry in row]
+                [[Fraction(sum(ints[t][v] for v in entry)) for entry in row]
                  for row in np.moveaxis(stack, 0, -1).tolist()])
             worst = 2
     return ranks, _METHODS[worst]

@@ -2,29 +2,38 @@
 
 The coefficient tower used everywhere else in the package:
 
-* ``CyclotomicField(m)`` -- Q(zeta_m), elements stored as rational vectors of
-  length phi(m) in the power basis of zeta, reduced modulo the m-th cyclotomic
-  polynomial.  ``CyclotomicField(1)`` is plain Q.
+* ``CyclotomicField(m)`` -- Q(zeta_m), an element stored as integer
+  numerators on the power basis of zeta over one positive common
+  denominator, in lowest terms (zero has denominator 1), reduced modulo the
+  m-th cyclotomic polynomial (Cohen, A Course in Computational Algebraic
+  Number Theory, 4.2).  ``CyclotomicField(1)`` is plain Q.
 * ``FiniteField(p, k)`` -- GF(p^k), elements stored as length-k vectors modulo
   the lexicographically smallest monic irreducible polynomial of degree k.
 
 Both moduli are monic over Z, so each field builds a fold table once:
 zeta^k for deg <= k <= 2 deg - 2 as integer rows on the power basis
 (``_fold_table``).  A product is the schoolbook convolution ``_poly_mul``
-and one pass through that table (``_fold_mul``), on Fractions for
-Q(zeta_m) and on integers taken mod p for GF(p^k).  In Q(zeta_m) a factor
-in Q, the bulk of the Gram and determinant traffic, just scales the other
-factor.  The ``_poly_*`` helpers (coefficients in any field) also serve
-the cyclotomic polynomials, inversion in Q(zeta_m), the irreducibility
-test and the reduction of long input.  All arithmetic is exact; there
-is no floating point anywhere in this package.
+and one pass through that table (``_fold_mul``), on integers in both
+fields: the numerators of Q(zeta_m) over the product of the denominators,
+brought to lowest terms by one gcd, and residues taken mod p in GF(p^k).
+In Q(zeta_m) a factor in Q, the bulk of the Gram and determinant traffic,
+just scales the other factor, and an inverse is a product of conjugates
+over the norm, in integers too.  The ``_poly_*`` helpers (coefficients in
+any field) also serve the cyclotomic polynomials, the irreducibility test
+and the reduction of long input and of conjugates.  All arithmetic is
+exact: ``element``, ``embed`` and ``coerce`` take ints and Fractions and
+refuse bools and floats; there is no floating point anywhere in this
+package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from sys import hash_info
+
+_HASH_P = hash_info.modulus  # the prime of the numeric hashes
 
 
 class NoRootError(ValueError):
@@ -134,11 +143,12 @@ def _fold_table(modulus):
     return tuple(rows)
 
 
-def _fold_mul(a, b, fold, zero):
-    """Product of two reduced power-basis vectors: the schoolbook
-    convolution, then each zeta^k (k >= deg) replaced by its fold row."""
+def _fold_mul(a, b, fold):
+    """Product of two reduced power-basis vectors of integers: the
+    schoolbook convolution, then each zeta^k (k >= deg) replaced by its
+    fold row."""
     d = len(a)
-    out = _poly_mul(a, b, zero)
+    out = _poly_mul(a, b, 0)
     for c, row in zip(out[d:], fold):
         if c:
             for j, r in enumerate(row):
@@ -225,23 +235,26 @@ class _Field:
     def coerce(self, x):
         """``x`` in this field: ints and Fractions are embedded, its own
         elements pass, another field's raise ValueError and anything else
-        (a float or a numpy integer, say) raises TypeError."""
+        (a bool, a float or a numpy integer, say) raises TypeError."""
         out = self.zero._coerce(x)
         if out is None:
             raise TypeError("%r is not a scalar of %r" % (x, self))
         return out
 
 
+def _rational(c):
+    """c if it is an int (not a bool) or a Fraction, else TypeError."""
+    if c.__class__ is bool or not isinstance(c, (int, Fraction)):
+        raise TypeError("%r is not an int or a Fraction" % (c,))
+    return c
+
+
 class FieldElement:
-    """Arithmetic shared by CycElt and FFElt: a field handle and a tuple of
-    coefficients on the power basis.  Each subclass defines its own ring
-    operations (add, sub, neg, mul, inverse) and hash."""
+    """Arithmetic shared by CycElt and FFElt, elements of ``field``.  Each
+    subclass holds its own coefficients and defines its own ring
+    operations (add, sub, neg, mul, inverse), equality and hash."""
 
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = coeffs
+    __slots__ = ("field",)
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -249,9 +262,10 @@ class FieldElement:
                 raise ValueError("mixed fields %r and %r"
                                  % (self.field, other.field))
             return other
-        if isinstance(other, (int, Fraction)):
+        try:
             return self.field.embed(other)
-        return None
+        except TypeError:  # not an int (a bool, say) or a Fraction
+            return None
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -275,15 +289,6 @@ class FieldElement:
         if k < 0:
             return power(self.inverse(), -k, self.field.one)
         return power(self, k, self.field.one)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __bool__(self):
-        return any(self.coeffs)
 
     def __str__(self):
         return self.field.format_element(self)
@@ -321,30 +326,34 @@ class CyclotomicField(_Field):
 
     def _init(self, m):
         self.m = m
-        mod = cyclotomic_polynomial(m)
-        self.degree = len(mod) - 1
-        self.modulus = tuple(Fraction(c) for c in mod)
-        self.fold = _fold_table(mod)
-        self.zero = CycElt(self, (Fraction(0),) * self.degree)
+        self.modulus = cyclotomic_polynomial(m)
+        self.degree = len(self.modulus) - 1
+        self.fold = _fold_table(self.modulus)
+        self._pad = (0,) * (self.degree - 1)
+        self.zero = CycElt(self, (0,) * self.degree, 1)
         self.one = self.embed(1)
 
     def __repr__(self):
         return "Q" if self.m == 1 else "Q(zeta_%d)" % self.m
 
     def element(self, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) > self.degree:
-            coeffs = _poly_rem(coeffs, self.modulus)
-        coeffs += [Fraction(0)] * (self.degree - len(coeffs))
-        return CycElt(self, tuple(coeffs))
+        """sum_i coeffs[i] zeta^i for ints and Fractions coeffs."""
+        coeffs = [_rational(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        if len(num) > self.degree:
+            num = _poly_rem(num, self.modulus)
+        return _lowest(self, tuple(num) + (0,) * (self.degree - len(num)),
+                       den)
 
     def embed(self, a):
-        return self.element([Fraction(a)])
+        _rational(a)
+        return CycElt(self, (a.numerator,) + self._pad, a.denominator)
 
     @property
     def zeta(self):
         """The canonical primitive m-th root of unity."""
-        return self.element([Fraction(0), Fraction(1)])
+        return self.element([0, 1])
 
     def root_of_unity(self, k):
         """An element of order k: zeta^(m/k) for k | m and, for odd m
@@ -366,30 +375,51 @@ class CyclotomicField(_Field):
         r = FiniteField(p, 1).root_of_unity(self.m).coeffs[0]
 
         def hom(x):
+            den = x.den % p
+            if den == 0:
+                raise ZeroDivisionError("bad prime for reduction")
             acc = 0
-            pw = 1
-            for c in x.coeffs:
-                den = c.denominator % p
-                if den == 0:
-                    raise ZeroDivisionError("bad prime for reduction")
-                acc = (acc + c.numerator * pow(den, -1, p) * pw) % p
-                pw = pw * r % p
-            return acc
+            for c in reversed(x.num):
+                acc = (acc * r + c) % p
+            return acc * pow(den, -1, p) % p
 
         return hom
 
 
-class CycElt(FieldElement):
-    """Element of Q(zeta_m) in the power basis of zeta."""
+def _lowest(field, num, den):
+    """The element num / den (den > 0) of field in lowest terms."""
+    g = gcd(den, *num)
+    if g == 1:
+        return CycElt(field, num, den)
+    return CycElt(field, tuple(c // g for c in num), den // g)
 
-    __slots__ = ()
+
+class CycElt(FieldElement):
+    """Element num / den of Q(zeta_m): integer numerators on the power
+    basis of zeta over one positive denominator, in lowest terms."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, field, num, den):
+        self.field = field
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The power-basis coefficients as a tuple of Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycElt(self.field, tuple(a + b if b else a
-                                        for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return _lowest(self.field, tuple(
+                x + y for x, y in zip(self.num, o.num)), da)
+        return _lowest(self.field, tuple(
+            x * db + y * da for x, y in zip(self.num, o.num)), da * db)
 
     __radd__ = __add__
 
@@ -397,39 +427,70 @@ class CycElt(FieldElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycElt(self.field, tuple(a - b if b else a
-                                        for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return _lowest(self.field, tuple(
+                x - y for x, y in zip(self.num, o.num)), da)
+        return _lowest(self.field, tuple(
+            x * db - y * da for x, y in zip(self.num, o.num)), da * db)
 
     def __neg__(self):
-        return CycElt(self.field, tuple(-a for a in self.coeffs))
+        return CycElt(self.field, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        a, b = self.num, o.num
         if any(a[1:]):
             if any(b[1:]):
-                return CycElt(self.field, tuple(
-                    _fold_mul(a, b, self.field.fold, Fraction(0))))
+                return _lowest(self.field, tuple(
+                    _fold_mul(a, b, self.field.fold)), self.den * o.den)
             a, b = b, a
-        c = a[0]  # a lies in Q: scale b, keeping its zero coefficients
-        return CycElt(self.field, tuple(c * y if y else y for y in b))
+        c = a[0]  # a lies in Q: scale b
+        return _lowest(self.field, tuple(c * y for y in b), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
+        """For self = a / den: a times its other conjugates sigma_k(a)
+        (zeta -> zeta^k, k a unit mod m, k != 1) is the norm N(a), a
+        nonzero integer, so 1 / self = den prod_k sigma_k(a) / N(a)."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        if not any(self.coeffs[1:]):
-            return CycElt(self.field, (1 / self.coeffs[0],) + self.coeffs[1:])
-        g, s = _poly_xgcd(self.field.modulus, self.coeffs, Fraction(0), Fraction(1))
-        # g is a nonzero constant (modulus irreducible)
-        c = g[0]
-        return self.field.element([x / c for x in s])
+        field, num = self.field, self.num
+        m, fold = field.m, field.fold
+        cof = (1,) + field._pad
+        if any(num[1:]):
+            for k in range(2, m):
+                if gcd(k, m) == 1:
+                    conj = [0] * m
+                    for i, c in enumerate(num):
+                        conj[i * k % m] += c
+                    cof = _fold_mul(cof, _poly_rem(conj, field.modulus), fold)
+        norm = _fold_mul(num, cof, fold)[0]
+        scale = self.den if norm > 0 else -self.den
+        return _lowest(field, tuple(scale * c for c in cof), abs(norm))
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.num == o.num and self.den == o.den
+
+    def __bool__(self):
+        return any(self.num)
 
     def __hash__(self):
-        return hash((self.field.m, self.coeffs))
+        # hash((m, coeffs)) from the numerators: a Fraction n / d hashes as
+        # the int +-(|n| / d mod P) ("Hashing of numeric types" in the
+        # Python docs), the same for every n / d with d a unit mod P
+        if self.den % _HASH_P == 0:
+            return hash((self.field.m, self.coeffs))
+        inv = pow(self.den, -1, _HASH_P)
+        return hash((self.field.m, tuple(
+            c * inv % _HASH_P if c >= 0 else -(-c * inv % _HASH_P)
+            for c in self.num)))
 
 
 # ---------------------------------------------------------------------------
@@ -459,19 +520,21 @@ class FiniteField(_Field):
         return "GF(%d)" % self.p if self.k == 1 else "GF(%d^%d)" % (self.p, self.k)
 
     def element(self, coeffs):
+        """sum_i coeffs[i] x^i for ints and Fractions coeffs, a
+        denominator a unit mod p."""
+        coeffs = [self._residue(c) for c in coeffs]
         if len(coeffs) > self.k:
-            coeffs = _poly_rem(coeffs, self.modulus)
-        coeffs = [c % self.p for c in coeffs]
-        coeffs += [0] * (self.k - len(coeffs))
-        return FFElt(self, tuple(coeffs))
+            coeffs = [c % self.p for c in _poly_rem(coeffs, self.modulus)]
+        return FFElt(self, tuple(coeffs) + (0,) * (self.k - len(coeffs)))
 
     def embed(self, a):
-        if isinstance(a, Fraction):
-            den = a.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError("denominator divisible by p")
-            return self.element([a.numerator * pow(den, -1, self.p)])
-        return self.element([a])
+        return FFElt(self, (self._residue(a),) + (0,) * (self.k - 1))
+
+    def _residue(self, c):
+        den = _rational(c).denominator % self.p
+        if den == 0:
+            raise ZeroDivisionError("denominator divisible by p")
+        return c.numerator * pow(den, -1, self.p) % self.p
 
     def root_of_unity(self, m):
         """The first g^((q - 1)/m) of order m, i.e. g no r-th power for any
@@ -538,9 +601,13 @@ def _smallest_irreducible(p, k):
 
 
 class FFElt(FieldElement):
-    """Element of GF(p^k) as a length-k coefficient vector."""
+    """Element of GF(p^k) as a length-k vector of residues mod p."""
 
-    __slots__ = ()
+    __slots__ = ("coeffs",)
+
+    def __init__(self, field, coeffs):
+        self.field = field
+        self.coeffs = coeffs
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -568,7 +635,7 @@ class FFElt(FieldElement):
             return NotImplemented
         field = self.field
         return FFElt(field, tuple(c % field.p for c in _fold_mul(
-            self.coeffs, o.coeffs, field.fold, 0)))
+            self.coeffs, o.coeffs, field.fold)))
 
     __rmul__ = __mul__
 
@@ -579,6 +646,15 @@ class FFElt(FieldElement):
         if field.k == 1:
             return FFElt(field, (pow(self.coeffs[0], -1, field.p),))
         return power(self, field.order - 2, field.one)  # x^(q-1) = 1
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.coeffs == o.coeffs
+
+    def __bool__(self):
+        return any(self.coeffs)
 
     def __hash__(self):
         return hash((self.field.p, self.field.k, self.coeffs))

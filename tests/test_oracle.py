@@ -189,6 +189,18 @@ def _expand(values, index):
     return [[values[v] for v in row] for row in index.tolist()]
 
 
+def _split(values):
+    """A list of rationals as the (numerators, denominators) pair in which
+    _rank_exact_certified takes a matrix's entries."""
+    values = [Fraction(x) for x in values]
+    return [x.numerator for x in values], [x.denominator for x in values]
+
+
+def _fractions(flat):
+    """The entries of a (numerators, denominators) pair as Fractions."""
+    return [Fraction(n, d) for n, d in zip(*flat)]
+
+
 def _reference_trace_matrix(table, field, deltas):
     """The product-by-product trace form, straight from the strand walker:
     the slow reference for trace_matrix."""
@@ -385,13 +397,13 @@ def test_rank_certificate_with_entries_beyond_int64():
     a, b = Fraction(10 ** 30, 7), Fraction(3 * 10 ** 30, 11)
     values = [a, 2 * a, b, 4 * a, 2 * b]
     index = np.array([[0, 1, 2], [1, 3, 4], [0, 1, 2]])
-    assert _rank_exact_certified([values], [index[None]],
+    assert _rank_exact_certified([_split(values)], [index[None]],
                                  primes_for_modular(1)[:2]) \
         == ([1], "modular-certified-kernel")
     # full rank with the same magnitudes
     index[2, 2] = len(values)
     values.append(b + 1)
-    assert _rank_exact_certified([values], [index[None]],
+    assert _rank_exact_certified([_split(values)], [index[None]],
                                  primes_for_modular(1)[:2])[0] == [2]
 
 
@@ -401,7 +413,7 @@ def test_rank_certificate_scales_each_vector_by_all_its_denominators():
     values = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 3),
               Fraction(7, 3)]
     index = np.array([[1, 0, 2], [0, 1, 3], [1, 1, 4]])
-    assert _rank_exact_certified([values], [index[None]],
+    assert _rank_exact_certified([_split(values)], [index[None]],
                                  primes_for_modular(1)[:2]) \
         == ([2], "modular-certified-kernel")
 
@@ -418,7 +430,7 @@ def test_rank_certificate_scales_every_kernel_vector_by_one_denominator(
     monkeypatch.setattr(cycbrauer.oracle, "_product_is_zero",
                         lambda a, b: seen.append(b.swapaxes(1, 2))
                         or check(a, b))
-    assert _rank_exact_certified([values], [index[None]],
+    assert _rank_exact_certified([_split(values)], [index[None]],
                                  primes_for_modular(1)[:2]) \
         == ([2], "modular-certified-kernel")
     ((vectors,),) = seen
@@ -432,7 +444,7 @@ def test_rank_deficit_mod_p_alone_is_not_trusted():
     p = primes_for_modular(1)[0]
     values = [Fraction(0), Fraction(1), Fraction(p)]
     index = np.array([[1, 0], [0, 2]])
-    assert _rank_exact_certified([values], [index[None]],
+    assert _rank_exact_certified([_split(values)], [index[None]],
                                  primes_for_modular(1)[:2]) \
         == ([2], "modular-full-rank")
 
@@ -451,8 +463,8 @@ def test_rank_skips_a_prime_dividing_a_denominator(monkeypatch):
                         lambda a, prime: used.append(prime) or rref(a, prime))
     ordinary, _ = trace_matrix(StructureTable(1, 2), Q, [Fraction(3)])
     ordinary = [x.coeffs[0] for x in ordinary]
-    ranks, method = _rank_exact_certified([values, ordinary], [index[None]],
-                                          [p, q])
+    ranks, method = _rank_exact_certified(
+        [_split(values), _split(ordinary)], [index[None]], [p, q])
     # one list of primes per call: the ordinary T is ranked at q as well
     assert used == [q] and method.startswith("modular")
     assert ranks == [gauss_rank(_expand(values, index)),
@@ -480,7 +492,8 @@ def test_rank_of_several_value_lists_matches_gauss_rank(data):
         blocks.append(np.array(data.draw(st.lists(
             st.integers(0, V - 1), min_size=size, max_size=size)))
             .reshape(-1, b, b))
-    ranks, _ = _rank_exact_certified(lists, blocks, primes_for_modular(1))
+    ranks, _ = _rank_exact_certified([_split(v) for v in lists], blocks,
+                                     primes_for_modular(1))
     assert ranks == [
         sum(gauss_rank([[sum(values[v] for v in entry) for entry in row]
                         for row in np.moveaxis(stack, 0, -1).tolist()])
@@ -515,14 +528,14 @@ def test_rank_falls_back_to_exact_elimination():
     # with no prime to try, a small matrix is ranked by fraction elimination
     values = [Fraction(1, 3), Fraction(2, 3), Fraction(-5, 7)]
     index = np.array([[0, 1, 2], [1, 1, 2], [0, 1, 2]])
-    assert _rank_exact_certified([values], [index[None]], []) \
+    assert _rank_exact_certified([_split(values)], [index[None]], []) \
         == ([2], "exact-gauss")
 
 
 def test_rank_of_the_zero_matrix_is_certified():
     # every column is free: the kernel is the identity, and T = 0 is
     # checked exactly (a block wholly in the radical ends here)
-    assert _rank_exact_certified([[Fraction(0)]],
+    assert _rank_exact_certified([_split([0])],
                                  [np.zeros((1, 3, 3), dtype=np.int64)],
                                  primes_for_modular(2)) \
         == ([0], "modular-certified-kernel")
@@ -793,7 +806,7 @@ def test_radical_with_irrational_trace_form(m, n, deltas):
     assert any(any(x.coeffs[1:]) for x in values)
     flat, (big,), deg = _to_rational_blocks(F, values, [index[None]])
     assert deg == F.degree and big.shape == (1, t.size * deg, t.size * deg)
-    assert _expand(flat, big[0]) == _reference_blocks(F, T)
+    assert _expand(_fractions(flat), big[0]) == _reference_blocks(F, T)
     assert radical_dimension(t, F, deltas) == t.size - gauss_rank(T)
 
 
@@ -805,7 +818,7 @@ def test_rational_trace_form_keeps_its_index():
     blocks = [index[None]]
     flat, same, deg = _to_rational_blocks(F, values, blocks)
     assert deg == 1 and same is blocks
-    assert flat == [x.coeffs[0] for x in values]
+    assert _fractions(flat) == [x.coeffs[0] for x in values]
 
 
 def test_group_algebra_semisimple_maschke():
@@ -847,9 +860,14 @@ def test_radical_at_4_3(deltas, radical):
 
 
 def test_fixture_deltas_are_field_scalars():
-    # a float fixture delta once became 3602879701896397/36028797018963968
-    with pytest.raises(TypeError):
-        concordance_sweep([{"m": 2, "n": 2, "deltas": [[0.1, 1]]}])
+    # a float fixture delta once became 3602879701896397/36028797018963968,
+    # and a bool the delta 0 or 1
+    for bad in (0.1, True):
+        grid = [{"m": 2, "n": 2, "deltas": [[bad, 1]]}]
+        with pytest.raises(TypeError):
+            concordance_sweep(grid)
+        with pytest.raises(TypeError):
+            sweep_points(grid)
 
 
 def test_fixture_points_2_2():

@@ -3,6 +3,7 @@
 import itertools
 import pickle
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -16,7 +17,7 @@ from cycbrauer.criterion import VARIANTS, bar_deltas, decide
 from cycbrauer.deltapoly import SymbolicParams
 from cycbrauer.diagrams import NumericParams, symbolic_algebra
 from cycbrauer.oracle import semisimple_verdict
-from cycbrauer.scalars import (CycElt, CyclotomicField, FiniteField,
+from cycbrauer.scalars import (CyclotomicField, FiniteField,
                                NoRootError, _gf_xgcd, _poly_mul, _poly_xgcd,
                                _smallest_irreducible,
                                cyclotomic_polynomial, field_with_root,
@@ -104,7 +105,7 @@ def test_root_of_unity_orders():
 def test_pickle_round_trip_keeps_the_field_instance(x):
     # a pickled element comes back on the one shared instance of its field
     y = pickle.loads(pickle.dumps(x))
-    assert y == x and y.field is x.field
+    assert y == x and hash(y) == hash(x) and y.field is x.field
     assert pickle.loads(pickle.dumps(x.field)) is x.field
 
 
@@ -340,13 +341,16 @@ def test_power_rejects_negative_exponents():
         CyclotomicField(5).zeta ** 4
 
 
-@pytest.mark.parametrize("bad", [np.int64(3), 0.5], ids=["int64", "float"])
+@pytest.mark.parametrize("bad", [np.int64(3), 0.5, True],
+                         ids=["int64", "float", "bool"])
 def test_foreign_scalars_are_refused(bad):
     # once read as None and so as zero: decide took (int64 0, int64 3) for
-    # delta = 0, and NumericParams stored [None, None]
+    # delta = 0, and NumericParams stored [None, None]; a bool was read as
+    # the int 0 or 1 (semisimple_verdict gave radical 3 at (True, 1))
     F = CyclotomicField(2)
-    with pytest.raises(TypeError):
-        F.coerce(bad)
+    for field in (F, FiniteField(7, 1)):
+        with pytest.raises(TypeError):
+            field.coerce(bad)
     for call in (lambda: decide(2, 2, F, [bad, bad]),
                  lambda: decide(2, 2, F, [0, bad], "gmu"),
                  lambda: semisimple_verdict(2, 2, F, [bad, bad]),
@@ -361,6 +365,23 @@ def test_foreign_scalars_are_refused(bad):
     assert decide(2, 2, F, [0, 3]).semisimple
 
 
+@pytest.mark.parametrize("field", [CyclotomicField(1), CyclotomicField(3),
+                                   FiniteField(7, 1), FiniteField(5, 2)],
+                         ids=repr)
+def test_element_and_embed_refuse_floats_and_bools(field):
+    # CyclotomicField(3).element([0.1]) once gave
+    # 3602879701896397/36028797018963968 and FiniteField(7, 1).element([2.0])
+    # stored the float 2.0
+    for bad in (0.1, 2.0, True, False):
+        for call in (lambda: field.element([bad]),
+                     lambda: field.element([1, bad]),
+                     lambda: field.embed(bad)):
+            with pytest.raises(TypeError):
+                call()
+    assert field.element([2, Fraction(1, 2)]) == \
+        field.embed(2) + field.embed(Fraction(1, 2)) * field.element([0, 1])
+
+
 # the product and inverse the fold-table kernel replaced: a generic
 # polynomial product reduced by long division in field.element, and the
 # extended Euclid inverse for every nonzero element
@@ -371,7 +392,8 @@ def reference_mul(a, b):
 
 def reference_inverse(a):
     F = a.field
-    g, s = _poly_xgcd(F.modulus, a.coeffs, Fraction(0), Fraction(1))
+    g, s = _poly_xgcd([Fraction(c) for c in F.modulus], a.coeffs,
+                      Fraction(0), Fraction(1))
     return F.element([x / g[0] for x in s])
 
 
@@ -410,9 +432,15 @@ def make_element(F, kind, coeffs):
 
 
 KINDS = st.sampled_from(["zero", "rational", "full"])
-# phi(m) <= 10 for m <= 12
-RATIONALS = st.lists(st.builds(Fraction, st.integers(-50, 50),
-                               st.integers(1, 30)), min_size=10, max_size=10)
+# phi(m) <= 10 for m <= 12; small parts, some beyond 2^64, and
+# denominators divisible by the prime of the numeric hashes
+HUGE = st.integers(2 ** 64, 2 ** 80)
+HASH_P = sys.hash_info.modulus
+RATIONALS = st.lists(st.builds(Fraction,
+                               st.integers(-50, 50) | HUGE | HUGE.map(int.__neg__),
+                               st.integers(1, 30) | HUGE
+                               | st.sampled_from([HASH_P, 6 * HASH_P])),
+                     min_size=10, max_size=10)
 # reduced mod p by FiniteField.element
 RESIDUES = st.lists(st.integers(0, 420), min_size=4, max_size=4)
 # no explain phase: it traces every line of a failing case, which turns
@@ -431,17 +459,28 @@ def test_cyclotomic_kernel_matches_reference(m, kind_a, ca, kind_b, cb):
             [(x.inverse(), reference_inverse(x)) for x in (a, b) if x]:
         assert got.coeffs == want.coeffs and hash(got) == hash(want)
         assert len(got.coeffs) == F.degree
-        assert all(type(c) is Fraction for c in got.coeffs)
+        assert_canonical(got)
+
+
+def assert_canonical(x):
+    """x in lowest terms over a positive denominator (1 for zero), with
+    Fraction coefficients and the hash of (m, coeffs)."""
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    assert x.den == 1 or any(x.num)
+    assert len(x.num) == x.field.degree
+    assert all(type(c) is int for c in x.num)
+    assert all(type(c) is Fraction for c in x.coeffs)
+    assert hash(x) == hash((x.field.m, x.coeffs))
 
 
 # the sum and difference before zero pairs were skipped: every
 # coefficient pair added as Fractions
 def reference_add(a, b):
-    return CycElt(a.field, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+    return a.field.element([x + y for x, y in zip(a.coeffs, b.coeffs)])
 
 
 def reference_sub(a, b):
-    return CycElt(a.field, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+    return a.field.element([x - y for x, y in zip(a.coeffs, b.coeffs)])
 
 
 @pytest.mark.parametrize("m", range(1, 13))
@@ -458,7 +497,7 @@ def test_cyclotomic_add_sub_match_reference(m, kind_a, ca, kind_b, cb):
                       (a + 2, reference_add(a, two)),
                       (2 - a, reference_sub(two, a))]:
         assert got.coeffs == want.coeffs and hash(got) == hash(want)
-        assert all(type(c) is Fraction for c in got.coeffs)
+        assert_canonical(got)
 
 
 @pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 5, 7)
