@@ -277,8 +277,8 @@ def trace_matrix(table, field, deltas):
 def _to_rational_blocks(field, values, blocks):
     """Flatten T = (values, blocks) over Q(zeta_m) to a matrix over Q,
     returned as ((nums, dens), blocks, deg): entry v of the flat T is
-    nums[v] / dens[v], two integers read off the numerators and the
-    denominator of a value.  blocks lists the index stacks (k, b, b) of a
+    nums[v] / dens[v], a numerator of a value times a power of zeta over
+    its denominator.  blocks lists the index stacks (k, b, b) of a
     block-diagonal form of T, each flattened alike.
 
     A matrix whose entries are all rational has the same rank over
@@ -289,19 +289,14 @@ def _to_rational_blocks(field, values, blocks):
     stack[h, i, j].
     """
     deg = field.degree
-    rest = (0,) * (deg - 1)
-    if deg == 1 or not any(x.num[1:] != rest for x in values):
+    if deg == 1 or not any(any(x.num[1:]) for x in values):
         return ([x.num[0] for x in values], [x.den for x in values]), blocks, 1
-    top = field.fold[0]  # zeta^deg on the power basis
+    basis = [field.element([0] * c + [1]) for c in range(deg)]
     nums, dens = [], []
     for x in values:
-        # column c holds the numerators of x zeta^c, over x.den
-        cols = [x.num]
-        for _ in range(deg - 1):
-            col = cols[-1]
-            cols.append([a + col[-1] * b for a, b in zip([0, *col[:-1]], top)])
-        nums.extend(col[r] for r in range(deg) for col in cols)
-        dens.extend([x.den] * (deg * deg))
+        cols = [x * b for b in basis]
+        nums.extend(col.num[r] for r in range(deg) for col in cols)
+        dens.extend(col.den for r in range(deg) for col in cols)
     cells = np.arange(deg * deg).reshape(deg, deg)
     big = [(s[..., None, None].astype(np.intp) * deg * deg + cells)
            .swapaxes(2, 3).reshape(len(s), deg * s.shape[1], -1)

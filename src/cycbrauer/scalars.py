@@ -31,9 +31,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from sys import hash_info
-
-_HASH_P = hash_info.modulus  # the prime of the numeric hashes
 
 
 class NoRootError(ValueError):
@@ -250,9 +247,9 @@ def _rational(c):
 
 
 class FieldElement:
-    """Arithmetic shared by CycElt and FFElt, elements of ``field``.  Each
-    subclass holds its own coefficients and defines its own ring
-    operations (add, sub, neg, mul, inverse), equality and hash."""
+    """Arithmetic shared by CycElt and FFElt, elements of ``field`` with a
+    tuple ``coeffs`` on the power basis.  Each subclass defines its own
+    ring operations (add, sub, neg, mul, inverse) and hash."""
 
     __slots__ = ("field",)
 
@@ -289,6 +286,15 @@ class FieldElement:
         if k < 0:
             return power(self.inverse(), -k, self.field.one)
         return power(self, k, self.field.one)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.coeffs == o.coeffs
+
+    def __bool__(self):
+        return any(self.coeffs)
 
     def __str__(self):
         return self.field.format_element(self)
@@ -482,15 +488,7 @@ class CycElt(FieldElement):
         return any(self.num)
 
     def __hash__(self):
-        # hash((m, coeffs)) from the numerators: a Fraction n / d hashes as
-        # the int +-(|n| / d mod P) ("Hashing of numeric types" in the
-        # Python docs), the same for every n / d with d a unit mod P
-        if self.den % _HASH_P == 0:
-            return hash((self.field.m, self.coeffs))
-        inv = pow(self.den, -1, _HASH_P)
-        return hash((self.field.m, tuple(
-            c * inv % _HASH_P if c >= 0 else -(-c * inv % _HASH_P)
-            for c in self.num)))
+        return hash((self.field.m, self.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -646,15 +644,6 @@ class FFElt(FieldElement):
         if field.k == 1:
             return FFElt(field, (pow(self.coeffs[0], -1, field.p),))
         return power(self, field.order - 2, field.one)  # x^(q-1) = 1
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __bool__(self):
-        return any(self.coeffs)
 
     def __hash__(self):
         return hash((self.field.p, self.field.k, self.coeffs))
