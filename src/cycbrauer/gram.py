@@ -4,24 +4,28 @@ Both forms pair half diagrams alpha (x) w (x) alpha_0 (alpha one labelled
 top arc, w a wreath element on the free points, alpha_0 the arc {n-1, n}
 with label 0) through diagrams.multiply_all, all pairs at once (the group
 actions on V too), and read each entry off its product and closed loops.
-They are kept clearly apart:
+No pairing depends on the parameters: each is built once per (m, n), its
+distinct products and a shared read-only index, and a form is one value
+per distinct product.  The two forms are kept clearly apart:
 
 * the iota-form on V, spanned by all these half diagrams: the pairing of
-  x and y is the coefficient of e_{n-1} in iota(x) * y.  Generally not
-  symmetric for m >= 3; its use is structural (entry shape, equivariance).
+  x and y is the coefficient of e_{n-1} in iota(x) * y (iota_pairing).
+  Generally not symmetric for m >= 3; its use is structural (entry shape,
+  equivariance).
 * the cellular star-form on the cell modules (1, mu') for n - 2 <= 1,
   spanned by the half diagrams with w = 1, read off star(x) * y: each
   entry is one character value times one loop parameter (identity and
   proof in cell_gram).  Symmetric; its determinants are the ones that
-  govern semisimplicity.  One entry pattern per (m, n) (cell_pairing, the
-  distinct products) gives every form's entries, and each determinant is
-  one cell's block determinants in the bar coordinates (cell_factors,
-  built and guarded once per (m, n, field)) at the point's bar transform.
+  govern semisimplicity.  One entry pattern per (m, n) (cell_pairing)
+  gives every form's entries, and each determinant is one cell's block
+  determinants in the bar coordinates (cell_factors, built and guarded
+  once per (m, n, field)) at the point's bar transform.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field as dfield
 from functools import lru_cache
@@ -36,7 +40,7 @@ from .diagrams import (NumericParams, basis_index, from_awb, generator,
 from .linalg import gauss_rank, minor_det
 from .partitions import check_multipartition
 from .scalars import CyclotomicField
-from .wreath import enumerate_group, identity
+from .wreath import enumerate_group, group_order, identity
 
 
 @dataclass
@@ -67,38 +71,62 @@ class GramMatrix:
         }
 
 
-def v_basis(m, n, cap=5000):
-    """Basis of V: the half diagrams alpha (x) w (x) alpha_0, ordered by the
-    top arc, then its label, then w in enumerate_group order."""
-    if n < 2:
-        raise ValueError("n >= 2 required")
-    group = enumerate_group(m, n - 2)
-    f = m * (n * (n - 1) // 2) * len(group)
-    if f > cap:
-        raise ValueError("dim V = %d exceeds cap %d" % (f, cap))
-    return _half_diagrams(m, n, group)
-
-
-def _half_diagrams(m, n, group):  # in v_basis order, w in group
+def _half_diagrams(m, n, group):  # in the order of V's basis, w in group
     alpha0 = [(n - 1, n, 0)]
     return [from_awb(m, n, [(i, j, lab)], w, alpha0)
             for i, j in itertools.combinations(range(1, n + 1), 2)
             for lab in range(m) for w in group]
 
 
+def _pairing(xs, ys, key):
+    """Every product x * y of two lists of half diagrams, numbered: key
+    maps multiply_all's (out, loops) to one integer per product, and the
+    pairing is (codes, loops, index), codes the distinct keys in increasing
+    order and index[i, j] the position of the key of xs[i] * ys[j] among
+    them, read-only and in the smallest unsigned dtype that holds it."""
+    out, loops = multiply_all(xs, ys)
+    codes, index = np.unique(key(out, loops), return_inverse=True)
+    index = index.reshape(len(xs), len(ys)).astype(
+        np.min_scalar_type(len(codes) - 1))
+    index.flags.writeable = False  # shared by every form on this pattern
+    return codes.tolist(), loops, index
+
+
+IotaPairing = namedtuple("IotaPairing", "basis products index")
+
+
+@lru_cache(maxsize=None)
+def iota_pairing(m, n):
+    """The entry pattern behind gram_big, which depends on no parameter,
+    built once per (m, n) and shared: the basis of V, a tuple of the half
+    diagrams alpha (x) w (x) alpha_0 ordered by the top arc, then its
+    label, then w in enumerate_group order; and iota(x) * y, for x and y in
+    the basis, is e_{n-1} times the deltas of the loop multiset
+    products[index[x, y]], or no multiple of e_{n-1} where that is None."""
+    basis = tuple(_half_diagrams(m, n, enumerate_group(m, n - 2)))
+    e = basis_index(generator(m, n, "e", n - 1))
+    codes, loops, index = _pairing(
+        [iota_diagram(x) for x in basis], basis,
+        lambda out, loops: np.where(out[..., 0] == e, out[..., 1], -1))
+    return IotaPairing(basis, tuple(loops[u] if u >= 0 else None
+                                    for u in codes), index)
+
+
 def gram_big(m, n, params, cap=5000):
     """The f x f iota-form matrix on V: entry (x, y) is the coefficient of
     e_{n-1} in iota(x) * y.  As for the trace form, the entries index a
-    short list of values: one per loop multiset of a product e_{n-1}, and 0."""
-    basis = v_basis(m, n, cap)
-    out, loops = multiply_all([iota_diagram(x) for x in basis], basis)
-    e = basis_index(generator(m, n, "e", n - 1))
-    codes, index = np.unique(np.where(out[..., 0] == e, out[..., 1], -1),
-                             return_inverse=True)
-    values = [times_loops(params, params.one, loops[u]) if u >= 0
-              else params.zero for u in codes.tolist()]
-    return GramMatrix("iota-form", values,
-                      index.reshape(len(basis), len(basis)), basis)
+    short list of values, one per product of iota_pairing(m, n): the loops'
+    deltas, and 0.  A V above cap is refused before anything is built."""
+    if n < 2:
+        raise ValueError("n >= 2 required")
+    f = m * math.comb(n, 2) * group_order(m, n - 2)
+    if f > cap:
+        raise ValueError("dim V = %d exceeds cap %d" % (f, cap))
+    pairing = iota_pairing(m, n)
+    values = [params.zero if loops is None
+              else times_loops(params, params.one, loops)
+              for loops in pairing.products]
+    return GramMatrix("iota-form", values, pairing.index, list(pairing.basis))
 
 
 def shape_check(gram, params):
@@ -116,27 +144,49 @@ def shape_check(gram, params):
 
 def equivariance_check(m, n, params, cap=5000, gram=None):
     """Check that the iota-form endomorphism commutes with the left
-    W_{m,n} action and the right W_{m,n-2} action, generator by generator.
-
-    Both actions permute the basis of V and are diagram products, one
-    multiply_all call per side for all its generators: the left one g * b,
-    the right one b * (y (+) 1_2), which is w |-> w y on the middle factor.
-    The generators y (+) 1_2 are t_1 and s_i, i < n - 2, of W_{m,n}.  A
-    product with a group element closes no loop.
+    W_{m,n} action and the right W_{m,n-2} action, generator by generator
+    (the basis permutations of _actions).
 
     The commutation identities only hold on the admissible parameter locus
     delta_a = delta_{m-a} (automatic for m <= 2); the report records the
     admissibility of the supplied parameters so off-locus failures at m >= 3
     are interpretable.  ``gram`` is gram_big(m, n, params, cap) when the
-    caller has built it already."""
-    gm = gram_big(m, n, params, cap) if gram is None else gram
-    basis, f = gm.basis, gm.size
-    position = {basis_index(b): k for k, b in enumerate(basis)}
+    caller has built it already; a form of another (m, n) is refused."""
+    if gram is None:
+        gram = gram_big(m, n, params, cap)
+    elif (gram.basis[0].m, gram.basis[0].n) != (m, n):
+        raise ValueError("gram is the iota-form of (m, n) = (%d, %d), not "
+                         "(%d, %d)" % (gram.basis[0].m, gram.basis[0].n, m, n))
     # equal values (delta_a, delta_{m-a} if symmetric) share a code
-    G = np.array([gm.values.index(x) for x in gm.values])[gm.index]
+    G = np.array([gram.values.index(x) for x in gram.values])[gram.index]
+    failures, checked = [], []
+    for tag, perm, inverse in _actions(m, n):
+        # P*G == G*P with P[perm[j], j] = 1: (P G)[i][j] =
+        # G[perm^{-1}(i)][j] and (G P)[i][j] = G[i][perm[j]]
+        bad = np.flatnonzero(G[inverse] != G[:, perm])
+        if len(bad):
+            r, c = divmod(int(bad[0]), gram.size)
+            failures.append({"generator": tag, "i": r, "j": c})
+        else:
+            checked.append(tag)
+    return {"m": m, "n": n, "ok": not failures, "checked": checked,
+            "failures": failures, "admissible": is_admissible(params)}
+
+
+@lru_cache(maxsize=None)
+def _actions(m, n):
+    """The generators of equivariance_check as permutations of the basis of
+    V, built once per (m, n): (tag, perm, inverse), perm[j] the position of
+    g * b_j (left) or b_j * g (right).  Both actions are diagram products,
+    one multiply_all call per side: the right one b * (y (+) 1_2) is
+    w |-> w y on the middle factor, for the generators y (+) 1_2 = t_1 and
+    s_i, i < n - 2, of W_{m,n}.  A product with a group element closes no
+    loop."""
+    basis = iota_pairing(m, n).basis
+    position = {basis_index(b): k for k, b in enumerate(basis)}
     left = [("s", i) for i in range(1, n)] + [("t", 1)]
     right = [("t", 1)] * (n - 2 >= 1) + [("s", i) for i in range(1, n - 2)]
-    failures, checked = [], []
+    actions = []
     for side, gens in (("left", left), ("right", right)):
         g = [generator(m, n, name, i) for name, i in gens]
         if not g:
@@ -145,19 +195,11 @@ def equivariance_check(m, n, params, cap=5000, gram=None):
         if side == "right":
             out = out.swapaxes(0, 1)
         for (name, i), row in zip(gens, out[..., 0].tolist()):
-            # P*G == G*P with P[perm[j], j] = 1, perm the basis permutation
-            # by the generator g on this side: (P G)[i][j] =
-            # G[perm^{-1}(i)][j] and (G P)[i][j] = G[i][perm[j]]
-            perm = [position[k] for k in row]
-            bad = np.flatnonzero(G[np.argsort(perm)] != G[:, perm])
-            tag = "%s-%s%d" % (side, name, i)
-            if len(bad):
-                r, c = divmod(int(bad[0]), f)
-                failures.append({"generator": tag, "i": r, "j": c})
-            else:
-                checked.append(tag)
-    return {"m": m, "n": n, "ok": not failures, "checked": checked,
-            "failures": failures, "admissible": is_admissible(params)}
+            perm = np.array([position[k] for k in row])
+            inverse = np.argsort(perm)
+            perm.flags.writeable = inverse.flags.writeable = False
+            actions.append(("%s-%s%d" % (side, name, i), perm, inverse))
+    return tuple(actions)
 
 
 # ---------------------------------------------------------------------------
@@ -226,23 +268,25 @@ CellPairing = namedtuple("CellPairing", "half pairs index")
 def cell_pairing(m, n):
     """The entry pattern behind cell_gram, which depends on neither mu nor
     the parameters, built once per (m, n) and shared: the half diagrams
-    v_x (w = 1 in v_basis), and star(v_x) * v_y is the loops' deltas times
-    alpha_0 (x) t^r0 (x) alpha_0 for (r0, loops) = pairs[index[x, y]], the
-    distinct pairs; any other product raises ValueError."""
+    v_x (those of the basis of V with w = 1), and star(v_x) * v_y is the
+    loops' deltas times alpha_0 (x) t^r0 (x) alpha_0 for (r0, loops) =
+    pairs[index[x, y]], the distinct pairs; any other product raises
+    ValueError."""
     if n not in (2, 3):
         raise ValueError("cell Gram matrices need n = 2 or 3, got n = %d" % n)
-    half = _half_diagrams(m, n, [identity(m, n - 2)])
+    half = tuple(_half_diagrams(m, n, [identity(m, n - 2)]))
     alpha0 = [(n - 1, n, 0)]
     # the m targets alpha_0 (x) t^r (x) alpha_0 (one at n = 2), by r
     targets = {basis_index(from_awb(m, n, alpha0, w, alpha0)): sum(w.colors)
                for w in enumerate_group(m, n - 2)}
-    out, loops = multiply_all([star_diagram(x) for x in half], half)
-    if not np.isin(out[..., 0], list(targets)).all():
+    codes, loops, index = _pairing(
+        [star_diagram(x) for x in half], half,
+        lambda out, loops: out[..., 0].astype(np.int64) * len(loops)
+        + out[..., 1])
+    products = [divmod(c, len(loops)) for c in codes]
+    if any(k not in targets for k, _ in products):
         raise ValueError("product left the span of alpha_0 (x) t^s (x) alpha_0")
-    codes, index = np.unique(out.reshape(-1, 2), axis=0, return_inverse=True)
-    index = index.reshape(len(half), len(half))
-    index.flags.writeable = False  # shared by every form on this pattern
-    pairs = tuple((targets[k], loops[u]) for k, u in codes.tolist())
+    pairs = tuple((targets[k], loops[u]) for k, u in products)
     return CellPairing(half, pairs, index)
 
 
@@ -280,7 +324,8 @@ def cell_form(m, n, mu, params, compute_det=True):
         weight = [field.embed(m) * xi ** (l * (r - 1) % m) for r in range(m)]
     values = [times_loops(params, params.one * weight[r0], loops)
               for r0, loops in pairing.pairs]
-    return GramMatrix("cellular-form", values, pairing.index, pairing.half,
+    return GramMatrix("cellular-form", values, pairing.index,
+                      list(pairing.half),
                       _cell_det(m, n, l, params) if compute_det else None)
 
 

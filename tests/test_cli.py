@@ -101,6 +101,20 @@ def test_gram_builds_the_iota_form_once(capsys, monkeypatch, argv):
     assert len(calls) == 1
 
 
+def test_gram_composes_the_iota_pairing_once(capsys, strand_calls):
+    # without --delta, m >= 3 checks equivariance at a second, symmetric
+    # parameter set: its form is evaluated on the same pairing, so a cold
+    # (3, 3) call composes 9 skeleton pairs for the pairing and 12 for the
+    # generator actions (30 when the pairing was composed twice), and the
+    # output is the pinned one
+    cycbrauer.gram.iota_pairing.cache_clear()
+    cycbrauer.gram._actions.cache_clear()
+    code, out = run(capsys, "gram", "--m", "3", "--n", "3")
+    assert code == 0 and strand_calls == {"_compose_skeletons": 21}
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "0e8d145e773cd0dafde795c9f2d58d63505081ee4ef743a595f42c2a546798c6"
+
+
 def test_single_box(capsys):
     code, obj = run_json(capsys, "single-box", "--m", "2")
     assert code == 0 and obj["report"]["matches_printed_at_zero"]

@@ -7,10 +7,12 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycbrauer import gram
 from cycbrauer.diagrams import (DiagramAlgebra, NumericParams, SymbolicParams,
                                 from_awb, generator, iota_diagram,
                                 is_admissible, multiply_diagrams, times_loops,
@@ -19,8 +21,8 @@ from cycbrauer.criterion import bar_deltas
 from cycbrauer.gram import (GramMatrix, _bar_form, _block_kinds,
                             _cell_factors, _root_sum, cell_det_at,
                             cell_factors, cell_form, cell_gram, cell_pairing,
-                            equivariance_check, gram_big, shape_check,
-                            single_box_gram, v_basis)
+                            equivariance_check, gram_big, iota_pairing,
+                            shape_check, single_box_gram)
 from cycbrauer.linalg import gauss_det, minor_det
 from cycbrauer.oracle import _cell_det_values, _hyperplane_point
 from cycbrauer.scalars import CyclotomicField, field_with_root
@@ -49,7 +51,7 @@ def admissible_numeric(m, seed=0):
 
 def test_v_basis_sizes():
     for (m, n) in [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)]:
-        assert len(v_basis(m, n)) == v_dim(m, n)
+        assert len(iota_pairing(m, n).basis) == v_dim(m, n)
 
 
 @pytest.mark.parametrize("mn", [(2, 3), (3, 3), (2, 4)])
@@ -62,7 +64,7 @@ def test_right_action_is_a_diagram_product(mn):
     halves = [([arc + (lab,)], w)
               for arc in itertools.combinations(range(1, n + 1), 2)
               for lab in range(m) for w in group]
-    basis = v_basis(m, n)
+    basis = list(iota_pairing(m, n).basis)
     assert basis == [from_awb(m, n, alpha, w, alpha0) for alpha, w in halves]
 
     def plus_two(y):  # the diagram of y (+) 1_2
@@ -137,7 +139,7 @@ def test_equivariance_fails_off_locus():
 
 def _reference_gram_big(m, n, params):
     """gram_big's entries by one strand-walker product per entry."""
-    basis = v_basis(m, n)
+    basis = iota_pairing(m, n).basis
     e = generator(m, n, "e", n - 1)
 
     def entry(x, y):
@@ -213,6 +215,136 @@ def test_equivariance_reports_the_reference_first_failure(m, n, kind):
         got = equivariance_check(m, n, params, gram=bad)
         assert got == _reference_equivariance(m, n, params, bad), (i, j)
         assert not got["ok"]
+
+
+@pytest.mark.parametrize("m,n,dim", [(2, 9, 46448640), (2, 10, 928972800)])
+def test_too_large_v_is_refused_before_anything_is_built(monkeypatch, m, n,
+                                                          dim):
+    # dim V = m C(n, 2) m^(n-2) (n-2)! is counted, not enumerated: no group
+    # element, basis or pairing is built, and the caller's cap is named
+    def refused(*args):
+        raise AssertionError("built a group, basis or pairing")
+    for name in ("enumerate_group", "iota_pairing", "multiply_all"):
+        monkeypatch.setattr(gram, name, refused)
+    message = "dim V = %d exceeds cap 5000" % dim
+    for params in (SymbolicParams(m), admissible_numeric(m)):
+        with pytest.raises(ValueError, match=message):
+            gram_big(m, n, params)
+        with pytest.raises(ValueError, match=message):
+            equivariance_check(m, n, params)
+    with pytest.raises(ValueError, match="n >= 2 required"):
+        gram_big(2, 1, SymbolicParams(2))
+
+
+@pytest.mark.parametrize("built,asked", [((2, 3), (12, 2)), ((3, 3), (2, 3)),
+                                         ((2, 2), (2, 3))])
+def test_equivariance_refuses_a_form_of_another_size(built, asked):
+    # (2, 3) and (12, 2) both have dim V = 12: the form is refused by its
+    # (m, n), not by its size
+    gm = gram_big(*built, SymbolicParams(built[0]))
+    with pytest.raises(ValueError, match=re.escape(
+            "gram is the iota-form of (m, n) = %s, not %s" % (built, asked))):
+        equivariance_check(*asked, SymbolicParams(asked[0]), gram=gm)
+
+
+def _params_of(kind, m, seed=0):
+    """Iota-form parameters: free or symmetric symbolic, admissible
+    rational, or admissible over GF(p) with p = 1 mod m."""
+    if kind == "finite":
+        K = field_with_root(7 if m <= 3 else 5, m)
+        free = [K.embed(seed + a * a + 2) for a in range(m // 2 + 1)]
+        return NumericParams(K, [free[min(j, m - j)] for j in range(m)])
+    if kind == "numeric":
+        return admissible_numeric(m, seed)
+    return SymbolicParams(m, symmetric=kind == "symmetric")
+
+
+@pytest.mark.parametrize("m,n,pairing,actions", [
+    (2, 2, 1, 2), (3, 2, 1, 2), (2, 3, 9, 12), (3, 3, 9, 12),
+    (2, 4, 144, 72)])
+def test_pattern_and_actions_are_built_once(strand_calls, m, n, pairing,
+                                            actions):
+    # one pairing per (m, n) however many forms are evaluated on it, and
+    # the generator actions only when an equivariance check asks for them;
+    # counted in skeleton pairs of _compose_skeletons: b^2 for the pairing,
+    # V having b = C(n, 2) (n-2)! skeletons, and b per generator skeleton
+    # for the actions (s_1..s_{n-1} and 1 on the left, 1 and s_1..s_{n-3}
+    # on the right)
+    gram.iota_pairing.cache_clear()
+    gram._actions.cache_clear()
+    kinds = ["symbolic", "symmetric", "numeric", "finite"]
+    for k, kind in enumerate(kinds):
+        strand_calls.clear()
+        gm = gram_big(m, n, _params_of(kind, m))
+        assert strand_calls == ({"_compose_skeletons": pairing} if k == 0
+                                else {}), kind
+    for k, kind in enumerate(kinds):
+        strand_calls.clear()
+        params = _params_of(kind, m, seed=k)
+        assert equivariance_check(m, n, params)["ok"] == \
+            is_admissible(params)
+        equivariance_check(m, n, params, gram=gm)
+        assert strand_calls == ({"_compose_skeletons": actions} if k == 0
+                                else {}), kind
+
+
+def test_shared_pattern_survives_its_forms():
+    # the index every form shares is read-only; the basis and values each
+    # call returns are its own, so mutating them, or a copy of the index,
+    # leaves the next call as it was
+    params = SymbolicParams(2)
+    gm = gram_big(2, 3, params)
+    want = (gm.to_json(), list(gm.basis), list(gm.values))
+    assert gm.index is iota_pairing(2, 3).index
+    assert gm.index.dtype == np.uint8
+    with pytest.raises(ValueError, match="read-only"):
+        gm.index[0, 0] = 1
+    gm.basis.reverse()
+    gm.values[:] = [params.one] * len(gm.values)
+    gm.index = gm.index.copy()
+    gm.index[:] = 0
+    again = gram_big(2, 3, params)
+    assert (again.to_json(), again.basis, again.values) == want
+    assert equivariance_check(2, 3, params) == \
+        _reference_equivariance(2, 3, params, again)
+    for _, perm, inverse in gram._actions(2, 3):
+        with pytest.raises(ValueError, match="read-only"):
+            perm[0] = inverse[0] = 0
+
+
+_REFERENCES = {}
+
+
+def _reference(m, n, kind, seed):
+    """The strand-walker gram_big entries and equivariance report at one
+    parameter set, computed once per test session."""
+    key = (m, n, kind, seed)
+    if key not in _REFERENCES:
+        params = _params_of(kind, m, seed)
+        entries = _reference_gram_big(m, n, params)
+        gm = GramMatrix("iota-form", [x for row in entries for x in row],
+                        np.arange(len(entries) ** 2).reshape(len(entries), -1),
+                        list(iota_pairing(m, n).basis))
+        _REFERENCES[key] = entries, _reference_equivariance(m, n, params, gm)
+    return _REFERENCES[key]
+
+
+@settings(max_examples=25, deadline=None)
+@given(calls=st.lists(st.tuples(
+    st.sampled_from([(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]),
+    st.sampled_from(["symbolic", "symmetric", "numeric", "finite"]),
+    st.integers(0, 2)), min_size=1, max_size=6))
+def test_warm_pattern_matches_the_reference(calls):
+    # any sequence of parameter kinds on the shared patterns gives the
+    # strand walker's entries and equivariance report, with or without the
+    # form passed in
+    for (m, n), kind, seed in calls:
+        params = _params_of(kind, m, seed)
+        entries, report = _reference(m, n, kind, seed)
+        gm = gram_big(m, n, params)
+        assert gm.entries == entries
+        assert equivariance_check(m, n, params) == report
+        assert equivariance_check(m, n, params, gram=gm) == report
 
 
 @pytest.mark.parametrize("m", [3, 4])

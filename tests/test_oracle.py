@@ -1048,28 +1048,6 @@ def test_cell_factors_are_built_once_per_pair_and_field(monkeypatch):
     assert builds == want
 
 
-@pytest.fixture
-def strand_calls(monkeypatch):
-    """Calls of multiply_diagrams and the skeleton pairs composed by
-    _compose_skeletons, through every binding of them in the package."""
-    calls = Counter()
-    for name, count in (("multiply_diagrams", lambda x, y: 1),
-                        ("_compose_skeletons",
-                         lambda n, x_succ, y_succ, *rest:
-                             len(x_succ) * len(y_succ))):
-        orig = getattr(diagrams, name)
-
-        def counted(*args, name=name, orig=orig, count=count):
-            calls[name] += count(*args)
-            return orig(*args)
-        for mod in [mod for key, mod in sys.modules.items()
-                    if key.split(".")[0] == "cycbrauer"]:
-            for attr, value in list(vars(mod).items()):
-                if value is orig:
-                    monkeypatch.setattr(mod, attr, counted)
-    return calls
-
-
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 3)])
 def test_sweep_item_pairs_the_half_diagrams_once(strand_calls, m, n):
     # one table per item, however many points the item has, and one cell
